@@ -29,18 +29,10 @@ def _write_report(path: str, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = SuiteConfig(suite=args.suite, p=args.p, h=args.h, tol=args.tol,
-                          seed=args.seed, spec_path=args.spec,
-                          report_path=args.report)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        checks = run_suite(cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = SuiteConfig(suite=args.suite, p=args.p, h=args.h, tol=args.tol,
+                      seed=args.seed, spec_path=args.spec,
+                      report_path=args.report)
+    checks = run_suite(cfg)
     passed = all(c["status"] == "pass" for c in checks)
     for c in checks:
         print(f"{c['status'].upper():4s} {c['check']}  defect={c['defect']:.6g}"
@@ -59,15 +51,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        spec = _load_json(args.spec)
-        target = (domain_from_spec(_load_json(args.domain), default_h=args.h)
-                  if args.domain else None)
-        base = os.path.dirname(args.spec) or "."
-        T = operator_from_spec(spec, target=target, base_dir=base)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    spec = _load_json(args.spec)
+    target = (domain_from_spec(_load_json(args.domain), default_h=args.h)
+              if args.domain else None)
+    base = os.path.dirname(args.spec) or "."
+    T = operator_from_spec(spec, target=target, base_dir=base)
     rec = reconstruct(T, p=args.p)
     fit = rigid_motion_fit(rec, T.target)
     os.makedirs(args.out, exist_ok=True)
@@ -88,14 +76,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    try:
-        omega1 = domain_from_spec(_load_json(args.domain1), default_h=args.h)
-        omega2 = domain_from_spec(_load_json(args.domain2), default_h=args.h)
-        motion = (RigidMotion.from_json_dict(_load_json(args.motion))
-                  if args.motion else RigidMotion.identity(omega1.dim))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    omega1 = domain_from_spec(_load_json(args.domain1), default_h=args.h)
+    omega2 = domain_from_spec(_load_json(args.domain2), default_h=args.h)
+    motion = (RigidMotion.from_json_dict(_load_json(args.motion))
+              if args.motion else RigidMotion.identity(omega1.dim))
     tol = args.tol if args.tol is not None else 4.0 * min(omega1.h, omega2.h)
     ok, defect = congruence_check(omega1, omega2, motion, tol)
     print(f"symmetric-difference measure: {defect:.6g} (tol {tol:.6g}) -> "
@@ -139,7 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # bad input found at any stage (json.JSONDecodeError is a ValueError)
+    # exits 2, never 1, which is reserved for a failed check
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

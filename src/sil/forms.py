@@ -149,12 +149,10 @@ def plap_residual(u: Field, p: float, tests) -> float:
     weak solution of the p-Laplace equation drives this to zero under grid
     refinement while non-solutions stall at an O(1) value.
     """
-    tests = list(tests)
-    if not tests:
-        raise ValueError("at least one test function is required")
     mask = u.domain.boundary_layer_mask()
     worst = 0.0
-    for phi in tests:
+    count = 0
+    for count, phi in enumerate(tests, 1):
         _check_pair(u, phi)
         if np.any(phi.values[mask] != 0.0):
             raise ValueError("test function does not vanish on the boundary layer")
@@ -162,6 +160,8 @@ def plap_residual(u: Field, p: float, tests) -> float:
         if denom == 0.0:
             raise ValueError("test function is identically zero")
         worst = max(worst, abs(form_a(u, phi, p)) / denom)
+    if count == 0:
+        raise ValueError("at least one test function is required")
     return worst
 
 

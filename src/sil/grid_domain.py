@@ -18,8 +18,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 DEFAULT_CELL_BUDGET = 1_000_000
 
@@ -31,10 +29,14 @@ def cell_budget() -> int:
 
     Overridable through the ``SIL_CELL_BUDGET`` environment variable.
     """
-    raw = os.environ.get("SIL_CELL_BUDGET")
-    if raw is None:
-        return DEFAULT_CELL_BUDGET
-    return int(float(raw))
+    raw = os.environ.get("SIL_CELL_BUDGET", str(DEFAULT_CELL_BUDGET))
+    try:
+        budget = int(float(raw))
+    except (ValueError, OverflowError):
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"SIL_CELL_BUDGET must be a positive number of cells, got {raw!r}")
+    return budget
 
 
 def _check_budget(n: int, what: str) -> None:
@@ -208,10 +210,7 @@ def make_box(lo, hi, h: float) -> GridDomain:
     total = math.prod(counts)
     _check_budget(total, "box rasterization")
     axes = [np.arange(n, dtype=np.int64) for n in counts]
-    if len(axes) == 1:
-        cells = axes[0][:, None]
-    else:
-        cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     return GridDomain(len(lo), float(h), lo, cells)
 
 
@@ -234,26 +233,31 @@ def connected_components(domain: GridDomain) -> list[GridDomain]:
     share ``dim``/``h``/``origin`` with the input, and split the active
     cells exactly (no cell lost or duplicated).
     """
-    rows_i = []
-    rows_j = []
-    for plus, _ in domain.neighbor_rows:
+    cells = domain.cells
+    # cells are lexsorted, so each run of consecutive cells along the last
+    # axis is a contiguous block of rows; runs are numbered in cell order
+    starts = np.ones(domain.n_cells, dtype=bool)
+    starts[1:] = (np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1)
+                  | (cells[1:, -1] != cells[:-1, -1] + 1))
+    run = np.cumsum(starts) - 1
+    root = np.arange(run[-1] + 1)
+    if domain.dim == 2:  # union-find over runs touching across rows
+        plus = domain.neighbor_rows[0][0]
         src = np.nonzero(plus >= 0)[0]
-        rows_i.append(src)
-        rows_j.append(plus[src])
-    if rows_i:
-        i = np.concatenate(rows_i)
-        j = np.concatenate(rows_j)
-    else:  # pragma: no cover - dim >= 1 always yields lists
-        i = j = np.zeros(0, dtype=np.int64)
-    n = domain.n_cells
-    graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    n_comp, labels = csgraph.connected_components(graph, directed=False)
-    parts = []
-    for lbl in range(n_comp):
-        parts.append(GridDomain(domain.dim, domain.h, domain.origin,
-                                domain.cells[labels == lbl]))
-    parts.sort(key=lambda part: tuple(part.cells[0]))
-    return parts
+        pairs = np.divmod(np.unique(run[src] * len(root) + run[plus[src]]), len(root))
+        for a, b in zip(*(side.tolist() for side in pairs)):
+            while root[a] != a:  # path halving
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            root[max(a, b)] = min(a, b)  # each root stays the first run of its part
+    while np.any(root[root] != root):
+        root = root[root]
+    labels = np.unique(root, return_inverse=True)[1][run]
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    return [GridDomain(domain.dim, domain.h, domain.origin, part)
+            for part in np.split(cells[order], bounds)]
 
 
 def is_topologically_regular(domain: GridDomain) -> bool:
@@ -383,10 +387,7 @@ def apply_rigid_motion(domain: GridDomain, motion: RigidMotion,
     total = int(np.prod(k_hi - k_lo + 1))
     _check_budget(total, "rigid-motion image")
     axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
-    if domain.dim == 1:
-        cand = axes[0][:, None]
-    else:
-        cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
     centers = np.asarray(origin_out) + h_out * (cand + 0.5)
     keep = domain.contains_points(motion.inverse_transform(centers))
     if not keep.any():
@@ -419,10 +420,7 @@ def congruence_check(omega1: GridDomain, omega2: GridDomain,
     total = int(np.prod(k_hi - k_lo + 1))
     _check_budget(total, "congruence refinement grid")
     axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
-    if omega1.dim == 1:
-        cand = axes[0][:, None]
-    else:
-        cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, omega1.dim)
+    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, omega1.dim)
     centers = o + h_ref * (cand + 0.5)
     in_a = omega1.contains_points(centers)
     in_b = omega2.contains_points(motion.inverse_transform(centers))

@@ -133,6 +133,26 @@ def disjoint_bump_pairs(domain: GridDomain, rng: np.random.Generator, n: int,
     return pairs
 
 
+@dataclass(frozen=True)
+class _TestBumps:
+    """Seeded interior test bumps, each built only when iteration reaches it.
+
+    Unlike a generator it has a length, so a caller can count the tests.
+    """
+
+    domain: GridDomain
+    seed: int
+
+    def __len__(self) -> int:
+        return 20
+
+    def __iter__(self):
+        rng = np.random.default_rng(self.seed)
+        for _ in range(len(self)):
+            c = rng.uniform(0.3, 0.7, size=self.domain.dim)  # c is drawn before r
+            yield bump(self.domain, c, rng.uniform(0.1, 0.25))
+
+
 _TRIAL_SHAPES = (
     lambda t: np.ones(t.shape[0]),
     lambda t: t[:, 0],
@@ -296,26 +316,17 @@ def suite_clarkson(cfg: SuiteConfig) -> list[dict]:
 
 
 def suite_plaplace(cfg: SuiteConfig) -> list[dict]:
-    rng = np.random.default_rng(cfg.seed)
     h0 = cfg.h or 1e-2
     p_values = (cfg.p,) if cfg.p else (2.0, 3.0)
     checks = []
     for dim in (1, 2):
-        builder = (lambda h: make_box(0.0, 1.0, h)) if dim == 1 else (
-            lambda h: make_box((0.0, 0.0), (1.0, 1.0), h))
         for p in p_values:
             residuals = []
             for k in range(3):
                 h = h0 / 2**k
-                domain = builder(h)
+                domain = make_box((0.0,) * dim, (1.0,) * dim, h)
                 probe = exponential_probe(domain, 0, 1, p)
-                tests_rng = np.random.default_rng(cfg.seed)
-                tests = []
-                for _ in range(20):
-                    c = tests_rng.uniform(0.3, 0.7, size=dim)
-                    r = tests_rng.uniform(0.1, 0.25)
-                    tests.append(bump(domain, c, r))
-                residuals.append(plap_residual(probe, p, tests))
+                residuals.append(plap_residual(probe, p, _TestBumps(domain, cfg.seed)))
             worst_ratio = min(residuals[i] / residuals[i + 1] for i in range(2))
             checks.append(_check(
                 f"probe_residual_decay_{dim}d_p{p:g}",

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sil
 from sil import Field, VectorField, make_box
 from sil.cli import main
 
@@ -169,3 +173,50 @@ class TestCongruenceCommand:
     def test_parse_failure_exits_2(self, tmp_path, square_spec):
         assert main(["congruence", "--domain1", square_spec,
                      "--domain2", str(tmp_path / "nope.json")]) == 2
+
+
+class TestInputErrorsExit2:
+    """Bad input exits 2 with a message, never 1 (a verdict) or a traceback."""
+
+    def _assert_input_error(self, code, capsys, needle):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert needle in err
+
+    def test_reconstruct_p_at_most_one(self, tmp_path, square_spec, capsys):
+        op = write_json(tmp_path / "op.json", {"builtin": "identity"})
+        code = main(["reconstruct", "--spec", op, "--domain", square_spec,
+                     "--p", "1.0", "--out", str(tmp_path / "o")])
+        self._assert_input_error(code, capsys, "p in (1, inf)")
+
+    def test_congruence_motion_dimension_mismatch(self, tmp_path, square_spec, capsys):
+        motion = write_json(tmp_path / "m1.json", {"Q": [[1]], "b": [0]})
+        code = main(["congruence", "--domain1", square_spec,
+                     "--domain2", square_spec, "--motion", motion])
+        self._assert_input_error(code, capsys, "motion dimension")
+
+    def test_congruence_refinement_grid_over_budget(self, square_spec, monkeypatch,
+                                                    capsys):
+        # the 100x100 square fits the budget; its 103x103 refinement grid does not
+        monkeypatch.setenv("SIL_CELL_BUDGET", "10000")
+        code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec])
+        self._assert_input_error(code, capsys, "congruence refinement grid")
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_bad_cell_budget_setting(self, square_spec, monkeypatch, capsys, raw):
+        monkeypatch.setenv("SIL_CELL_BUDGET", raw)
+        code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec])
+        self._assert_input_error(code, capsys, "SIL_CELL_BUDGET")
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs every `sil` process about 0.3 s and 33 MB at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, sil.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

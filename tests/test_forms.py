@@ -221,6 +221,18 @@ class TestPlapResidual:
         with pytest.raises(ValueError, match="boundary layer"):
             plap_residual(u, 2.0, [Field.constant(domain, 1.0)])
 
+    def test_empty_iterable_rejected(self):
+        domain = make_box(0.0, 1.0, 1e-2)
+        u = exponential_probe(domain, 0, 1, 2.0)
+        with pytest.raises(ValueError, match="at least one test function"):
+            plap_residual(u, 2.0, iter([]))
+
+    def test_generator_matches_list(self):
+        domain = make_box((0.0, 0.0), (1.0, 1.0), 2e-2)
+        u = exponential_probe(domain, 0, 1, 3.0)
+        tests = self._bumps(domain)
+        assert plap_residual(u, 3.0, (phi for phi in tests)) == plap_residual(u, 3.0, tests)
+
 
 class TestClarkson:
     def _pair(self, domain, seed):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sil import (
@@ -239,13 +240,93 @@ class TestGridDomainBasics:
         assert inside.tolist() == [True, False]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=30))
-def test_components_partition_property(cells):
-    domain = GridDomain(2, 0.1, (0.0, 0.0), np.array(sorted(cells), dtype=np.int64))
+def _bfs_components(cells):
+    """Reference labelling: breadth-first search over face neighbours.
+
+    Each search starts from the smallest unlabelled cell, so the parts come
+    out ordered by their smallest cell.
+    """
+    todo = set(cells)
+    parts = []
+    while todo:
+        start = min(todo)
+        todo.remove(start)
+        part, frontier = [start], [start]
+        while frontier:
+            cell = frontier.pop()
+            for nb in _face_neighbours(cell):
+                if nb in todo:
+                    todo.remove(nb)
+                    part.append(nb)
+                    frontier.append(nb)
+        parts.append(sorted(part))
+    return parts
+
+
+def _face_neighbours(cell):
+    for d in range(len(cell)):
+        for step in (-1, 1):
+            yield cell[:d] + (cell[d] + step,) + cell[d + 1:]
+
+
+def _assert_components(domain):
     parts = connected_components(domain)
-    # the cell partition is exact, so the measures add up through the counts
-    assert sum(p.n_cells for p in parts) == domain.n_cells
-    assert sum(p.n_cells for p in parts) * domain.h**2 == domain.measure
-    collected = sorted(tuple(c) for p in parts for c in p.cells)
-    assert collected == sorted(map(tuple, domain.cells))
+    got = [[tuple(c) for c in p.cells.tolist()] for p in parts]
+    # an exact partition, ordered by smallest cell
+    assert got == _bfs_components(map(tuple, domain.cells.tolist()))
+    assert sum(p.n_cells for p in parts) * domain.h**domain.dim == domain.measure
+    label = {cell: k for k, part in enumerate(got) for cell in part}
+    for k, part in enumerate(got):
+        assert len(_bfs_components(part)) == 1  # face-connected
+        for cell in part:  # no face neighbour lies in another part
+            assert all(label.get(nb, k) == k for nb in _face_neighbours(cell))
+    for part in parts:
+        assert (part.dim, part.h, part.origin) == (domain.dim, domain.h, domain.origin)
+
+
+@st.composite
+def _random_cell_sets(draw):
+    # half-full masks are dense enough for rings, islands and U shapes
+    shape = draw(st.sampled_from([(40,), (1, 12), (12, 1), (6, 6), (9, 9), (5, 14)]))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+    assume(mask.any())
+    offset = draw(st.integers(-5, 5))
+    return GridDomain(len(shape), 0.1, (0.0,) * len(shape), np.argwhere(mask) + offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_cell_sets())
+def test_components_partition_property(domain):
+    _assert_components(domain)
+
+
+@st.composite
+def _boxes_minus_boxes(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    box = st.tuples(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim),
+                    st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+
+    def box_cells(lo, size):
+        return set(itertools.product(*(range(a, a + n) for a, n in zip(lo, size))))
+
+    cells = set().union(*(box_cells(*b) for b in draw(st.lists(box, min_size=1, max_size=4))))
+    for b in draw(st.lists(box, max_size=3)):
+        cells -= box_cells(*b)
+    assume(cells)
+    return GridDomain(dim, 0.05, (0.25,) * dim, np.array(sorted(cells), dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxes_minus_boxes())
+def test_components_of_boxes_minus_boxes(domain):
+    _assert_components(domain)
+
+
+def test_component_counts_pinned():
+    assert len(connected_components(domain_from_spec("fat_cantor(0.5)", default_h=1e-4))) == 64
+    block = np.argwhere(np.ones((8, 8), dtype=bool))
+    lattice = np.concatenate([block + (10 * i, 10 * j) for i in range(10) for j in range(10)])
+    parts = connected_components(GridDomain(2, 0.01, (0.0, 0.0), lattice))
+    assert len(parts) == 100
+    assert all(p.n_cells == 64 for p in parts)
