@@ -167,31 +167,28 @@ def gradient(u: Field) -> VectorField:
     v = u.values
     h = dom.h
     out = np.zeros((dom.n_cells, dom.dim))
-    for d in range(dom.dim):
-        plus, minus = dom.neighbor_rows[d]
-        step = np.zeros(dom.dim, dtype=np.int64)
-        step[d] = 2
-        plus2 = dom.rows_of_indices(dom.cells + step)
-        minus2 = dom.rows_of_indices(dom.cells - step)
+    for d, (plus, minus) in enumerate(dom.neighbor_rows):
+        g = out[:, d]  # view: the stencils below write straight into out
         has_p, has_m = plus >= 0, minus >= 0
-        g = np.zeros(dom.n_cells)
-
         central = has_p & has_m
         g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
 
-        fwd = has_p & ~has_m
-        fwd2 = fwd & (plus2 >= 0)
-        fwd1 = fwd & ~fwd2
-        g[fwd2] = (-3.0 * v[fwd2] + 4.0 * v[plus[fwd2]] - v[plus2[fwd2]]) / (2.0 * h)
-        g[fwd1] = (v[plus[fwd1]] - v[fwd1]) / h
+        # the second neighbor along an axis is the first neighbor's neighbor
+        fwd = np.flatnonzero(has_p & ~has_m)
+        p1 = plus[fwd]
+        two = plus[p1] >= 0
+        r, a = fwd[two], p1[two]
+        g[r] = (-3.0 * v[r] + 4.0 * v[a] - v[plus[a]]) / (2.0 * h)
+        r, a = fwd[~two], p1[~two]
+        g[r] = (v[a] - v[r]) / h
 
-        bwd = has_m & ~has_p
-        bwd2 = bwd & (minus2 >= 0)
-        bwd1 = bwd & ~bwd2
-        g[bwd2] = (3.0 * v[bwd2] - 4.0 * v[minus[bwd2]] + v[minus2[bwd2]]) / (2.0 * h)
-        g[bwd1] = (v[bwd1] - v[minus[bwd1]]) / h
-
-        out[:, d] = g
+        bwd = np.flatnonzero(has_m & ~has_p)
+        m1 = minus[bwd]
+        two = minus[m1] >= 0
+        r, a = bwd[two], m1[two]
+        g[r] = (3.0 * v[r] - 4.0 * v[a] + v[minus[a]]) / (2.0 * h)
+        r, a = bwd[~two], m1[~two]
+        g[r] = (v[r] - v[a]) / h
     return VectorField(dom, out)
 
 

@@ -45,13 +45,15 @@ def form_a(u: Field, v: Field, p: float) -> float:
     if not (1.0 < p < np.inf):
         raise ValueError(f"form requires p in (1, inf), got {p}")
     _check_pair(u, v)
+    # summed before the gradients exist, so its n-sized temporaries never
+    # coexist with them
+    zero_order = np.sum(np.sign(u.values) * np.abs(u.values) ** (p - 1.0) * v.values)
     du = gradient(u).values
     dv = gradient(v).values
     mag = np.linalg.norm(du, axis=1)
-    zero_order = np.sign(u.values) * np.abs(u.values) ** (p - 1.0) * v.values
     grad_term = _grad_weight(mag, p - 2.0) * np.einsum("nd,nd->n", du, dv)
     cell = u.domain.h**u.domain.dim
-    return float(np.sum(zero_order) + np.sum(grad_term)) * cell
+    return float(zero_order + np.sum(grad_term)) * cell
 
 
 def form_b(u: Field, v: Field, w: Field, p: float) -> float:

@@ -70,10 +70,15 @@ class GridDomain:
         if not (self.h > 0):
             raise ValueError(f"cell width must be positive, got {self.h}")
         object.__setattr__(self, "origin", _as_point(self.origin, self.dim))
-        cells = np.asarray(self.cells, dtype=np.int64).reshape(-1, self.dim)
+        cells = np.array(self.cells, dtype=np.int64).reshape(-1, self.dim)  # private copy
         if cells.shape[0] == 0:
             raise ValueError("a domain must contain at least one cell")
-        cells = np.unique(cells, axis=0)  # unique rows come back lexsorted
+        step = np.diff(cells, axis=0)
+        ordered = step[:, -1] > 0
+        for d in range(self.dim - 2, -1, -1):
+            ordered = (step[:, d] > 0) | ((step[:, d] == 0) & ordered)
+        if not ordered.all():
+            cells = np.unique(cells, axis=0)  # unique rows come back lexsorted
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -123,33 +128,26 @@ class GridDomain:
         return o + self.h * lo, o + self.h * (hi + 1)
 
     @cached_property
-    def _key_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _key_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mixed-radix strides and cell keys; lexsorted unique cells give
+        strictly increasing keys, so a key's row is its sorted position."""
         lo, hi = self.index_bounds
         span = hi - lo + 1
         strides = np.ones(self.dim, dtype=np.int64)
         for d in range(self.dim - 2, -1, -1):
             strides[d] = strides[d + 1] * span[d + 1]
-        keys = (self.cells - lo) @ strides
-        order = np.argsort(keys, kind="stable")
-        return lo, strides, keys[order], order
-
-    def _keys_of(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.index_bounds
-        in_box = np.all((idx >= lo) & (idx <= hi), axis=1)
-        lo_, strides, _, _ = self._key_data
-        keys = (idx - lo_) @ strides
-        return keys, in_box
+        return strides, (self.cells - lo) @ strides
 
     def rows_of_indices(self, idx: np.ndarray) -> np.ndarray:
         """Row positions of the given integer cells, -1 where absent."""
         idx = np.asarray(idx, dtype=np.int64).reshape(-1, self.dim)
-        keys, in_box = self._keys_of(idx)
-        _, _, sorted_keys, order = self._key_data
-        pos = np.searchsorted(sorted_keys, keys)
-        pos[pos >= len(sorted_keys)] = 0
-        hit = in_box & (sorted_keys[pos] == keys)
-        rows = np.where(hit, order[pos], -1)
-        return rows
+        lo, hi = self.index_bounds
+        strides, cell_keys = self._key_data
+        in_box = np.all((idx >= lo) & (idx <= hi), axis=1)
+        keys = (idx - lo) @ strides
+        pos = np.searchsorted(cell_keys, keys)
+        pos[pos >= len(cell_keys)] = 0
+        return np.where(in_box & (cell_keys[pos] == keys), pos, -1)
 
     def contains_indices(self, idx: np.ndarray) -> np.ndarray:
         return self.rows_of_indices(idx) >= 0
@@ -267,22 +265,14 @@ def is_topologically_regular(domain: GridDomain) -> bool:
     active, i.e. the rasterization has a slit or puncture thinner than one
     cell that closure would swallow.
     """
-    candidates = []
-    for d in range(domain.dim):
-        step = np.zeros(domain.dim, dtype=np.int64)
-        step[d] = 1
-        candidates.append(domain.cells + step)
-        candidates.append(domain.cells - step)
-    cand = np.unique(np.concatenate(candidates, axis=0), axis=0)
-    cand = cand[~domain.contains_indices(cand)]
-    if cand.size == 0:
-        return True
+    # a surrounded inactive cell is the missing +e_0 neighbor of an active
+    # cell, so those boundary-sized candidates are all that need checking
+    steps = np.eye(domain.dim, dtype=np.int64)
+    cand = domain.cells[domain.neighbor_rows[0][0] < 0] + steps[0]
     surrounded = np.ones(cand.shape[0], dtype=bool)
-    for d in range(domain.dim):
-        step = np.zeros(domain.dim, dtype=np.int64)
-        step[d] = 1
-        surrounded &= domain.contains_indices(cand + step)
-        surrounded &= domain.contains_indices(cand - step)
+    for e in steps:
+        surrounded &= domain.contains_indices(cand + e)
+        surrounded &= domain.contains_indices(cand - e)
     return not surrounded.any()
 
 

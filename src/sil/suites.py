@@ -216,8 +216,8 @@ def operator_defect_report(T: OperatorSpec, p: float, rng: np.random.Generator,
                            n_samples: int = 20, n_pairs: int = 10,
                            n_trials: int = 10) -> DefectReport:
     """Run every per-operator battery once and collect the aggregate defects."""
-    samples = smooth_samples(T.source, rng, n_samples, amplitude=0.5)
-    iso = isometry_defect(T, samples, p)
+    # each battery goes straight to its consumer, so it is freed before the next
+    iso = isometry_defect(T, smooth_samples(T.source, rng, n_samples, amplitude=0.5), p)
     dis = disjointness_defect(T, disjoint_bump_pairs(T.source, rng, n_pairs), p)
     itw = intertwining_defect(T, intertwining_trials(T, rng, n_trials), p)
     rec = reconstruct(T, p=p)
@@ -381,12 +381,10 @@ def suite_examples(cfg: SuiteConfig) -> list[dict]:
 
     h54 = 0.01
     T54 = example_5_4_operator(h54)
-    samples = smooth_samples(T54.source, rng, 50, amplitude=0.5)
-    iso = isometry_defect(T54, samples, 3.0)
+    iso = isometry_defect(T54, smooth_samples(T54.source, rng, 50, amplitude=0.5), 3.0)
     checks.append(_check("two_block_isometry", "isometric-lattice-homomorphism",
                          iso, 5.0 * h54))
-    pairs = disjoint_bump_pairs(T54.source, rng, 20)
-    dis = disjointness_defect(T54, pairs, 3.0)
+    dis = disjointness_defect(T54, disjoint_bump_pairs(T54.source, rng, 20), 3.0)
     checks.append(_check("two_block_disjointness", "disjointness-preserving",
                          dis, 0.0))
     fit54 = rigid_motion_fit(reconstruct(T54, p=p), T54.target)

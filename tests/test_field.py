@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sil import (
     Field,
+    GridDomain,
     VectorField,
     ball_fits,
     bump,
@@ -263,3 +264,96 @@ class TestHat:
 
     def test_compact_inside(self, interval):
         assert is_compactly_supported(hat(interval, 0.5, 0.3))
+
+
+def _reference_gradient(u):
+    """The gradient as first written: second neighbours found by cell lookup."""
+    dom = u.domain
+    v = u.values
+    h = dom.h
+    out = np.zeros((dom.n_cells, dom.dim))
+    for d in range(dom.dim):
+        plus, minus = dom.neighbor_rows[d]
+        step = np.zeros(dom.dim, dtype=np.int64)
+        step[d] = 2
+        plus2 = dom.rows_of_indices(dom.cells + step)
+        minus2 = dom.rows_of_indices(dom.cells - step)
+        has_p, has_m = plus >= 0, minus >= 0
+        g = np.zeros(dom.n_cells)
+
+        central = has_p & has_m
+        g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
+
+        fwd = has_p & ~has_m
+        fwd2 = fwd & (plus2 >= 0)
+        fwd1 = fwd & ~fwd2
+        g[fwd2] = (-3.0 * v[fwd2] + 4.0 * v[plus[fwd2]] - v[plus2[fwd2]]) / (2.0 * h)
+        g[fwd1] = (v[plus[fwd1]] - v[fwd1]) / h
+
+        bwd = has_m & ~has_p
+        bwd2 = bwd & (minus2 >= 0)
+        bwd1 = bwd & ~bwd2
+        g[bwd2] = (3.0 * v[bwd2] - 4.0 * v[minus[bwd2]] + v[minus2[bwd2]]) / (2.0 * h)
+        g[bwd1] = (v[bwd1] - v[minus[bwd1]]) / h
+
+        out[:, d] = g
+    return out
+
+
+@st.composite
+def _gapped_domains(draw):
+    """Random 1D/2D masks with a planted one-cell gap.
+
+    The gap is a cell ``c`` with ``c`` and ``c + 2e`` active and ``c + e``
+    inactive, where a lookup of ``c + 2e`` by cell would find a row that the
+    stencil must not use.
+    """
+    shape = draw(st.sampled_from([(30,), (1, 10), (10, 1), (7, 7), (6, 11)]))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+    axis = draw(st.sampled_from([d for d, n in enumerate(shape) if n >= 3]))
+    cell = [draw(st.integers(0, n - 1)) for n in shape]
+    cell[axis] = draw(st.integers(0, shape[axis] - 3))
+    for k, active in enumerate((True, False, True)):
+        at = list(cell)
+        at[axis] += k
+        mask[tuple(at)] = active
+    offset = draw(st.integers(-5, 5))
+    return GridDomain(len(shape), 0.1, (0.25,) * len(shape), np.argwhere(mask) + offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gapped_domains(), st.integers(0, 2**32 - 1))
+def test_gradient_matches_cell_lookup_reference(domain, seed):
+    u = Field(domain, np.random.default_rng(seed).normal(size=domain.n_cells))
+    assert np.array_equal(gradient(u).values, _reference_gradient(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gapped_domains(),
+       st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_gradient_exact_on_affine_fields(domain, coef):
+    slope = np.array(coef[1:domain.dim + 1])
+    g = gradient(Field.from_function(domain, lambda x: coef[0] + x @ slope)).values
+    for d, (plus, minus) in enumerate(domain.neighbor_rows):
+        # central, three-point and two-point stencils are all exact on affine
+        # fields; only a cell with no neighbour along the axis gets zero
+        stencil = (plus >= 0) | (minus >= 0)
+        assert np.abs(g[stencil, d] - slope[d]).max(initial=0.0) <= 1e-9
+        assert not g[~stencil, d].any()
+
+
+def test_gradient_makes_no_cell_lookups(monkeypatch, square):
+    u = Field.from_function(square, lambda x: np.sin(x[:, 0]) * x[:, 1])
+    square.neighbor_rows  # the cached face-neighbour rows are the stencil
+    calls = []
+    lookup = GridDomain.rows_of_indices
+
+    def counted(self, idx):
+        calls.append(len(idx))
+        return lookup(self, idx)
+
+    monkeypatch.setattr(GridDomain, "rows_of_indices", counted)
+    gradient(u)
+    w1p_norm(u, 3.0)
+    assert calls == []

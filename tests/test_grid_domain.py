@@ -330,3 +330,103 @@ def test_component_counts_pinned():
     parts = connected_components(GridDomain(2, 0.01, (0.0, 0.0), lattice))
     assert len(parts) == 100
     assert all(p.n_cells == 64 for p in parts)
+
+
+def _reference_is_regular(domain):
+    """Regularity as first written: every face neighbour of every cell is a
+    candidate, filtered down to the inactive ones by lookup."""
+    candidates = []
+    for d in range(domain.dim):
+        step = np.zeros(domain.dim, dtype=np.int64)
+        step[d] = 1
+        candidates.append(domain.cells + step)
+        candidates.append(domain.cells - step)
+    cand = np.unique(np.concatenate(candidates, axis=0), axis=0)
+    cand = cand[~domain.contains_indices(cand)]
+    if cand.size == 0:
+        return True
+    surrounded = np.ones(cand.shape[0], dtype=bool)
+    for d in range(domain.dim):
+        step = np.zeros(domain.dim, dtype=np.int64)
+        step[d] = 1
+        surrounded &= domain.contains_indices(cand + step)
+        surrounded &= domain.contains_indices(cand - step)
+    return not surrounded.any()
+
+
+@st.composite
+def _planted_defects(draw):
+    """Mostly active masks with a planted puncture or slit.
+
+    A puncture is one inactive cell whose face neighbours are all active; a
+    slit is a run of one to three inactive cells along an axis with both
+    sides across it active.
+    """
+    shape = draw(st.sampled_from([(20,), (8, 8), (6, 11), (11, 5)]))
+    mask = np.array(draw(st.lists(st.sampled_from([True, True, True, False]),
+                                  min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+    axis = draw(st.integers(0, len(shape) - 1))
+    length = draw(st.integers(1, 3)) if len(shape) == 2 else 1
+    start = [draw(st.integers(1, n - 2)) for n in shape]
+    start[axis] = draw(st.integers(1, shape[axis] - 1 - length))
+    slit = [tuple(start[:axis]) + (start[axis] + k,) + tuple(start[axis + 1:])
+            for k in range(length)]
+    for cell in slit:
+        for nb in _face_neighbours(cell):
+            mask[nb] = True
+    for cell in slit:
+        mask[cell] = False
+    return GridDomain(len(shape), 0.1, (0.0,) * len(shape), np.argwhere(mask))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_defects())
+def test_regularity_matches_all_candidates_reference(domain):
+    assert is_topologically_regular(domain) == _reference_is_regular(domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxes_minus_boxes())
+def test_regularity_of_boxes_minus_boxes(domain):
+    assert is_topologically_regular(domain) == _reference_is_regular(domain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_cell_sets())
+def test_rows_of_indices_round_trip(domain):
+    n = domain.n_cells
+    assert np.array_equal(domain.rows_of_indices(domain.cells), np.arange(n))
+    lo, hi = domain.index_bounds
+    box = np.stack(np.meshgrid(*[np.arange(a - 2, b + 3) for a, b in zip(lo, hi)],
+                               indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    rows = domain.rows_of_indices(box)
+    active = {tuple(c) for c in domain.cells.tolist()}
+    absent = np.array([tuple(c) not in active for c in box.tolist()])
+    out_of_box = np.any((box < lo) | (box > hi), axis=1)
+    assert np.all(rows[absent] == -1) and np.all(rows[out_of_box] == -1)
+    assert np.array_equal(domain.cells[rows[~absent]], box[~absent])
+
+
+class TestCellStorage:
+    def test_sorted_input_is_copied_not_frozen(self):
+        cells = np.argwhere(np.ones((4, 5), dtype=bool)).astype(np.int64)
+        domain = GridDomain(2, 0.1, (0.0, 0.0), cells)
+        assert cells.flags.writeable and not domain.cells.flags.writeable
+        assert not np.shares_memory(cells, domain.cells)
+        cells[0] = (9, 9)
+        assert domain.cells[0].tolist() == [0, 0]
+
+    def test_sorted_input_is_not_resorted(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        make_box((0.0, 0.0), (1.0, 0.5), 0.1)
+        make_box(0.0, 1.0, 0.1)
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=30))
+    def test_cells_come_back_lexsorted_and_unique(self, cells):
+        domain = GridDomain(2, 0.1, (0.0, 0.0), np.array(cells))
+        assert np.array_equal(domain.cells, np.unique(np.array(cells), axis=0))
