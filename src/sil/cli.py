@@ -30,8 +30,7 @@ def _write_report(path: str, payload: dict) -> None:
 
 def cmd_verify(args) -> int:
     cfg = SuiteConfig(suite=args.suite, p=args.p, h=args.h, tol=args.tol,
-                      seed=args.seed, spec_path=args.spec,
-                      report_path=args.report)
+                      seed=args.seed, spec_path=args.spec)
     checks = run_suite(cfg)
     passed = all(c["status"] == "pass" for c in checks)
     for c in checks:
@@ -44,8 +43,8 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    if cfg.report_path:
-        _write_report(cfg.report_path, payload)
+    if args.report:
+        _write_report(args.report, payload)
     print(f"suite {cfg.suite}: {'all checks passed' if passed else 'FAILURES present'}")
     return 0 if passed else 1
 

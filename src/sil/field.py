@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_domain import GridDomain
+from .grid_domain import GridDomain, row_blocks
 
 
 def _same_domain(a, b) -> None:
@@ -255,10 +255,7 @@ def ball_fits(domain: GridDomain, center, radius: float) -> bool:
     k_lo = np.floor((center - radius - o) / domain.h).astype(np.int64)
     k_hi = np.floor((center + radius - o) / domain.h).astype(np.int64)
     axes = [np.arange(a, b + 1) for a, b in zip(k_lo, k_hi)]
-    if domain.dim == 1:
-        cand = axes[0][:, None]
-    else:
-        cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
     box_lo = o + domain.h * cand
     nearest = np.clip(center, box_lo, box_lo + domain.h)
     touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2
@@ -352,21 +349,23 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
 def _interpolate(domain: GridDomain, columns: np.ndarray,
                  pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(pts, dtype=float).reshape(-1, domain.dim)
-    t = (pts - np.asarray(domain.origin)) / domain.h - 0.5
-    base = np.floor(t).astype(np.int64)
-    frac = t - base
-    acc = np.zeros((pts.shape[0], columns.shape[1]))
-    wsum = np.zeros(pts.shape[0])
-    for corner in itertools.product((0, 1), repeat=domain.dim):
-        idx = base + np.asarray(corner, dtype=np.int64)
-        w = np.ones(pts.shape[0])
-        for d, c in enumerate(corner):
-            w *= frac[:, d] if c else 1.0 - frac[:, d]
-        rows = domain.rows_of_indices(idx)
-        ok = rows >= 0
-        acc[ok] += w[ok, None] * columns[rows[ok]]
-        wsum[ok] += w[ok]
-    covered = wsum > 0
-    acc[covered] /= wsum[covered, None]
-    acc[~covered] = 0.0
-    return acc, covered
+    out = np.zeros((pts.shape[0], columns.shape[1]))
+    covered = np.zeros(pts.shape[0], dtype=bool)
+    for blk in row_blocks(pts.shape[0]):
+        t = (pts[blk] - np.asarray(domain.origin)) / domain.h - 0.5
+        base = np.floor(t).astype(np.int64)
+        frac = t - base
+        acc = out[blk]  # view: the corner sums accumulate straight into out
+        wsum = np.zeros(base.shape[0])
+        for corner in itertools.product((0, 1), repeat=domain.dim):
+            idx = base + np.asarray(corner, dtype=np.int64)
+            w = np.ones(base.shape[0])
+            for d, c in enumerate(corner):
+                w *= frac[:, d] if c else 1.0 - frac[:, d]
+            rows = domain.rows_of_indices(idx)
+            ok = rows >= 0
+            acc[ok] += w[ok, None] * columns[rows[ok]]
+            wsum[ok] += w[ok]
+        hit = covered[blk] = wsum > 0  # points without a hit stay exactly 0
+        acc[hit] /= wsum[hit, None]
+    return out, covered

@@ -23,6 +23,14 @@ DEFAULT_CELL_BUDGET = 1_000_000
 
 _ORTHO_TOL = 1e-12
 
+_BLOCK = 16_384
+
+
+def row_blocks(n: int):
+    """Slices of at most ``_BLOCK`` consecutive rows covering ``range(n)``;
+    per-point work runs one slice at a time, so temporaries do not scale with n."""
+    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
+
 
 def cell_budget() -> int:
     """Maximum number of cells any rasterization may produce.
@@ -143,11 +151,14 @@ class GridDomain:
         idx = np.asarray(idx, dtype=np.int64).reshape(-1, self.dim)
         lo, hi = self.index_bounds
         strides, cell_keys = self._key_data
-        in_box = np.all((idx >= lo) & (idx <= hi), axis=1)
-        keys = (idx - lo) @ strides
-        pos = np.searchsorted(cell_keys, keys)
-        pos[pos >= len(cell_keys)] = 0
-        return np.where(in_box & (cell_keys[pos] == keys), pos, -1)
+        out = np.empty(idx.shape[0], dtype=np.int64)
+        for blk in row_blocks(idx.shape[0]):
+            in_box = np.all((idx[blk] >= lo) & (idx[blk] <= hi), axis=1)
+            keys = (idx[blk] - lo) @ strides
+            pos = np.searchsorted(cell_keys, keys)
+            pos[pos >= len(cell_keys)] = 0
+            out[blk] = np.where(in_box & (cell_keys[pos] == keys), pos, -1)
+        return out
 
     def contains_indices(self, idx: np.ndarray) -> np.ndarray:
         return self.rows_of_indices(idx) >= 0

@@ -65,6 +65,12 @@ _BUILTIN_MAPS: dict[str, Callable] = {
     "example_5_4": _builtin_example_5_4,
 }
 
+_BUILTIN_OPERATORS: dict[str, Callable] = {  # JSON builtin name -> factory(h, target)
+    "identity": lambda h, target: identity_operator(target),
+    "example_4_8": lambda h, target: example_4_8_operator(h or 1e-3),
+    "example_5_4": lambda h, target: example_5_4_operator(h or 0.01),
+}
+
 
 @dataclass(frozen=True)
 class BuiltinMap:
@@ -142,23 +148,24 @@ class OperatorSpec:
             labels[self.target.rows_of_indices(comp.cells)] = ci
         return labels
 
-    @cached_property
+    @property
     def xi_values(self) -> np.ndarray:
         """(n, dim) map values at the target nodes."""
-        return self._evaluate()[1]
+        return self._nodal_values[1]
 
-    @cached_property
+    @property
     def g_values(self) -> np.ndarray:
         """(n,) weight values at the target nodes."""
-        return self._evaluate()[0]
+        return self._nodal_values[0]
 
-    def _evaluate(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _nodal_values(self) -> tuple[np.ndarray, np.ndarray]:  # (g, xi), evaluated once
         pts = self.target.centers
         if isinstance(self.variant, BuiltinMap):
             g, xi = _BUILTIN_MAPS[self.variant.name](pts)
             return np.asarray(g, dtype=float), np.asarray(xi, dtype=float)
-        if isinstance(self.variant, TabulatedMap):
-            return self.variant.g.values.copy(), self.variant.xi.values.copy()
+        if isinstance(self.variant, TabulatedMap):  # field values are read-only
+            return self.variant.g.values, self.variant.xi.values
         labels = self._component_labels
         n_comp = int(labels.max()) + 1
         assignment: dict[int, RigidMotion] = {}
@@ -463,8 +470,10 @@ def rigid_motion_fit(rec: ReconstructionResult, omega2: GridDomain | None = None
         raise ValueError("zero set leaves no cells for defect evaluation")
     jac = np.stack([gradient(Field(omega2, xi[:, i])).values for i in range(dim)],
                    axis=1)  # (n, i, d) = d xi_i / d y_d
-    jtj = np.einsum("nid,nie->nde", jac, jac)
-    dev = np.abs(jtj - np.eye(dim)).max(axis=(1, 2))
+    dev = np.empty(omega2.n_cells)
+    for blk in _gd.row_blocks(omega2.n_cells):
+        jtj = np.einsum("nid,nie->nde", jac[blk], jac[blk])
+        dev[blk] = np.abs(jtj - np.eye(dim)).max(axis=(1, 2))
     ortho = float(dev[fd_ok].max())
     grad_g = float(gradient(rec.g_hat).magnitude().values[fd_ok].max())
     weight = float(np.abs(np.abs(rec.g_hat.values[valid]) - 1.0).max())
@@ -476,9 +485,21 @@ def rigid_motion_fit(rec: ReconstructionResult, omega2: GridDomain | None = None
 # -- defect sets -------------------------------------------------------------------
 
 
-def _subsample_offsets(h: float, dim: int) -> list[np.ndarray]:
-    steps = (-h / 3.0, 0.0, h / 3.0)
-    return [np.asarray(off) for off in itertools.product(steps, repeat=dim)]
+def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray,
+                        mapping: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
+    """Mask of ``omega1`` cells hit by ``mapping`` at three subsamples per axis
+    of each given ``omega2`` row, and the count of subsamples landing outside."""
+    hit = np.zeros(omega1.n_cells, dtype=bool)
+    escaped = 0
+    steps = (-omega2.h / 3.0, 0.0, omega2.h / 3.0)
+    offsets = [np.asarray(off) for off in itertools.product(steps, repeat=omega2.dim)]
+    for blk in _gd.row_blocks(rows.shape[0]):
+        base = omega2.centers[rows[blk]]
+        for off in offsets:
+            rows1 = omega1.rows_of_indices(omega1.index_of_points(mapping(base + off)))
+            hit[rows1[rows1 >= 0]] = True
+            escaped += int(np.count_nonzero(rows1 < 0))
+    return hit, escaped
 
 
 @dataclass(frozen=True)
@@ -509,12 +530,7 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain,
         raise ValueError("no target cell maps into the source domain")
     n2 = omega2.n_cells - int(np.count_nonzero(inside))
     u2 = GridDomain(omega2.dim, omega2.h, omega2.origin, omega2.cells[inside])
-    hit = np.zeros(omega1.n_cells, dtype=bool)
-    base = omega2.centers[inside]
-    for off in _subsample_offsets(omega2.h, omega2.dim):
-        vals = rec.xi_hat.at(base + off)
-        rows = omega1.rows_of_indices(omega1.index_of_points(vals))
-        hit[rows[rows >= 0]] = True
+    hit = _supersampled_image(omega1, omega2, np.flatnonzero(inside), rec.xi_hat.at)[0]
     u1 = GridDomain(omega1.dim, omega1.h, omega1.origin, omega1.cells[hit])
     return DefectSets(n2, omega1.measure - u1.measure, u1, u2)
 
@@ -584,17 +600,11 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float,
     escaped_pts = 0
     comp_boxes = []
     image_boxes = []
-    offsets = _subsample_offsets(T.target.h, T.target.dim)
     for comp, motion in zip(comps, fit.motions):
         rows = T.target.rows_of_indices(comp.cells)
-        pts = T.target.centers[rows[valid[rows]]]
-        hit = np.zeros(T.source.n_cells, dtype=bool)
-        for off in offsets:
-            mapped = motion.transform(pts + off)
-            rows1 = T.source.rows_of_indices(T.source.index_of_points(mapped))
-            hit[rows1[rows1 >= 0]] = True
-            escaped_pts += int(np.count_nonzero(rows1 < 0))
+        hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
         coverage += hit
+        escaped_pts += n_out
         lo, hi = comp.bounding_box
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         img = motion.transform(corners)
@@ -606,7 +616,7 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float,
     cell2 = T.target.h**T.target.dim
     missing = float(np.count_nonzero(coverage == 0)) * cell1
     overlap = float(np.count_nonzero(coverage >= 2)) * cell1
-    escaped = escaped_pts * cell2 / len(offsets)
+    escaped = escaped_pts * cell2 / 3**T.target.dim
     tiling = missing + overlap + escaped
     n2_measure = ds.n2_cells * cell2
 
@@ -724,16 +734,11 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
 
     if "builtin" in spec:
         name = spec["builtin"]
-        h = spec.get("h")
-        if name == "identity":
-            if target is None:
-                raise ValueError("the identity operator needs a target domain")
-            return identity_operator(target)
-        if name == "example_4_8":
-            return example_4_8_operator(h or 1e-3)
-        if name == "example_5_4":
-            return example_5_4_operator(h or 0.01)
-        raise ValueError(f"unknown builtin operator {name!r}")
+        if name not in _BUILTIN_OPERATORS:
+            raise ValueError(f"unknown builtin operator {name!r}")
+        if name == "identity" and target is None:
+            raise ValueError("the identity operator needs a target domain")
+        return _BUILTIN_OPERATORS[name](spec.get("h"), target)
 
     if "rigid" in spec:
         if target is None:

@@ -63,7 +63,6 @@ class SuiteConfig:
     tol: float | None = None
     seed: int = 7
     spec_path: str | None = None
-    report_path: str | None = None
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:

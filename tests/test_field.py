@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sil import (
     w1p_norm,
     w1p_pow_sum,
 )
+from sil import grid_domain
 
 
 @pytest.fixture
@@ -357,3 +359,48 @@ def test_gradient_makes_no_cell_lookups(monkeypatch, square):
     gradient(u)
     w1p_norm(u, 3.0)
     assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gapped_domains(), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_interpolation_block_size_invariant(domain, n, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bounding_box
+    # points up to two cells past the bounding box, some with no active
+    # corner, plus nodes, where a corner weight is exactly zero
+    pts = np.concatenate([rng.uniform(lo - 2 * domain.h, hi + 2 * domain.h, (n, domain.dim)),
+                          domain.centers[rng.integers(domain.n_cells, size=n % 5)]])
+    u = Field(domain, rng.normal(size=domain.n_cells))
+    v = VectorField(domain, rng.normal(size=(domain.n_cells, domain.dim)))
+    whole = (u.at(pts), *u.at_with_coverage(pts), v.at(pts))  # one block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_domain, "_BLOCK", 7)
+        blocked = (u.at(pts), *u.at_with_coverage(pts), v.at(pts))
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def _traced_peak(fn, *args) -> tuple[int, np.ndarray]:
+    """Traced peak bytes allocated during ``fn(*args)``, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_per_point_temporaries_do_not_grow_with_input(square):
+    v = VectorField(square, square.centers)
+    square.rows_of_indices(square.cells[:1])  # build the cached keys untraced
+    excess = []
+    for n_blocks in (4, 16):
+        n = n_blocks * grid_domain._BLOCK
+        pts = np.random.default_rng(n_blocks).uniform(-0.1, 1.1, size=(n, 2))
+        idx = square.index_of_points(pts)
+        peak_at, out_at = _traced_peak(v.at, pts)
+        peak_rows, out_rows = _traced_peak(square.rows_of_indices, idx)
+        # the interpolation also returns a one-byte-per-point coverage mask
+        excess.append((peak_at - out_at.nbytes - n, peak_rows - out_rows.nbytes))
+    (at4, rows4), (at16, rows16) = excess
+    assert at16 - at4 <= 4096
+    assert rows16 - rows4 <= 4096

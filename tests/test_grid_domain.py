@@ -22,6 +22,7 @@ from sil import (
     make_fat_cantor_complement,
     random_rigid_motion,
 )
+from sil import grid_domain
 
 
 class TestMakeBox:
@@ -406,6 +407,18 @@ def test_rows_of_indices_round_trip(domain):
     out_of_box = np.any((box < lo) | (box > hi), axis=1)
     assert np.all(rows[absent] == -1) and np.all(rows[out_of_box] == -1)
     assert np.array_equal(domain.cells[rows[~absent]], box[~absent])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_cell_sets(), st.integers(0, 60), st.integers(0, 2**32 - 1))
+def test_rows_of_indices_block_size_invariant(domain, n, seed):
+    # cells up to three past the bounding box: absent, out-of-box and active mix
+    lo, hi = domain.index_bounds
+    idx = np.random.default_rng(seed).integers(lo - 3, hi + 4, size=(n, domain.dim))
+    whole = domain.rows_of_indices(idx)  # one block at the default size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_domain, "_BLOCK", 7)
+        assert np.array_equal(domain.rows_of_indices(idx), whole)
 
 
 class TestCellStorage:

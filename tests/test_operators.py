@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sil import (
     Field,
+    GridDomain,
     OperatorSpec,
     RigidMap,
     RigidMotion,
@@ -16,6 +20,7 @@ from sil import (
     averaging_operator,
     bump,
     congruence_pipeline,
+    connected_components,
     defect_sets,
     disjointness_defect,
     example_4_8_operator,
@@ -35,7 +40,8 @@ from sil import (
     rigid_operator,
     w1p_norm,
 )
-from sil.operators import DefectReport
+from sil import grid_domain, operators
+from sil.operators import DefectReport, _supersampled_image
 from sil.suites import (
     disjoint_bump_pairs,
     intertwining_trials,
@@ -344,6 +350,86 @@ class TestCongruencePipeline:
         payload = json.dumps(report.to_json_dict())
         assert "pairing" in payload
 
+    @pytest.mark.parametrize("T, p", [
+        (example_5_4_operator(0.05), 3.0),
+        (random_rigid_operator_local(np.random.default_rng(3), h=0.05), 2.0),
+        (example_4_8_operator(1e-2), 2.0),
+    ], ids=["two_block", "rotated_box", "hyperbolic"])
+    def test_block_size_invariant(self, T, p):
+        whole = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_domain, "_BLOCK", 7)
+            blocked = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
+        assert blocked == whole
+
+
+def _reference_offsets(h, dim):
+    steps = (-h / 3.0, 0.0, h / 3.0)
+    return [np.asarray(off) for off in itertools.product(steps, repeat=dim)]
+
+
+def _reference_defect_hit(rec, omega1, omega2, inside):
+    """The rasterization loop of ``defect_sets`` as first written."""
+    hit = np.zeros(omega1.n_cells, dtype=bool)
+    base = omega2.centers[inside]
+    for off in _reference_offsets(omega2.h, omega2.dim):
+        vals = rec.xi_hat.at(base + off)
+        rows = omega1.rows_of_indices(omega1.index_of_points(vals))
+        hit[rows[rows >= 0]] = True
+    return hit
+
+
+def _reference_tiling_hit(source, target, pts, motion):
+    """The per-component loop of ``congruence_pipeline`` as first written."""
+    hit = np.zeros(source.n_cells, dtype=bool)
+    escaped_pts = 0
+    for off in _reference_offsets(target.h, target.dim):
+        mapped = motion.transform(pts + off)
+        rows1 = source.rows_of_indices(source.index_of_points(mapped))
+        hit[rows1[rows1 >= 0]] = True
+        escaped_pts += int(np.count_nonzero(rows1 < 0))
+    return hit, escaped_pts
+
+
+@st.composite
+def _rigid_cases(draw):
+    """A rigid operator on a random 1D/2D mask, and its motion moved up to two
+    cells off, so that some subsamples escape the source."""
+    shape = draw(st.sampled_from([(40,), (7, 7), (6, 11), (1, 12)]))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+    assume(mask.sum() >= 4)
+    dim = len(shape)
+    target = GridDomain(dim, 0.1, (0.0,) * dim, np.argwhere(mask))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    motion = random_rigid_motion(dim, rng)
+    try:
+        T = rigid_operator(target, motion)
+    except ValueError:  # a rotated image can miss every cell center
+        assume(False)
+    return T, RigidMotion(motion.Q, motion.b + rng.uniform(-0.2, 0.2, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rigid_cases())
+def test_supersampled_image_matches_old_loops(case):
+    T, moved = case
+    rec = reconstruct(T, p=2.0)
+    inside = T.source.contains_points(rec.xi_hat.values)  # no zero set: g = +-1
+    comps = [T.target.rows_of_indices(c.cells) for c in connected_components(T.target)]
+    references = ([_reference_defect_hit(rec, T.source, T.target, inside)],
+                  [_reference_tiling_hit(T.source, T.target, T.target.centers[rows], moved)
+                   for rows in comps])
+    for block in (grid_domain._BLOCK, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_domain, "_BLOCK", block)
+            hit, _ = _supersampled_image(T.source, T.target, np.flatnonzero(inside),
+                                         rec.xi_hat.at)
+            assert np.array_equal(hit, references[0][0])
+            for rows, (ref_hit, ref_escaped) in zip(comps, references[1]):
+                hit, escaped = _supersampled_image(T.source, T.target, rows, moved.transform)
+                assert np.array_equal(hit, ref_hit) and escaped == ref_escaped
+
 
 class TestPreimage:
     def test_two_block_preimage(self, two_block):
@@ -374,8 +460,18 @@ class TestOperatorSpec:
     def test_rigid_component_assignment_checked(self, two_block):
         motion = RigidMotion.identity(2)
         with pytest.raises(ValueError, match="no motion"):
-            OperatorSpec(two_block.source, two_block.target,
-                         RigidMap((motion,), (0,)))._evaluate()
+            OperatorSpec(two_block.source, two_block.target, RigidMap((motion,), (0,)))
+
+    def test_map_evaluated_once_per_operator(self, monkeypatch):
+        calls = []
+        identity_map = operators._BUILTIN_MAPS["identity"]
+        monkeypatch.setitem(operators._BUILTIN_MAPS, "identity",
+                            lambda pts: calls.append(1) or identity_map(pts))
+        domain = make_box((0, 0), (1, 1), 0.1)
+        T = identity_operator(domain)
+        apply(T, Field.constant(domain, 1.0))
+        assert (T.g_values == 1.0).all() and np.array_equal(T.xi_values, domain.centers)
+        assert calls == [1]
 
     def test_averaging_requires_symmetry(self):
         averaging_operator(make_box(0.0, 1.0, 0.01))
