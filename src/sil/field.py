@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_domain import GridDomain, row_blocks
+from .grid_domain import GridDomain, box_cells, row_blocks
 
 
 def _same_domain(a, b) -> None:
@@ -254,8 +254,7 @@ def ball_fits(domain: GridDomain, center, radius: float) -> bool:
     o = np.asarray(domain.origin)
     k_lo = np.floor((center - radius - o) / domain.h).astype(np.int64)
     k_hi = np.floor((center + radius - o) / domain.h).astype(np.int64)
-    axes = [np.arange(a, b + 1) for a, b in zip(k_lo, k_hi)]
-    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    cand = box_cells(k_lo, k_hi)
     box_lo = o + domain.h * cand
     nearest = np.clip(center, box_lo, box_lo + domain.h)
     touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2

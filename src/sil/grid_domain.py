@@ -131,9 +131,7 @@ class GridDomain:
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed physical bounding box of the active cells."""
-        lo, hi = self.index_bounds
-        o = np.asarray(self.origin)
-        return o + self.h * lo, o + self.h * (hi + 1)
+        return physical_box(self.origin, self.h, *self.index_bounds)
 
     @cached_property
     def _key_data(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +184,35 @@ class GridDomain:
             )
         return tuple(out)
 
+    @cached_property
+    def component_rows(self) -> tuple[np.ndarray, ...]:
+        """Ascending read-only rows of each face-connected part, parts in
+        order of their smallest cell; labelled once per domain."""
+        cells = self.cells
+        # cells are lexsorted, so each run of consecutive cells along the last
+        # axis is a contiguous block of rows; runs are numbered in cell order
+        starts = np.ones(self.n_cells, dtype=bool)
+        starts[1:] = (np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1)
+                      | (cells[1:, -1] != cells[:-1, -1] + 1))
+        run = np.cumsum(starts) - 1
+        root = np.arange(run[-1] + 1)
+        if self.dim == 2:  # union-find over runs touching across rows
+            plus = self.neighbor_rows[0][0]
+            src = np.nonzero(plus >= 0)[0]
+            pairs = np.divmod(np.unique(run[src] * len(root) + run[plus[src]]), len(root))
+            for a, b in zip(*(side.tolist() for side in pairs)):
+                while root[a] != a:  # path halving
+                    root[a] = a = root[root[a]]
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                root[max(a, b)] = min(a, b)  # each root stays the first run of its part
+        while np.any(root[root] != root):
+            root = root[root]
+        labels = np.unique(root, return_inverse=True)[1][run]
+        order = np.argsort(labels, kind="stable")
+        order.setflags(write=False)  # the parts are views of it
+        return tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
+
     def boundary_layer_mask(self, width: int = 1) -> np.ndarray:
         """Cells within ``width`` face steps of a missing neighbor."""
         if width < 1:
@@ -202,6 +229,29 @@ class GridDomain:
         return mask
 
 
+def physical_box(origin, h: float, k_lo, k_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Closed physical box covered by the cells of the index box ``[k_lo, k_hi]``."""
+    o = np.asarray(origin)
+    return o + h * k_lo, o + h * (k_hi + 1)
+
+
+def box_cells(k_lo, k_hi) -> np.ndarray:
+    """Lexsorted (n, dim) integer cells of the index box ``[k_lo, k_hi]``, ends included."""
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _covering_cells(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cells, and their centers, of the width-``h`` grid anchored at ``origin``
+    that cover the physical box ``[lo, hi]`` with one cell of padding per side."""
+    o = np.asarray(origin)
+    k_lo = np.floor((lo - o) / h).astype(np.int64) - 1
+    k_hi = np.floor((hi - o) / h).astype(np.int64) + 1
+    _check_budget(int(np.prod(k_hi - k_lo + 1)), what)
+    cand = box_cells(k_lo, k_hi)
+    return cand, o + h * (cand + 0.5)
+
+
 def make_box(lo, hi, h: float) -> GridDomain:
     """Rasterize the open box ``(lo, hi)`` with cell width ``h``."""
     lo = _as_point(lo)
@@ -216,10 +266,8 @@ def make_box(lo, hi, h: float) -> GridDomain:
         if n < 1:
             raise ValueError(f"box extent ({a}, {b}) is below one cell at h={h}")
         counts.append(n)
-    total = math.prod(counts)
-    _check_budget(total, "box rasterization")
-    axes = [np.arange(n, dtype=np.int64) for n in counts]
-    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    _check_budget(math.prod(counts), "box rasterization")
+    cells = box_cells((0,) * len(counts), [n - 1 for n in counts])
     return GridDomain(len(lo), float(h), lo, cells)
 
 
@@ -242,31 +290,8 @@ def connected_components(domain: GridDomain) -> list[GridDomain]:
     share ``dim``/``h``/``origin`` with the input, and split the active
     cells exactly (no cell lost or duplicated).
     """
-    cells = domain.cells
-    # cells are lexsorted, so each run of consecutive cells along the last
-    # axis is a contiguous block of rows; runs are numbered in cell order
-    starts = np.ones(domain.n_cells, dtype=bool)
-    starts[1:] = (np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1)
-                  | (cells[1:, -1] != cells[:-1, -1] + 1))
-    run = np.cumsum(starts) - 1
-    root = np.arange(run[-1] + 1)
-    if domain.dim == 2:  # union-find over runs touching across rows
-        plus = domain.neighbor_rows[0][0]
-        src = np.nonzero(plus >= 0)[0]
-        pairs = np.divmod(np.unique(run[src] * len(root) + run[plus[src]]), len(root))
-        for a, b in zip(*(side.tolist() for side in pairs)):
-            while root[a] != a:  # path halving
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            root[max(a, b)] = min(a, b)  # each root stays the first run of its part
-    while np.any(root[root] != root):
-        root = root[root]
-    labels = np.unique(root, return_inverse=True)[1][run]
-    order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels))[:-1]
-    return [GridDomain(domain.dim, domain.h, domain.origin, part)
-            for part in np.split(cells[order], bounds)]
+    return [GridDomain(domain.dim, domain.h, domain.origin, domain.cells[rows])
+            for rows in domain.component_rows]
 
 
 def is_topologically_regular(domain: GridDomain) -> bool:
@@ -343,6 +368,11 @@ class RigidMotion:
         pts = np.asarray(pts, dtype=float).reshape(-1, self.dim)
         return (pts - self.b) @ self.Q
 
+    def image_box(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Bounding box of the image of the box ``[lo, hi]``, from its corners."""
+        img = self.transform(np.array(list(itertools.product(*zip(lo, hi)))))
+        return img.min(axis=0), img.max(axis=0)
+
     def to_json_dict(self) -> dict:
         return {"Q": self.Q.tolist(), "b": self.b.tolist(), "sign": self.sign}
 
@@ -379,17 +409,9 @@ def apply_rigid_motion(domain: GridDomain, motion: RigidMotion,
     h_out = domain.h if h_out is None else float(h_out)
     if not (h_out > 0):
         raise ValueError("output cell width must be positive")
-    lo, hi = domain.bounding_box
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
-    img = motion.transform(corners)
+    lo, hi = motion.image_box(*domain.bounding_box)
     origin_out = tuple(motion.transform(np.asarray(domain.origin)[None, :])[0])
-    k_lo = np.floor((img.min(axis=0) - np.asarray(origin_out)) / h_out).astype(np.int64) - 1
-    k_hi = np.floor((img.max(axis=0) - np.asarray(origin_out)) / h_out).astype(np.int64) + 1
-    total = int(np.prod(k_hi - k_lo + 1))
-    _check_budget(total, "rigid-motion image")
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
-    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
-    centers = np.asarray(origin_out) + h_out * (cand + 0.5)
+    cand, centers = _covering_cells(lo, hi, origin_out, h_out, "rigid-motion image")
     keep = domain.contains_points(motion.inverse_transform(centers))
     if not keep.any():
         raise ValueError("rigid-motion image contains no cells")
@@ -410,19 +432,9 @@ def congruence_check(omega1: GridDomain, omega2: GridDomain,
         raise ValueError("motion dimension does not match the domains")
     h_ref = min(omega1.h, omega2.h)
     lo1, hi1 = omega1.bounding_box
-    lo2, hi2 = omega2.bounding_box
-    corners = np.array(list(itertools.product(*zip(lo2, hi2))))
-    img = motion.transform(corners)
-    lo = np.minimum(lo1, img.min(axis=0))
-    hi = np.maximum(hi1, img.max(axis=0))
-    o = np.asarray(omega1.origin)
-    k_lo = np.floor((lo - o) / h_ref).astype(np.int64) - 1
-    k_hi = np.floor((hi - o) / h_ref).astype(np.int64) + 1
-    total = int(np.prod(k_hi - k_lo + 1))
-    _check_budget(total, "congruence refinement grid")
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
-    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, omega1.dim)
-    centers = o + h_ref * (cand + 0.5)
+    img_lo, img_hi = motion.image_box(*omega2.bounding_box)
+    _, centers = _covering_cells(np.minimum(lo1, img_lo), np.maximum(hi1, img_hi),
+                                 omega1.origin, h_ref, "congruence refinement grid")
     in_a = omega1.contains_points(centers)
     in_b = omega2.contains_points(motion.inverse_transform(centers))
     defect = float(np.count_nonzero(in_a != in_b)) * h_ref**omega1.dim
@@ -492,11 +504,11 @@ def example_4_8_omega2(h: float = 1e-3) -> GridDomain:
 
 _FAT_CANTOR_RE = re.compile(r"^fat_cantor\(([0-9.eE+-]+)\)$")
 
-_DOMAIN_BUILTINS = {
-    "example_5_4_omega1": (example_5_4_omega1, 0.01),
-    "example_5_4_omega2": (example_5_4_omega2, 0.01),
-    "example_4_8_omega1": (example_4_8_omega1, 1e-3),
-    "example_4_8_omega2": (example_4_8_omega2, 1e-3),
+_DOMAIN_BUILTINS = {  # name -> factory; each factory holds its default cell width
+    "example_5_4_omega1": example_5_4_omega1,
+    "example_5_4_omega2": example_5_4_omega2,
+    "example_4_8_omega1": example_4_8_omega1,
+    "example_4_8_omega2": example_4_8_omega2,
 }
 
 
@@ -545,6 +557,6 @@ def _builtin_domain(name: str, h: float | None) -> GridDomain:
     if m:
         return make_fat_cantor_complement(float(m.group(1)), h if h else 1e-4)
     if name in _DOMAIN_BUILTINS:
-        factory, default = _DOMAIN_BUILTINS[name]
-        return factory(h if h else default)
+        factory = _DOMAIN_BUILTINS[name]
+        return factory(h) if h else factory()
     raise ValueError(f"unknown builtin domain {name!r}")

@@ -21,7 +21,7 @@ receiving a value; a clean composition operator leaves that set empty.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -39,6 +39,7 @@ from .grid_domain import (
 from . import grid_domain as _gd
 
 _BBOX_SLACK = 1e-9
+_RIGID_ORTHO_TOL = 0.1  # orthogonality defect up to which a fit counts as rigid
 
 
 # -- operator descriptions ----------------------------------------------------
@@ -67,8 +68,8 @@ _BUILTIN_MAPS: dict[str, Callable] = {
 
 _BUILTIN_OPERATORS: dict[str, Callable] = {  # JSON builtin name -> factory(h, target)
     "identity": lambda h, target: identity_operator(target),
-    "example_4_8": lambda h, target: example_4_8_operator(h or 1e-3),
-    "example_5_4": lambda h, target: example_5_4_operator(h or 0.01),
+    "example_4_8": lambda h, target: example_4_8_operator(h) if h else example_4_8_operator(),
+    "example_5_4": lambda h, target: example_5_4_operator(h) if h else example_5_4_operator(),
 }
 
 
@@ -141,13 +142,6 @@ class OperatorSpec:
     def dim(self) -> int:
         return self.target.dim
 
-    @cached_property
-    def _component_labels(self) -> np.ndarray:
-        labels = np.full(self.target.n_cells, -1, dtype=np.int64)
-        for ci, comp in enumerate(connected_components(self.target)):
-            labels[self.target.rows_of_indices(comp.cells)] = ci
-        return labels
-
     @property
     def xi_values(self) -> np.ndarray:
         """(n, dim) map values at the target nodes."""
@@ -166,8 +160,8 @@ class OperatorSpec:
             return np.asarray(g, dtype=float), np.asarray(xi, dtype=float)
         if isinstance(self.variant, TabulatedMap):  # field values are read-only
             return self.variant.g.values, self.variant.xi.values
-        labels = self._component_labels
-        n_comp = int(labels.max()) + 1
+        comp_rows = self.target.component_rows
+        n_comp = len(comp_rows)
         assignment: dict[int, RigidMotion] = {}
         for motion, comp in zip(self.variant.motions, self.variant.components):
             if motion.dim != self.dim:
@@ -185,7 +179,7 @@ class OperatorSpec:
         xi = np.empty_like(pts)
         g = np.empty(pts.shape[0])
         for ci, motion in assignment.items():
-            rows = labels == ci
+            rows = comp_rows[ci]
             xi[rows] = motion.transform(pts[rows])
             g[rows] = float(motion.sign)
         return g, xi
@@ -428,14 +422,14 @@ class RigidFitReport:
         }
 
 
-def rigid_motion_fit(rec: ReconstructionResult, omega2: GridDomain | None = None,
-                     rigid_tol: float = 0.1) -> RigidFitReport:
+def rigid_motion_fit(rec: ReconstructionResult,
+                     omega2: GridDomain | None = None) -> RigidFitReport:
     """Affine least squares plus polar projection, one motion per component.
 
     The polar factor of the fitted linear part is the orthogonal matrix
     nearest in Frobenius norm.  Defects are evaluated by finite differences
     away from the reconstruction zero set; ``rigid`` records whether the
-    Jacobian orthogonality defect stays within ``rigid_tol``.
+    Jacobian orthogonality defect stays within ``_RIGID_ORTHO_TOL``.
     """
     omega2 = rec.g_hat.domain if omega2 is None else omega2
     if omega2 != rec.g_hat.domain:
@@ -444,8 +438,7 @@ def rigid_motion_fit(rec: ReconstructionResult, omega2: GridDomain | None = None
     xi = rec.xi_hat.values
     valid = ~rec.zero_mask
     motions = []
-    for comp in connected_components(omega2):
-        rows = omega2.rows_of_indices(comp.cells)
+    for rows in omega2.component_rows:
         rows = rows[valid[rows]]
         if rows.size < dim + 1:
             raise ValueError(
@@ -479,7 +472,7 @@ def rigid_motion_fit(rec: ReconstructionResult, omega2: GridDomain | None = None
     weight = float(np.abs(np.abs(rec.g_hat.values[valid]) - 1.0).max())
     c_field = Field(omega2, np.linalg.norm(jac[:, 0, :], axis=1))
     return RigidFitReport(tuple(motions), ortho, grad_g, weight, c_field,
-                          rigid=ortho <= rigid_tol)
+                          rigid=ortho <= _RIGID_ORTHO_TOL)
 
 
 # -- defect sets -------------------------------------------------------------------
@@ -580,37 +573,33 @@ class PipelineReport:
         }
 
 
-def congruence_pipeline(T: OperatorSpec, p: float, tol: float,
-                        rigid_tol: float | None = None) -> PipelineReport:
+def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport:
     """Decide congruence of source and target through the fitted motions.
 
     The verdict is positive when the reconstructed map is rigid per
     component (orthogonality, weight constancy and unimodularity within
-    ``rigid_tol``), no mass is mapped outside the source or left uncovered
+    ``tol``), no mass is mapped outside the source or left uncovered
     beyond ``tol``, and the component images tile the source up to ``tol``.
     """
-    rigid_tol = tol if rigid_tol is None else rigid_tol
     rec = reconstruct(T, p=p)
-    fit = rigid_motion_fit(rec, T.target, rigid_tol=rigid_tol)
+    fit = rigid_motion_fit(rec, T.target)
     ds = defect_sets(rec, T.source, T.target)
-    comps = connected_components(T.target)
     valid = ~rec.zero_mask
 
     coverage = np.zeros(T.source.n_cells, dtype=np.int64)
     escaped_pts = 0
     comp_boxes = []
     image_boxes = []
-    for comp, motion in zip(comps, fit.motions):
-        rows = T.target.rows_of_indices(comp.cells)
+    for rows, motion in zip(T.target.component_rows, fit.motions):
         hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
         coverage += hit
         escaped_pts += n_out
-        lo, hi = comp.bounding_box
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
-        img = motion.transform(corners)
+        cells = T.target.cells[rows]
+        lo, hi = _gd.physical_box(T.target.origin, T.target.h,
+                                  cells.min(axis=0), cells.max(axis=0))
+        img_lo, img_hi = motion.image_box(lo, hi)
         comp_boxes.append((tuple(map(float, lo)), tuple(map(float, hi))))
-        image_boxes.append((tuple(map(float, img.min(axis=0))),
-                            tuple(map(float, img.max(axis=0)))))
+        image_boxes.append((tuple(map(float, img_lo)), tuple(map(float, img_hi))))
 
     cell1 = T.source.h**T.source.dim
     cell2 = T.target.h**T.target.dim
@@ -621,16 +610,16 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float,
     n2_measure = ds.n2_cells * cell2
 
     gates = [
-        ("non-rigid xi", fit.orthogonality_defect, rigid_tol),
-        ("non-constant weight", fit.grad_g_defect, rigid_tol),
-        ("weight magnitude differs from 1", fit.weight_defect, rigid_tol),
-        ("target cells map outside the source", n2_measure, tol),
-        ("source not covered by the image", ds.n1_measure, tol),
-        ("component images do not tile the source", tiling, tol),
+        ("non-rigid xi", fit.orthogonality_defect),
+        ("non-constant weight", fit.grad_g_defect),
+        ("weight magnitude differs from 1", fit.weight_defect),
+        ("target cells map outside the source", n2_measure),
+        ("source not covered by the image", ds.n1_measure),
+        ("component images do not tile the source", tiling),
     ]
     reason = "congruent"
-    for name, value, gate_tol in gates:
-        if value > gate_tol:
+    for name, value in gates:
+        if value > tol:
             reason = name
             break
     return PipelineReport(
@@ -698,16 +687,7 @@ class DefectReport:
     n2_cells: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "isometry": self.isometry,
-            "disjointness": self.disjointness,
-            "intertwining": self.intertwining,
-            "orthogonality": self.orthogonality,
-            "grad_g": self.grad_g,
-            "weight": self.weight,
-            "n1_measure": self.n1_measure,
-            "n2_cells": self.n2_cells,
-        }
+        return asdict(self)
 
 
 # -- JSON loading -----------------------------------------------------------------------

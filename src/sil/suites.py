@@ -34,6 +34,7 @@ from .grid_domain import GridDomain, make_box, random_rigid_motion
 from .operators import (
     DefectReport,
     OperatorSpec,
+    RigidFitReport,
     apply,
     congruence_pipeline,
     defect_sets,
@@ -234,6 +235,16 @@ def operator_defect_report(T: OperatorSpec, p: float, rng: np.random.Generator,
     )
 
 
+def _hyperbolic_recovery(T: OperatorSpec) -> tuple[float, RigidFitReport]:
+    """Sup error of the probe-reconstructed (g, xi) of an Example 4.8 operator
+    against its closed form, and the rigid fit of that reconstruction."""
+    rec = reconstruct(T, p=2.0)
+    y = T.target.centers[:, 0]
+    err = max(float(np.abs(rec.g_hat.values - np.sqrt(np.sinh(2.0 * y))).max()),
+              float(np.abs(rec.xi_hat.values[:, 0] + np.arctanh(np.exp(-2.0 * y))).max()))
+    return err, rigid_motion_fit(rec, T.target)
+
+
 # -- suites -------------------------------------------------------------------
 
 
@@ -365,14 +376,9 @@ def suite_examples(cfg: SuiteConfig) -> list[dict]:
                          "intertwines-plaplace-form", defect, 10.0 * h_int,
                          h=h_int, constant=defect / h_int))
 
-    rec = reconstruct(T_int, p=2.0)
-    y = T_int.target.centers[:, 0]
-    g_err = float(np.abs(rec.g_hat.values - np.sqrt(np.sinh(2.0 * y))).max())
-    xi_err = float(np.abs(rec.xi_hat.values[:, 0] + np.arctanh(np.exp(-2.0 * y))).max())
+    cf_err, fit = _hyperbolic_recovery(T_int)
     checks.append(_check("reconstruction_matches_closed_form",
-                         "probe-reconstruction-roundtrip",
-                         max(g_err, xi_err), 1e-6))
-    fit = rigid_motion_fit(rec, T_int.target)
+                         "probe-reconstruction-roundtrip", cf_err, 1e-6))
     checks.append(_check("hyperbolic_map_not_rigid", "map-locally-rigid-fails",
                          0.5 - fit.orthogonality_defect, 0.0,
                          orthogonality=fit.orthogonality_defect,
@@ -393,8 +399,7 @@ def suite_examples(cfg: SuiteConfig) -> list[dict]:
     checks.append(_check("two_block_preimage_solvable", "zero-trace-image-onto",
                          resid, 5.0 * h54, covered=bool(covered.all())))
 
-    report_48 = operator_defect_report(example_4_8_operator(1e-3), 2.0,
-                                       np.random.default_rng(cfg.seed))
+    report_48 = operator_defect_report(T_int, 2.0, np.random.default_rng(cfg.seed))
     report_54 = operator_defect_report(T54, 3.0, np.random.default_rng(cfg.seed))
     checks.append({"check": "defect_report_hyperbolic", "claim": "operator-defect-summary",
                    "defect": 0.0, "tol": 0.0, "status": "pass",
@@ -444,15 +449,9 @@ def suite_reconstruction(cfg: SuiteConfig) -> list[dict]:
     checks.append(_check("blackbox_roundtrip_map", "probe-reconstruction-roundtrip",
                          bb_err, 2.0 * h))
 
-    T48 = example_4_8_operator(1e-3)
-    rec48 = reconstruct(T48, p=2.0)
-    y = T48.target.centers[:, 0]
-    cf_err = max(
-        float(np.abs(rec48.g_hat.values - np.sqrt(np.sinh(2.0 * y))).max()),
-        float(np.abs(rec48.xi_hat.values[:, 0] + np.arctanh(np.exp(-2.0 * y))).max()))
+    cf_err, fit48 = _hyperbolic_recovery(example_4_8_operator(1e-3))
     checks.append(_check("hyperbolic_closed_form", "probe-reconstruction-roundtrip",
                          cf_err, 1e-6))
-    fit48 = rigid_motion_fit(rec48, T48.target)
     checks.append(_check("hyperbolic_not_rigid", "map-locally-rigid-fails",
                          0.5 - fit48.orthogonality_defect, 0.0,
                          orthogonality=fit48.orthogonality_defect))

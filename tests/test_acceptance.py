@@ -23,34 +23,25 @@ from sil import (
     averaging_operator,
     example_4_8_operator,
     example_5_4_operator,
-    exponential_probe,
-    form_a,
-    form_b,
-    gateaux_check_form,
-    gateaux_check_norm,
     identity_operator,
     intertwining_defect,
-    isometry_defect,
     make_box,
     make_fat_cantor_complement,
-    plap_residual,
     reconstruct,
-    rigid_motion_fit,
     rigid_operator,
     w1p_norm,
 )
-from sil.suites import (
-    disjoint_bump_pairs,
-    gateaux_sample_triple,
-    intertwining_trials,
-    random_rigid_operator,
-    smooth_samples,
-)
+from sil.suites import SuiteConfig, disjoint_bump_pairs, intertwining_trials, run_suite
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} failed: {detail}"
+
+
+def _checks_of(cfg: SuiteConfig) -> dict:
+    """A suite's check records by check name."""
+    return {c["check"]: c for c in run_suite(cfg)}
 
 
 def test_criterion_1_paper_numeric_check():
@@ -83,24 +74,13 @@ def test_criterion_2_intertwining_halves_under_refinement():
 
 
 def test_criterion_3_gateaux_calculus():
-    grid = make_box((0.0, 0.0), (1.0, 1.0), 0.02)
-    ladder = (1e-2, 1e-3, 1e-4, 1e-5)
-    rng = np.random.default_rng(7)
-    min_slope = math.inf
-    worst_rel = 0.0
-    for p in (2.5, 3.0, 4.0):
-        for _ in range(20):
-            u, v, w = gateaux_sample_triple(grid, rng, p)
-            rep_n = gateaux_check_norm(u, v, p, ladder)
-            ref_n = abs(p * form_a(u, v, p))
-            min_slope = min(min_slope, rep_n.slope)
-            if ref_n > 1e-6:
-                worst_rel = max(worst_rel, rep_n.errors[-1] / ref_n)
-            rep_f = gateaux_check_form(u, v, w, p, ladder)
-            ref_f = abs(form_b(u, v, w, p))
-            min_slope = min(min_slope, rep_f.slope)
-            if ref_f > 1e-6:
-                worst_rel = max(worst_rel, rep_f.errors[-1] / ref_f)
+    # p in {2.5, 3, 4}, 20 draws each
+    checks = _checks_of(SuiteConfig("norm-calculus", h=0.02, seed=7))
+    assert {"norm_quotient_slope", "form_quotient_slope"} <= checks.keys()
+    min_slope = min(checks["norm_quotient_slope"]["slope"],
+                    checks["form_quotient_slope"]["slope"])
+    worst_rel = max(checks["norm_quotient_accuracy_smallest_s"]["defect"],
+                    checks["form_quotient_accuracy_smallest_s"]["defect"])
     ok = min_slope >= 0.8 and worst_rel <= 1e-3
     verdict(3, ok, f"min_slope={min_slope:.3f} worst_rel_error={worst_rel:.2e}")
 
@@ -131,51 +111,28 @@ def test_criterion_4_clarkson_sweep():
 
 
 def test_criterion_5_weak_solution_residual_decay():
-    worst_ratio = math.inf
-    for dim in (1, 2):
-        build = (lambda h: make_box(0.0, 1.0, h)) if dim == 1 else (
-            lambda h: make_box((0.0, 0.0), (1.0, 1.0), h))
-        for p in (2.0, 3.0):
-            residuals = []
-            for h in (1e-2, 5e-3, 2.5e-3):
-                domain = build(h)
-                probe = exponential_probe(domain, 0, 1, p)
-                rng = np.random.default_rng(42)
-                tests = [bump(domain, rng.uniform(0.3, 0.7, size=dim),
-                              rng.uniform(0.1, 0.25)) for _ in range(20)]
-                residuals.append(plap_residual(probe, p, tests))
-            for a, b in zip(residuals, residuals[1:]):
-                worst_ratio = min(worst_ratio, a / b)
+    # dims 1 and 2, p in {2, 3}, h in {1e-2, 5e-3, 2.5e-3}, 20 test bumps per grid
+    ratios = [c["ratio"] for c in run_suite(SuiteConfig("plaplace", h=1e-2, seed=42))
+              if c["check"].startswith("probe_residual_decay_")]
+    assert len(ratios) == 4
+    worst_ratio = min(ratios)
     ok = worst_ratio >= 1.8
     verdict(5, ok, f"worst decay factor per halving={worst_ratio:.2f}")
 
 
 def test_criterion_6_reconstruction_round_trip():
     h = 0.01
-    rng = np.random.default_rng(7)
-    worst_xi = worst_weight = worst_ortho = 0.0
-    for i in range(10):
-        T = random_rigid_operator(rng, h)
-        p = (2.0, 3.0)[i % 2]
-        rec = reconstruct(T, p=p)
-        ok_cells = ~rec.zero_mask
-        worst_xi = max(worst_xi, float(
-            np.abs(rec.xi_hat.values - T.xi_values).max(axis=1)[ok_cells].max()))
-        fit = rigid_motion_fit(rec, T.target)
-        worst_weight = max(worst_weight, fit.weight_defect)
-        worst_ortho = max(worst_ortho, fit.orthogonality_defect)
-    T48 = example_4_8_operator(1e-3)
-    rec48 = reconstruct(T48, p=2.0)
-    y = T48.target.centers[:, 0]
-    cf_err = max(
-        float(np.abs(rec48.g_hat.values - np.sqrt(np.sinh(2.0 * y))).max()),
-        float(np.abs(rec48.xi_hat.values[:, 0] + np.arctanh(np.exp(-2.0 * y))).max()))
-    fit48 = rigid_motion_fit(rec48, T48.target)
+    checks = _checks_of(SuiteConfig("reconstruction", h=h, seed=7))
+    worst_xi = checks["rigid_roundtrip_map"]["defect"]
+    worst_weight = checks["rigid_roundtrip_weight"]["defect"]
+    worst_ortho = checks["rigid_roundtrip_orthogonality"]["defect"]
+    cf_err = checks["hyperbolic_closed_form"]["defect"]
+    hyperbolic_rigid = checks["hyperbolic_not_rigid"]["orthogonality"] <= 0.1
     ok = (worst_xi <= 2 * h and worst_weight <= 1e-8 and worst_ortho <= 1e-8
-          and cf_err <= 1e-6 and not fit48.rigid)
+          and cf_err <= 1e-6 and not hyperbolic_rigid)
     verdict(6, ok, f"xi_err={worst_xi:.2e} weight={worst_weight:.2e} "
                    f"ortho={worst_ortho:.2e} closed_form_err={cf_err:.2e} "
-                   f"hyperbolic_rigid={fit48.rigid}")
+                   f"hyperbolic_rigid={hyperbolic_rigid}")
 
 
 def test_criterion_7_two_block_congruence_pipeline():

@@ -283,6 +283,15 @@ def _assert_components(domain):
             assert all(label.get(nb, k) == k for nb in _face_neighbours(cell))
     for part in parts:
         assert (part.dim, part.h, part.origin) == (domain.dim, domain.h, domain.origin)
+    # the parts are the cached, read-only, ascending rows of each part
+    rows = domain.component_rows
+    assert domain.component_rows is rows
+    assert len(rows) == len(parts)
+    for r, part in zip(rows, parts):
+        assert not r.flags.writeable
+        assert np.all(np.diff(r) > 0)
+        assert np.array_equal(domain.cells[r], part.cells)
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(domain.n_cells))
 
 
 @st.composite
@@ -322,6 +331,28 @@ def _boxes_minus_boxes(draw):
 @given(_boxes_minus_boxes())
 def test_components_of_boxes_minus_boxes(domain):
     _assert_components(domain)
+
+
+def _lattice_symmetries(dim):
+    """Signed permutation matrices: +-1 in 1D, the 8 dihedral matrices in 2D."""
+    return [np.eye(dim)[list(perm)] * signs
+            for perm in itertools.permutations(range(dim))
+            for signs in itertools.product((1.0, -1.0), repeat=dim)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_boxes_minus_boxes(), st.data())
+def test_grid_exact_motions_are_lossless(domain, data):
+    # a lattice symmetry plus any translation maps the grid onto the image grid
+    Q = data.draw(st.sampled_from(_lattice_symmetries(domain.dim)))
+    b = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=domain.dim,
+                                    max_size=domain.dim)))
+    motion, inverse = RigidMotion(Q, b), RigidMotion(Q.T, -Q.T @ b)
+    assert apply_rigid_motion(domain, RigidMotion.identity(domain.dim)) == domain
+    image = apply_rigid_motion(domain, motion)
+    assert image.n_cells == domain.n_cells
+    assert congruence_check(image, domain, motion, tol=0.0) == (True, 0.0)
+    assert congruence_check(domain, image, inverse, tol=0.0) == (True, 0.0)
 
 
 def test_component_counts_pinned():

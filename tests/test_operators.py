@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -349,6 +350,27 @@ class TestCongruencePipeline:
         report = congruence_pipeline(two_block, p=3.0, tol=0.04)
         payload = json.dumps(report.to_json_dict())
         assert "pairing" in payload
+
+    @pytest.mark.parametrize("rigid", [False, True], ids=["builtin", "per_component_rigid"])
+    def test_target_labelled_once(self, monkeypatch, rigid):
+        labelling = GridDomain.__dict__["component_rows"]
+        calls = []
+
+        def counted(domain):
+            calls.append(domain)
+            return labelling.func(domain)
+
+        patched = functools.cached_property(counted)
+        patched.__set_name__(GridDomain, "component_rows")
+        monkeypatch.setattr(GridDomain, "component_rows", patched)
+        T = example_5_4_operator(0.05)
+        if rigid:  # the same two translations, assigned per component
+            T = OperatorSpec(T.source, T.target, RigidMap(
+                (RigidMotion(np.eye(2), [0.0, 1.0]), RigidMotion(np.eye(2), [0.0, -1.0])),
+                (0, 1)))
+        report = congruence_pipeline(T, p=3.0, tol=4 * T.target.h)
+        assert len(report.motions) == 2
+        assert len(calls) == 1 and calls[0] is T.target
 
     @pytest.mark.parametrize("T, p", [
         (example_5_4_operator(0.05), 3.0),
