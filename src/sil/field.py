@@ -121,10 +121,6 @@ class VectorField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @staticmethod
-    def from_function(domain: GridDomain, fn) -> "VectorField":
-        return VectorField(domain, np.asarray(fn(domain.centers), dtype=float))
-
     def magnitude(self) -> Field:
         return Field(self.domain, np.linalg.norm(self.values, axis=1))
 
@@ -194,8 +190,8 @@ def gradient(u: Field) -> VectorField:
 
 def lp_pow_sum(u, p: float) -> float:
     """Midpoint sum of |u|^p over the domain (the p-th power of the norm)."""
-    if p < 1:
-        raise ValueError(f"p must be at least 1, got {p}")
+    if not (1 <= p < np.inf):
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     if isinstance(u, VectorField):
         mags = np.linalg.norm(u.values, axis=1)
     else:
@@ -215,6 +211,19 @@ def w1p_pow_sum(u: Field, p: float) -> float:
 def w1p_norm(u: Field, p: float) -> float:
     """Sobolev norm (integral of |u|^p plus integral of |grad u|^p)^(1/p)."""
     return w1p_pow_sum(u, p) ** (1.0 / p)
+
+
+def _worst(values, empty_msg: str = "no values to reduce") -> float:
+    """Largest of ``values``, NaN when any of them is NaN.
+
+    Every "worst defect <= tol" check reduces through here: the builtin
+    ``max`` drops a NaN that is not its first argument, so a broken sample
+    would vanish from the defect instead of failing it.
+    """
+    arr = np.fromiter(values, float)
+    if arr.size == 0:
+        raise ValueError(empty_msg)
+    return float(arr.max())
 
 
 def is_compactly_supported(u: Field, width: int = 1) -> bool:

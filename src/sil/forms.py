@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, VectorField, gradient, lp_pow_sum, w1p_norm, w1p_pow_sum
+from .field import Field, VectorField, _worst, gradient, lp_pow_sum, w1p_norm, w1p_pow_sum
 
 DEFAULT_S_LADDER = (1e-2, 1e-3, 1e-4)
 
@@ -152,19 +152,17 @@ def plap_residual(u: Field, p: float, tests) -> float:
     refinement while non-solutions stall at an O(1) value.
     """
     mask = u.domain.boundary_layer_mask()
-    worst = 0.0
-    count = 0
-    for count, phi in enumerate(tests, 1):
+
+    def residual(phi: Field) -> float:
         _check_pair(u, phi)
         if np.any(phi.values[mask] != 0.0):
             raise ValueError("test function does not vanish on the boundary layer")
         denom = w1p_norm(phi, p)
         if denom == 0.0:
             raise ValueError("test function is identically zero")
-        worst = max(worst, abs(form_a(u, phi, p)) / denom)
-    if count == 0:
-        raise ValueError("at least one test function is required")
-    return worst
+        return abs(form_a(u, phi, p)) / denom
+
+    return _worst(map(residual, tests), "at least one test function is required")
 
 
 def clarkson_check(f: VectorField, g: VectorField, p: float) -> float:
@@ -176,8 +174,6 @@ def clarkson_check(f: VectorField, g: VectorField, p: float) -> float:
     """
     if f.domain is not g.domain and f.domain != g.domain:
         raise ValueError("vector fields live on different domains")
-    if p < 1:
-        raise ValueError(f"p must be at least 1, got {p}")
     lhs = lp_pow_sum(f + g, p) + lp_pow_sum(f - g, p)
     rhs = 2.0 * lp_pow_sum(f, p) + 2.0 * lp_pow_sum(g, p)
     return float(lhs - rhs)

@@ -220,13 +220,18 @@ class GridDomain:
         mask = np.zeros(self.n_cells, dtype=bool)
         for plus, minus in self.neighbor_rows:
             mask |= (plus < 0) | (minus < 0)
-        for _ in range(width - 1):
-            grown = mask.copy()
-            for plus, minus in self.neighbor_rows:
-                grown[plus >= 0] |= mask[plus[plus >= 0]]
-                grown[minus >= 0] |= mask[minus[minus >= 0]]
-            mask = grown
-        return mask
+        return dilate_mask(self, mask, width - 1)
+
+
+def dilate_mask(domain: GridDomain, mask: np.ndarray, steps: int) -> np.ndarray:
+    """Cells of ``domain`` within ``steps`` face steps of a cell in ``mask``."""
+    for _ in range(steps):
+        grown = mask.copy()
+        for plus, minus in domain.neighbor_rows:
+            grown[plus >= 0] |= mask[plus[plus >= 0]]
+            grown[minus >= 0] |= mask[minus[minus >= 0]]
+        mask = grown
+    return mask
 
 
 def physical_box(origin, h: float, k_lo, k_hi) -> tuple[np.ndarray, np.ndarray]:
@@ -430,6 +435,8 @@ def congruence_check(omega1: GridDomain, omega2: GridDomain,
         raise ValueError("domains have different dimensions")
     if motion.dim != omega1.dim:
         raise ValueError("motion dimension does not match the domains")
+    if not (0 <= tol < np.inf):
+        raise ValueError(f"tol must lie in [0, inf), got {tol}")
     h_ref = min(omega1.h, omega2.h)
     lo1, hi1 = omega1.bounding_box
     img_lo, img_hi = motion.image_box(*omega2.bounding_box)

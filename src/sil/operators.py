@@ -23,17 +23,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .field import Field, VectorField, exponential_probe, gradient, lp_norm, probe_rate, w1p_norm
+from .field import (Field, VectorField, _worst, exponential_probe, gradient, lp_norm,
+                    probe_rate, w1p_norm)
 from .forms import form_a
 from .grid_domain import (
     GridDomain,
     RigidMotion,
     apply_rigid_motion,
-    connected_components,
     is_topologically_regular,
 )
 from . import grid_domain as _gd
@@ -266,43 +266,35 @@ def _apply_any(T, u: Field) -> Field:
 # -- defect measurements --------------------------------------------------------
 
 
-def isometry_defect(T, samples: Sequence[Field], p: float) -> float:
+def isometry_defect(T, samples: Iterable[Field], p: float) -> float:
     """Largest absolute Sobolev-norm discrepancy over the sample fields."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("at least one sample field is required")
-    worst = 0.0
-    for u in samples:
-        worst = max(worst, abs(w1p_norm(_apply_any(T, u), p) - w1p_norm(u, p)))
-    return worst
+    def gap(u: Field) -> float:
+        return abs(w1p_norm(_apply_any(T, u), p) - w1p_norm(u, p))
+
+    return _worst(map(gap, samples), "at least one sample field is required")
 
 
-def disjointness_defect(T, pairs: Sequence[tuple[Field, Field]], p: float) -> float:
+def disjointness_defect(T, pairs: Iterable[tuple[Field, Field]], p: float) -> float:
     """Largest lattice overlap ||min(|Tu|, |Tv|)||_p over disjoint input pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("at least one pair is required")
-    worst = 0.0
-    for u, v in pairs:
+    def overlap(pair: tuple[Field, Field]) -> float:
+        u, v = pair
         if float(abs(u).minimum(abs(v)).values.max()) != 0.0:
             raise ValueError("input pair is not disjoint on the grid")
         tu, tv = _apply_any(T, u), _apply_any(T, v)
-        worst = max(worst, lp_norm(abs(tu).minimum(abs(tv)), p))
-    return worst
+        return lp_norm(abs(tu).minimum(abs(tv)), p)
+
+    return _worst(map(overlap, pairs), "at least one pair is required")
 
 
-def intertwining_defect(T, trials: Sequence[tuple[Field, Field]], p: float) -> float:
+def intertwining_defect(T, trials: Iterable[tuple[Field, Field]], p: float) -> float:
     """Largest |a_p(Tu, Tv) - a_p(u, v)| over trials with compact v.
 
     Each trial's ``v`` must vanish on the source boundary layer and its image
     must vanish on the target boundary layer, mirroring membership of v in
     the zero-trace subspace on both sides.
     """
-    trials = list(trials)
-    if not trials:
-        raise ValueError("at least one trial pair is required")
-    worst = 0.0
-    for u, v in trials:
+    def mismatch(trial: tuple[Field, Field]) -> float:
+        u, v = trial
         src_mask = v.domain.boundary_layer_mask()
         if np.any(v.values[src_mask] != 0.0):
             raise ValueError("trial v does not vanish on the source boundary layer")
@@ -310,8 +302,9 @@ def intertwining_defect(T, trials: Sequence[tuple[Field, Field]], p: float) -> f
         tgt_mask = tv.domain.boundary_layer_mask()
         if np.any(tv.values[tgt_mask] != 0.0):
             raise ValueError("image of trial v does not vanish on the target boundary layer")
-        worst = max(worst, abs(form_a(tu, tv, p) - form_a(u, v, p)))
-    return worst
+        return abs(form_a(tu, tv, p) - form_a(u, v, p))
+
+    return _worst(map(mismatch, trials), "at least one trial pair is required")
 
 
 # -- probe reconstruction --------------------------------------------------------
@@ -389,16 +382,6 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
 # -- rigid-motion fitting ---------------------------------------------------------
 
 
-def _dilate_mask(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    for plus, minus in domain.neighbor_rows:
-        has = plus >= 0
-        out[has] |= mask[plus[has]]
-        has = minus >= 0
-        out[has] |= mask[minus[has]]
-    return out
-
-
 @dataclass(frozen=True)
 class RigidFitReport:
     """Per-component rigid motions and global smoothness defects of a fit."""
@@ -455,7 +438,7 @@ def rigid_motion_fit(rec: ReconstructionResult,
     # gradient stencils reach two cells, so keep that much distance from the
     # zero set; prefer cells clear of the boundary layer, where one-sided
     # stencils on interpolated data would pollute the Jacobian at O(1)
-    away_from_zero = ~_dilate_mask(omega2, _dilate_mask(omega2, rec.zero_mask))
+    away_from_zero = ~_gd.dilate_mask(omega2, rec.zero_mask, 2)
     fd_ok = away_from_zero & ~omega2.boundary_layer_mask(2)
     if not fd_ok.any():
         fd_ok = away_from_zero
@@ -657,13 +640,16 @@ def preimage_field(T: OperatorSpec, phi: Field,
     if np.any(g == 0.0):
         raise ValueError("operator weight vanishes somewhere; cannot invert")
     ratio = Field(T.target, phi.values / g)
-    comps = connected_components(T.target)
+    label = np.empty(T.target.n_cells, dtype=np.int64)
+    for ci, rows in enumerate(T.target.component_rows):
+        label[rows] = ci
     w = np.zeros(T.source.n_cells)
     covered = np.zeros(T.source.n_cells, dtype=bool)
     x = T.source.centers
-    for comp, motion in zip(comps, fit.motions):
+    for ci, motion in enumerate(fit.motions):
         y = motion.inverse_transform(x)
-        mask = comp.contains_points(y) & ~covered
+        rows = T.target.rows_of_indices(T.target.index_of_points(y))
+        mask = (rows >= 0) & (label[rows] == ci) & ~covered
         if mask.any():
             w[mask] = ratio.at(y[mask])
             covered |= mask

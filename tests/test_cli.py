@@ -75,6 +75,13 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
+    def test_overflowing_p_fails_with_nan_defect(self, capsys):
+        # |f|^p overflows, so each slack is inf - inf; the NaN must fail the check
+        with np.errstate(over="ignore"):
+            code = main(["verify", "--suite", "clarkson", "--p", "1e308"])
+        assert code == 1
+        assert "FAIL clarkson_lower_p1e+308  defect=nan" in capsys.readouterr().out
+
     def test_exit_code_on_check_failure(self, tmp_path):
         # shrink the Clarkson tolerance scenario by faking a failing suite run:
         # a congruence run between incongruent shapes must exit 1
@@ -202,6 +209,18 @@ class TestInputErrorsExit2:
         monkeypatch.setenv("SIL_CELL_BUDGET", "10000")
         code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec])
         self._assert_input_error(code, capsys, "congruence refinement grid")
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_clarkson_non_finite_p(self, capsys, p):
+        # a configuration error, not a NaN slack in every sample
+        code = main(["verify", "--suite", "clarkson", "--p", p])
+        self._assert_input_error(code, capsys, "p must lie in [1, inf)")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_congruence_tol_out_of_range(self, square_spec, capsys, tol):
+        code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec,
+                     "--tol", tol])
+        self._assert_input_error(code, capsys, "tol must lie in [0, inf)")
 
     @pytest.mark.parametrize("raw", ["abc", "-5"])
     def test_bad_cell_budget_setting(self, square_spec, monkeypatch, capsys, raw):

@@ -26,6 +26,7 @@ from sil import (
     w1p_pow_sum,
 )
 from sil import grid_domain
+from sil.field import _worst
 
 
 @pytest.fixture
@@ -404,3 +405,17 @@ def test_per_point_temporaries_do_not_grow_with_input(square):
     (at4, rows4), (at16, rows16) = excess
     assert at16 - at4 <= 4096
     assert rows16 - rows4 <= 4096
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20), st.data())
+def test_worst_matches_max_and_propagates_nan(values, data):
+    assert _worst(iter(values)) == max(values)
+    pos = data.draw(st.integers(0, len(values)))
+    # the builtin max drops a NaN anywhere but first; the reducer never does
+    assert math.isnan(_worst(values[:pos] + [math.nan] + values[pos:]))
+
+
+def test_worst_of_nothing_raises_its_message():
+    with pytest.raises(ValueError, match="no samples given"):
+        _worst(iter([]), "no samples given")

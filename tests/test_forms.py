@@ -22,6 +22,8 @@ from sil import (
     random_smooth_field,
     w1p_pow_sum,
 )
+from sil import forms
+from sil.suites import _check
 
 
 @pytest.fixture
@@ -232,6 +234,17 @@ class TestPlapResidual:
         u = exponential_probe(domain, 0, 1, 3.0)
         tests = self._bumps(domain)
         assert plap_residual(u, 3.0, (phi for phi in tests)) == plap_residual(u, 3.0, tests)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_nan_residual_fails_the_check(self, nan_on_call, last):
+        domain = make_box(0.0, 1.0, 1e-2)
+        u = exponential_probe(domain, 0, 1, 2.0)
+        tests = self._bumps(domain, n=5)
+        calls = nan_on_call(forms, "form_a", len(tests) - 1 if last else 0)
+        residual = plap_residual(u, 2.0, tests)
+        assert len(calls) == len(tests)
+        assert math.isnan(residual)
+        assert _check("residual", "claim", residual, 1.0)["status"] == "fail"
 
 
 class TestClarkson:

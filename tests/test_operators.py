@@ -41,9 +41,10 @@ from sil import (
     rigid_operator,
     w1p_norm,
 )
-from sil import grid_domain, operators
+from sil import grid_domain, operators, suites
 from sil.operators import DefectReport, _supersampled_image
 from sil.suites import (
+    _check,
     disjoint_bump_pairs,
     intertwining_trials,
     random_rigid_operator as random_rigid_operator_local,
@@ -183,6 +184,28 @@ class TestIntertwiningDefect:
         v = hat(two_block.source, (0.5, 0.0), (0.3, 0.5))
         with pytest.raises(ValueError, match="boundary layer"):
             intertwining_defect(two_block, [(u, v)], 2.0)
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("battery, items, metric, per_item", [
+    pytest.param(isometry_defect, lambda T, rng: smooth_samples(T.source, rng, 4),
+                 "w1p_norm", 2, id="isometry"),
+    pytest.param(disjointness_defect, lambda T, rng: disjoint_bump_pairs(T.source, rng, 4),
+                 "lp_norm", 1, id="disjointness"),
+    pytest.param(intertwining_defect, lambda T, rng: intertwining_trials(T, rng, 4),
+                 "form_a", 2, id="intertwining"),
+])
+def test_nan_item_fails_the_battery(nan_on_call, battery, items, metric, per_item, last):
+    # the builtin max(0.0, nan) is 0.0 and max(worst, nan) is worst, so a
+    # running max loses a NaN at either end of the battery
+    T = identity_operator(make_box((0, 0), (1, 1), 0.05))
+    batch = items(T, np.random.default_rng(9))
+    n_calls = per_item * len(batch)
+    calls = nan_on_call(operators, metric, n_calls - 1 if last else 0)
+    defect = battery(T, batch, 3.0)
+    assert len(calls) == n_calls
+    assert math.isnan(defect)
+    assert _check("battery", "claim", defect, 1.0)["status"] == "fail"
 
 
 class TestReconstruct:
@@ -460,6 +483,61 @@ class TestPreimage:
         w, covered = preimage_field(two_block, phi, fit)
         assert covered.all()
         assert np.abs(apply(two_block, w).values - phi.values).max() <= 1e-10
+
+    @staticmethod
+    def _reference(T, phi, fit):
+        """Membership through one GridDomain per target component, first one wins."""
+        ratio = Field(T.target, phi.values / T.g_values)
+        w = np.zeros(T.source.n_cells)
+        covered = np.zeros(T.source.n_cells, dtype=bool)
+        x = T.source.centers
+        for comp, motion in zip(connected_components(T.target), fit.motions):
+            y = motion.inverse_transform(x)
+            mask = comp.contains_points(y) & ~covered
+            if mask.any():
+                w[mask] = ratio.at(y[mask])
+                covered |= mask
+        return w, covered
+
+    @pytest.mark.parametrize("case", ["two_block", "rotated_box", "per_component"])
+    def test_matches_per_component_reference(self, two_block, case):
+        if case == "two_block":
+            T = two_block
+        elif case == "rotated_box":
+            motion = random_rigid_motion(2, np.random.default_rng(12))
+            T = rigid_operator(make_box((0, 0), (0.6, 0.4), 0.02), motion)
+        else:  # both blocks land on the upper half of the source, so they overlap
+            motions = (RigidMotion(np.eye(2), [0.0, 2.0]), RigidMotion(np.eye(2), [0.0, -1.0]))
+            T = OperatorSpec(grid_domain.example_5_4_omega1(0.05),
+                             grid_domain.example_5_4_omega2(0.05), RigidMap(motions, (0, 1)))
+        fit = rigid_motion_fit(reconstruct(T, p=2.0), T.target)
+        phi = random_smooth_field(T.target, np.random.default_rng(13))
+        w, covered = preimage_field(T, phi, fit)
+        w_ref, covered_ref = self._reference(T, phi, fit)
+        assert covered.any()
+        assert np.array_equal(covered, covered_ref)
+        assert np.array_equal(w.values, w_ref)
+
+
+def test_examples_suite_fits_hyperbolic_operator_once(monkeypatch):
+    fitted = []
+    fit = suites.rigid_motion_fit
+
+    def counted(rec, omega2=None):
+        fitted.append(rec.g_hat.domain)
+        return fit(rec, omega2)
+
+    monkeypatch.setattr(suites, "rigid_motion_fit", counted)
+    # a coarse two-block operator keeps the run short; only the 1e-3
+    # hyperbolic operator's fits are counted
+    monkeypatch.setattr(suites, "example_5_4_operator", lambda h: example_5_4_operator(0.05))
+    checks = {c["check"]: c for c in suites.run_suite(suites.SuiteConfig("examples"))}
+    hyperbolic_target = example_4_8_operator(1e-3).target
+    assert sum(domain == hyperbolic_target for domain in fitted) == 1
+    not_rigid = checks["hyperbolic_map_not_rigid"]
+    report = checks["defect_report_hyperbolic"]["report"]
+    assert not_rigid["orthogonality"] == report["orthogonality"]
+    assert not_rigid["grad_g"] == report["grad_g"]
 
 
 class TestOperatorSpec:
