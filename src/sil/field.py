@@ -8,8 +8,8 @@ error away from re-entrant boundaries.
 
 from __future__ import annotations
 
-import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -313,44 +313,43 @@ def random_smooth_field(domain: GridDomain, rng: np.random.Generator,
 # -- CSV dump format ----------------------------------------------------------
 
 
-def _index_names(dim: int) -> list[str]:
-    return ["i", "j"][:dim]
-
-
-def _coord_names(dim: int) -> list[str]:
-    return ["x", "y"][:dim]
+def _lead_names(dim: int) -> list[str]:
+    return ["i", "j"][:dim] + ["x", "y"][:dim]
 
 
 def _write_csv(path, domain: GridDomain, columns: np.ndarray, names: list[str]) -> None:
+    # repr of the Python floats from .tolist() reads back bit-exact; 1,024-row
+    # blocks keep few row strings alive at once
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_index_names(domain.dim) + _coord_names(domain.dim) + names)
-        for cell, center, row in zip(domain.cells, domain.centers, columns):
-            writer.writerow([*map(int, cell),
-                             *(repr(float(c)) for c in center),
-                             *(repr(float(v)) for v in row)])
+        fh.write(",".join(_lead_names(domain.dim) + names) + "\r\n")
+        for blk in row_blocks(domain.n_cells, 1024):
+            fh.writelines(",".join(map(repr, k + x + v)) + "\r\n" for k, x, v in zip(
+                domain.cells[blk].tolist(), domain.centers[blk].tolist(), columns[blk].tolist()))
 
 
 def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
-    dim = domain.dim
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected_lead = _index_names(dim) + _coord_names(dim)
-        if header[: 2 * dim] != expected_lead or len(header) != 2 * dim + n_values:
+    dim, n = domain.dim, domain.n_cells
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[: 2 * dim] != _lead_names(dim) or len(header) != 2 * dim + n_values:
             raise ValueError(f"unexpected CSV header {header}")
-        idx = []
-        vals = []
-        for line in reader:
-            idx.append([int(v) for v in line[:dim]])
-            vals.append([float(v) for v in line[2 * dim: 2 * dim + n_values]])
-    rows = domain.rows_of_indices(np.asarray(idx, dtype=np.int64))
+        # a header-only file warns "input contained no data"; numpy 1.x reads
+        # "1.5" in an integer column as 1, with a DeprecationWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=[
+                ("k", np.int64, (dim,)), ("x", float, (dim,)), ("v", float, (n_values,))])
+    if table.size and caught:
+        raise ValueError(f"malformed CSV body: {caught[0].message}")
+    rows = domain.rows_of_indices(table["k"])
     if (rows < 0).any():
         raise ValueError("CSV contains cells outside the domain")
-    if len(set(rows.tolist())) != domain.n_cells:
-        raise ValueError("CSV does not cover every cell of the domain")
-    out = np.empty((domain.n_cells, n_values))
-    out[rows] = np.asarray(vals, dtype=float)
+    distinct = np.unique(rows).size
+    if not rows.size == distinct == n:
+        raise ValueError(f"CSV does not cover each of the {n} domain cells exactly once: "
+                         f"{rows.size} rows, {distinct} distinct cells")
+    out = np.empty((n, n_values))
+    out[rows] = table["v"]
     return out
 
 

@@ -26,10 +26,10 @@ _ORTHO_TOL = 1e-12
 _BLOCK = 16_384
 
 
-def row_blocks(n: int):
-    """Slices of at most ``_BLOCK`` consecutive rows covering ``range(n)``;
+def row_blocks(n: int, size: int = _BLOCK):
+    """Slices of at most ``size`` consecutive rows covering ``range(n)``;
     per-point work runs one slice at a time, so temporaries do not scale with n."""
-    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
+    return (slice(s, s + size) for s in range(0, n, size))
 
 
 def cell_budget() -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if self.h is not None and not (self.h > 0):
             raise ValueError("h must be positive")
-        if self.tol is not None and not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not (0 < self.tol < np.inf):
+            raise ValueError("tol must lie in (0, inf)")
 
 
 def _check(name: str, claim: str, defect: float, tol: float, **extra) -> dict:
@@ -87,8 +88,8 @@ def _check(name: str, claim: str, defect: float, tol: float, **extra) -> dict:
 
 
 def smooth_samples(domain: GridDomain, rng: np.random.Generator, n: int,
-                   amplitude: float = 1.0) -> list[Field]:
-    return [random_smooth_field(domain, rng, amplitude=amplitude) for _ in range(n)]
+                   amplitude: float = 1.0) -> Iterator[Field]:
+    return (random_smooth_field(domain, rng, amplitude=amplitude) for _ in range(n))
 
 
 def gateaux_sample_triple(domain: GridDomain, rng: np.random.Generator,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ class TestReconstructCommand:
         assert code == 1
 
 
+def _reconstruct_2x2_tabulated(tmp_path, edit):
+    """``sil reconstruct`` of the identity tabulated on a 2x2 square, with
+    ``edit`` applied to the body lines of g.csv (all weights 1.0)."""
+    domain = make_box((0, 0), (1, 1), 0.5)
+    VectorField(domain, domain.centers).to_csv(tmp_path / "xi.csv")
+    body = [f"{i},{j},{x!r},{y!r},1.0"
+            for (i, j), (x, y) in zip(domain.cells.tolist(), domain.centers.tolist())]
+    (tmp_path / "g.csv").write_text("\r\n".join(["i,j,x,y,value"] + edit(body)) + "\r\n")
+    square = {"dim": 2, "h": 0.5, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}
+    op = write_json(tmp_path / "tab.json", {"tabulated": {"g": "g.csv", "xi": "xi.csv"},
+                                            "target": square, "source": square})
+    return main(["reconstruct", "--spec", op, "--out", str(tmp_path / "out")])
+
+
 class TestCongruenceCommand:
     def test_same_square_identity(self, tmp_path, square_spec):
         motion = write_json(tmp_path / "id.json",
@@ -221,6 +236,39 @@ class TestInputErrorsExit2:
         code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec,
                      "--tol", tol])
         self._assert_input_error(code, capsys, "tol must lie in [0, inf)")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_verify_tol_out_of_range(self, tmp_path, capsys, tol):
+        # with tol = inf the incongruent hyperbolic operator passed every check
+        op = write_json(tmp_path / "op.json", {"builtin": "example_4_8", "h": 1e-3})
+        code = main(["verify", "--suite", "congruence", "--spec", op, "--tol", tol])
+        self._assert_input_error(code, capsys, "tol must lie in (0, inf)")
+
+    @pytest.mark.parametrize("edit, needle", [
+        pytest.param(lambda b: b[:3] + ["1.5,1,0.75,0.75,1.0"], "'1.5' to int64",
+                     id="non-integer-index"),
+        pytest.param(lambda b: b[:3] + ["1,1,0.75,0.75,abc"], "'abc' to float64",
+                     id="non-numeric-value"),
+        pytest.param(lambda b: b[:3] + ["1,1,0.75,0.75"], "4 were found", id="ragged-row"),
+        pytest.param(lambda b: b[:3], "3 rows, 3 distinct cells", id="missing-cell"),
+        pytest.param(lambda b: b + ["1,1,0.75,0.75,-1.0"], "5 rows, 4 distinct cells",
+                     id="duplicate-cell"),
+        pytest.param(lambda b: b[:3] + ["2,2,1.25,1.25,1.0"], "outside the domain",
+                     id="cell-outside-domain"),
+        pytest.param(lambda b: b[:3] + ["1,1,0.75,0.75,nan"], "finite", id="nan-value"),
+        pytest.param(lambda b: [], "0 rows, 0 distinct cells", id="header-only"),
+    ])
+    def test_malformed_tabulated_csv(self, tmp_path, capsys, edit, needle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _reconstruct_2x2_tabulated(tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == 2 and caught == []
+        assert err.startswith("reconstruct error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_tabulated_csv_rows_in_any_order(self, tmp_path):
+        assert _reconstruct_2x2_tabulated(tmp_path, lambda b: b[::-1]) == 0
 
     @pytest.mark.parametrize("raw", ["abc", "-5"])
     def test_bad_cell_budget_setting(self, square_spec, monkeypatch, capsys, raw):

@@ -188,7 +188,7 @@ class TestIntertwiningDefect:
 
 @pytest.mark.parametrize("last", [False, True])
 @pytest.mark.parametrize("battery, items, metric, per_item", [
-    pytest.param(isometry_defect, lambda T, rng: smooth_samples(T.source, rng, 4),
+    pytest.param(isometry_defect, lambda T, rng: list(smooth_samples(T.source, rng, 4)),
                  "w1p_norm", 2, id="isometry"),
     pytest.param(disjointness_defect, lambda T, rng: disjoint_bump_pairs(T.source, rng, 4),
                  "lp_norm", 1, id="disjointness"),
