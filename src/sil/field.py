@@ -159,44 +159,73 @@ def gradient(u: Field) -> VectorField:
     three-point (or two-point) one-sided stencil into the domain; isolated
     cells along an axis get a zero component.
     """
-    dom = u.domain
-    v = u.values
-    h = dom.h
-    out = np.zeros((dom.n_cells, dom.dim))
-    for d, (plus, minus) in enumerate(dom.neighbor_rows):
+    out = np.empty((u.domain.n_cells, u.domain.dim))
+    for blk in row_blocks(u.domain.n_cells):
+        out[blk] = gradient_rows(u, blk)
+    return VectorField(u.domain, out)
+
+
+def gradient_rows(u: Field, blk: slice) -> np.ndarray:
+    """Rows ``blk`` of ``gradient(u).values``; temporaries scale with the block."""
+    v, h = u.values, u.domain.h
+    vb = v[blk]
+    out = np.zeros((vb.shape[0], u.domain.dim))
+    for d, (plus_all, minus_all) in enumerate(u.domain.neighbor_rows):
+        plus, minus = plus_all[blk], minus_all[blk]
         g = out[:, d]  # view: the stencils below write straight into out
         has_p, has_m = plus >= 0, minus >= 0
         central = has_p & has_m
         g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
 
-        # the second neighbor along an axis is the first neighbor's neighbor
+        # the second neighbor along an axis is the first neighbor's neighbor;
+        # r counts rows within the block, a is a row of the whole domain
         fwd = np.flatnonzero(has_p & ~has_m)
         p1 = plus[fwd]
-        two = plus[p1] >= 0
+        two = plus_all[p1] >= 0
         r, a = fwd[two], p1[two]
-        g[r] = (-3.0 * v[r] + 4.0 * v[a] - v[plus[a]]) / (2.0 * h)
+        g[r] = (-3.0 * vb[r] + 4.0 * v[a] - v[plus_all[a]]) / (2.0 * h)
         r, a = fwd[~two], p1[~two]
-        g[r] = (v[a] - v[r]) / h
+        g[r] = (v[a] - vb[r]) / h
 
         bwd = np.flatnonzero(has_m & ~has_p)
         m1 = minus[bwd]
-        two = minus[m1] >= 0
+        two = minus_all[m1] >= 0
         r, a = bwd[two], m1[two]
-        g[r] = (3.0 * v[r] - 4.0 * v[a] + v[minus[a]]) / (2.0 * h)
+        g[r] = (3.0 * vb[r] - 4.0 * v[a] + v[minus_all[a]]) / (2.0 * h)
         r, a = bwd[~two], m1[~two]
-        g[r] = (v[r] - v[a]) / h
-    return VectorField(dom, out)
+        g[r] = (vb[r] - v[a]) / h
+    return out
+
+
+def _block_sums(n: int, summands, k: int = 1) -> list[float]:
+    """``np.sum`` of each of ``k`` n-length arrays, given a row block at a time
+    by ``summands(blk)`` (``k`` arrays, or one when ``k == 1``).  Temporaries
+    scale with the block; each sum still runs over a whole array."""
+    terms = np.empty((k, n))
+    for blk in row_blocks(n):
+        terms[:, blk] = summands(blk)
+    return [float(np.sum(t)) for t in terms]
+
+
+def _pow_sum(domain: GridDomain, p: float, rows) -> float:
+    """Midpoint sum of |rows(blk)|^p, euclidean magnitude for vector rows; a sum
+    that overflows is an input error, not an inf that later turns into NaN."""
+    def summand(blk):
+        vals = rows(blk)
+        return (np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=1)) ** p
+
+    with np.errstate(over="ignore"):
+        total = _block_sums(domain.n_cells, summand)[0] * domain.h**domain.dim
+    if not np.isfinite(total):
+        raise ValueError(f"the power sum of |u|^p overflows at p = {p}")
+    return total
 
 
 def lp_pow_sum(u, p: float) -> float:
     """Midpoint sum of |u|^p over the domain (the p-th power of the norm)."""
     if not (1 <= p < np.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    if isinstance(u, VectorField):
-        mags = np.linalg.norm(u.values, axis=1)
-    else:
-        mags = np.abs(u.values)
-    return float(np.sum(mags**p)) * u.domain.h**u.domain.dim
+    return _pow_sum(u.domain, p, lambda blk: u.values[blk])
 
 
 def lp_norm(u, p: float) -> float:
@@ -205,7 +234,7 @@ def lp_norm(u, p: float) -> float:
 
 
 def w1p_pow_sum(u: Field, p: float) -> float:
-    return lp_pow_sum(u, p) + lp_pow_sum(gradient(u), p)
+    return lp_pow_sum(u, p) + _pow_sum(u.domain, p, lambda blk: gradient_rows(u, blk))
 
 
 def w1p_norm(u: Field, p: float) -> float:
@@ -224,12 +253,6 @@ def _worst(values, empty_msg: str = "no values to reduce") -> float:
     if arr.size == 0:
         raise ValueError(empty_msg)
     return float(arr.max())
-
-
-def is_compactly_supported(u: Field, width: int = 1) -> bool:
-    """True when ``u`` vanishes on the cells of the boundary layer."""
-    mask = u.domain.boundary_layer_mask(width)
-    return not np.any(u.values[mask] != 0.0)
 
 
 # -- generators --------------------------------------------------------------
@@ -329,28 +352,33 @@ def _write_csv(path, domain: GridDomain, columns: np.ndarray, names: list[str]) 
 
 def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
     dim, n = domain.dim, domain.n_cells
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[: 2 * dim] != _lead_names(dim) or len(header) != 2 * dim + n_values:
-            raise ValueError(f"unexpected CSV header {header}")
-        # a header-only file warns "input contained no data"; numpy 1.x reads
-        # "1.5" in an integer column as 1, with a DeprecationWarning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=[
-                ("k", np.int64, (dim,)), ("x", float, (dim,)), ("v", float, (n_values,))])
-    if table.size and caught:
-        raise ValueError(f"malformed CSV body: {caught[0].message}")
-    rows = domain.rows_of_indices(table["k"])
-    if (rows < 0).any():
-        raise ValueError("CSV contains cells outside the domain")
-    distinct = np.unique(rows).size
-    if not rows.size == distinct == n:
-        raise ValueError(f"CSV does not cover each of the {n} domain cells exactly once: "
-                         f"{rows.size} rows, {distinct} distinct cells")
-    out = np.empty((n, n_values))
-    out[rows] = table["v"]
-    return out
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header[: 2 * dim] != _lead_names(dim) or len(header) != 2 * dim + n_values:
+                raise ValueError(f"unexpected CSV header {header}")
+            # a header-only file warns "input contained no data"; numpy 1.x reads
+            # "1.5" in an integer column as 1, with a DeprecationWarning
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=[
+                    ("k", np.int64, (dim,)), ("x", float, (dim,)), ("v", float, (n_values,))])
+        if table.size and caught:
+            raise ValueError(f"malformed CSV body: {caught[0].message}")
+        rows = domain.rows_of_indices(table["k"])
+        if (rows < 0).any():
+            raise ValueError("CSV contains cells outside the domain")
+        distinct = np.unique(rows).size
+        if not rows.size == distinct == n:
+            raise ValueError(f"CSV does not cover each of the {n} domain cells exactly once: "
+                             f"{rows.size} rows, {distinct} distinct cells")
+        if not np.isfinite(table["v"]).all():
+            raise ValueError("CSV values must be finite")
+        out = np.empty((n, n_values))
+        out[rows] = table["v"]
+        return out
+    except ValueError as exc:  # name the file, as open() does
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _interpolate(domain: GridDomain, columns: np.ndarray,

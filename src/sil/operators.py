@@ -212,27 +212,6 @@ def rigid_operator(target: GridDomain, motion: RigidMotion,
     return OperatorSpec(source, target, RigidMap((motion,), (None,)))
 
 
-def averaging_operator(domain: GridDomain, axis: int = 0) -> Callable[[Field], Field]:
-    """(T u)(y) = (u(y) + u(flip y)) / 2 on a mirror-symmetric domain.
-
-    This is not a composition operator; it exists to show a defect the
-    composition-only checks must catch.
-    """
-    lo, hi = domain.index_bounds
-    flipped = domain.cells.copy()
-    flipped[:, axis] = lo[axis] + hi[axis] - domain.cells[:, axis]
-    rows = domain.rows_of_indices(flipped)
-    if (rows < 0).any():
-        raise ValueError("domain is not symmetric about the requested axis")
-
-    def op(u: Field) -> Field:
-        if u.domain != domain:
-            raise ValueError("field lives on a different domain")
-        return Field(domain, 0.5 * (u.values + u.values[rows]))
-
-    return op
-
-
 # -- application ---------------------------------------------------------------
 
 

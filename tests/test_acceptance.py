@@ -20,7 +20,6 @@ from sil import (
     congruence_pipeline,
     defect_sets,
     disjointness_defect,
-    averaging_operator,
     example_4_8_operator,
     example_5_4_operator,
     identity_operator,
@@ -159,7 +158,7 @@ def test_criterion_8_fat_cantor_positive_defect():
     verdict(8, ok, f"n1_measure={ds.n1_measure:.4f} n2_cells={ds.n2_cells}")
 
 
-def test_criterion_9_disjointness():
+def test_criterion_9_disjointness(averaging_operator):
     rng = np.random.default_rng(7)
     worst = 0.0
     operators = [

@@ -18,7 +18,6 @@ from sil import (
     VectorField,
     apply,
     apply_with_flags,
-    averaging_operator,
     bump,
     congruence_pipeline,
     connected_components,
@@ -141,7 +140,7 @@ class TestDisjointnessDefect:
         pairs = disjoint_bump_pairs(two_block.source, np.random.default_rng(4), 20)
         assert disjointness_defect(two_block, pairs, 3.0) == 0.0
 
-    def test_averaging_counterexample(self):
+    def test_averaging_counterexample(self, averaging_operator):
         domain = make_box(0.0, 1.0, 0.005)
         avg = averaging_operator(domain)
         mirrored = (bump(domain, 0.3, 0.15), bump(domain, 0.7, 0.15))
@@ -573,7 +572,7 @@ class TestOperatorSpec:
         assert (T.g_values == 1.0).all() and np.array_equal(T.xi_values, domain.centers)
         assert calls == [1]
 
-    def test_averaging_requires_symmetry(self):
+    def test_averaging_requires_symmetry(self, averaging_operator):
         averaging_operator(make_box(0.0, 1.0, 0.01))
         from sil import domain_from_spec
         lopsided = domain_from_spec({
