@@ -9,13 +9,14 @@ error away from re-entrant boundaries.
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid_domain import GridDomain, box_cells, row_blocks
+from .grid_domain import _BLOCK, GridDomain, box_cells, row_blocks
 
 
 def _same_domain(a, b) -> None:
@@ -121,9 +122,6 @@ class VectorField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def magnitude(self) -> Field:
-        return Field(self.domain, np.linalg.norm(self.values, axis=1))
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_domain(self, other)
         return VectorField(self.domain, self.values + other.values)
@@ -201,24 +199,32 @@ def _block_sums(n: int, summands, k: int = 1) -> list[float]:
     """``np.sum`` of each of ``k`` n-length arrays, given a row block at a time
     by ``summands(blk)`` (``k`` arrays, or one when ``k == 1``).  Temporaries
     scale with the block; each sum still runs over a whole array."""
-    terms = np.empty((k, n))
-    for blk in row_blocks(n):
-        terms[:, blk] = summands(blk)
+    if n <= _BLOCK:  # one block: sum the arrays as given, with no buffer to fill
+        terms = summands(slice(0, n))
+        terms = (terms,) if k == 1 else terms
+    else:
+        terms = np.empty((k, n))
+        for blk in row_blocks(n):
+            terms[:, blk] = summands(blk)
     return [float(np.sum(t)) for t in terms]
 
 
+def _finite(total: float, msg: str) -> float:
+    """``total``; a sum that overflowed is an input error, not an inf that turns into NaN."""
+    if not np.isfinite(total):
+        raise ValueError(msg)
+    return total
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _pow_sum(domain: GridDomain, p: float, rows) -> float:
-    """Midpoint sum of |rows(blk)|^p, euclidean magnitude for vector rows; a sum
-    that overflows is an input error, not an inf that later turns into NaN."""
+    """Midpoint sum of |rows(blk)|^p, euclidean magnitude for vector rows."""
     def summand(blk):
         vals = rows(blk)
         return (np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=1)) ** p
 
-    with np.errstate(over="ignore"):
-        total = _block_sums(domain.n_cells, summand)[0] * domain.h**domain.dim
-    if not np.isfinite(total):
-        raise ValueError(f"the power sum of |u|^p overflows at p = {p}")
-    return total
+    return _finite(_block_sums(domain.n_cells, summand)[0] * domain.h**domain.dim,
+                   f"the power sum of |u|^p overflows at p = {p}")
 
 
 def lp_pow_sum(u, p: float) -> float:
@@ -352,6 +358,7 @@ def _write_csv(path, domain: GridDomain, columns: np.ndarray, names: list[str]) 
 
 def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
     dim, n = domain.dim, domain.n_cells
+    line = itertools.count(2)  # compress() below draws the next file line per body line
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -361,8 +368,9 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
             # "1.5" in an integer column as 1, with a DeprecationWarning
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=[
-                    ("k", np.int64, (dim,)), ("x", float, (dim,)), ("v", float, (n_values,))])
+                table = np.loadtxt(itertools.compress(fh, line), delimiter=",", comments=None,
+                                   ndmin=1, dtype=[("k", np.int64, (dim,)), ("x", float, (dim,)),
+                                                   ("v", float, (n_values,))])
         if table.size and caught:
             raise ValueError(f"malformed CSV body: {caught[0].message}")
         rows = domain.rows_of_indices(table["k"])
@@ -377,8 +385,9 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
         out = np.empty((n, n_values))
         out[rows] = table["v"]
         return out
-    except ValueError as exc:  # name the file, as open() does
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:  # name the file, as open() does, and numpy's row as its line
+        raise ValueError(f"{path}: " + re.sub(r"at row \d+", f"at line {next(line) - 1}",
+                                               str(exc))) from None
 
 
 def _interpolate(domain: GridDomain, columns: np.ndarray,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (Field, VectorField, _block_sums, _same_domain, _worst, gradient_rows,
-                    lp_pow_sum, w1p_norm, w1p_pow_sum)
+from .field import (Field, VectorField, _block_sums, _finite, _same_domain, _worst,
+                    gradient_rows, lp_pow_sum, w1p_norm, w1p_pow_sum)
 
 DEFAULT_S_LADDER = (1e-2, 1e-3, 1e-4)
 
@@ -36,6 +36,7 @@ def _grad_weight(mag: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite rejects the overflow
 def form_a(u: Field, v: Field, p: float) -> float:
     """The form a_p(u, v); a_p(u, u) equals the p-th power of the norm."""
     if not (1.0 < p < np.inf):
@@ -51,9 +52,11 @@ def form_a(u: Field, v: Field, p: float) -> float:
     (zero_order,) = _block_sums(n, lambda blk: np.sign(u.values[blk])
                                 * np.abs(u.values[blk]) ** (p - 1.0) * v.values[blk])
     (grad_sum,) = _block_sums(n, grad_term)
-    return (zero_order + grad_sum) * u.domain.h**u.domain.dim
+    return _finite((zero_order + grad_sum) * u.domain.h**u.domain.dim,
+                   f"the form a_p overflows at p = {p}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite rejects the overflow
 def form_b(u: Field, v: Field, w: Field, p: float) -> float:
     """The trilinear form b_p(u, v, w), defined for p > 2 only."""
     if not (p > 2.0):
@@ -73,7 +76,8 @@ def form_b(u: Field, v: Field, w: Field, p: float) -> float:
     (t1,) = _block_sums(n, lambda blk: np.abs(u.values[blk]) ** (p - 2.0)
                         * (v.values[blk] * w.values[blk]))
     t2, t3 = _block_sums(n, grad_terms, 2)
-    return ((p - 1.0) * t1 + (p - 2.0) * t2 + t3) * u.domain.h**u.domain.dim
+    return _finite(((p - 1.0) * t1 + (p - 2.0) * t2 + t3) * u.domain.h**u.domain.dim,
+                   f"the form b_p overflows at p = {p}")
 
 
 @dataclass(frozen=True)
@@ -113,31 +117,27 @@ def _fit_slope(s: tuple[float, ...], errors: tuple[float, ...]) -> float:
     return float(coeffs[0])
 
 
+def _quotient_report(s_values, at, base: float, predicted: float) -> GateauxReport:
+    """Errors of the difference quotients (at(s) - base) / s against
+    ``predicted``, over the ladder from its largest step down."""
+    s_values = tuple(sorted((float(s) for s in s_values), reverse=True))
+    errors = tuple(abs((at(s) - base) / s - predicted) for s in s_values)
+    return GateauxReport(s_values, errors, _fit_slope(s_values, errors))
+
+
 def gateaux_check_norm(u: Field, v: Field, p: float,
                        s_values=DEFAULT_S_LADDER) -> GateauxReport:
     """Compare (||u + s v||^p - ||u||^p) / s against p * a_p(u, v); a_p checks p."""
     _same_domain(u, v)
-    s_values = tuple(sorted((float(s) for s in s_values), reverse=True))
-    base = w1p_pow_sum(u, p)
-    predicted = p * form_a(u, v, p)
-    errors = []
-    for s in s_values:
-        quotient = (w1p_pow_sum(u + s * v, p) - base) / s
-        errors.append(abs(quotient - predicted))
-    return GateauxReport(s_values, tuple(errors), _fit_slope(s_values, tuple(errors)))
+    return _quotient_report(s_values, lambda s: w1p_pow_sum(u + s * v, p),
+                            w1p_pow_sum(u, p), p * form_a(u, v, p))
 
 
 def gateaux_check_form(u: Field, v: Field, w: Field, p: float,
                        s_values=DEFAULT_S_LADDER) -> GateauxReport:
     """Compare (a_p(u + s v, w) - a_p(u, w)) / s against b_p(u, v, w); b_p checks p."""
-    s_values = tuple(sorted((float(s) for s in s_values), reverse=True))
-    base = form_a(u, w, p)
-    predicted = form_b(u, v, w, p)
-    errors = []
-    for s in s_values:
-        quotient = (form_a(u + s * v, w, p) - base) / s
-        errors.append(abs(quotient - predicted))
-    return GateauxReport(s_values, tuple(errors), _fit_slope(s_values, tuple(errors)))
+    return _quotient_report(s_values, lambda s: form_a(u + s * v, w, p),
+                            form_a(u, w, p), form_b(u, v, w, p))
 
 
 def plap_residual(u: Field, p: float, tests) -> float:

@@ -54,10 +54,7 @@ def _check_budget(n: int, what: str) -> None:
 
 
 def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
-    if np.isscalar(x):
-        pt = (float(x),)
-    else:
-        pt = tuple(float(v) for v in x)
+    pt = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
     if dim is not None and len(pt) != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {pt}")
     return pt
@@ -158,6 +155,10 @@ class GridDomain:
             out[blk] = np.where(in_box & (cell_keys[pos] == keys), pos, -1)
         return out
 
+    def subset(self, rows) -> "GridDomain":
+        """The domain of the given rows (or row mask) on the same grid."""
+        return GridDomain(self.dim, self.h, self.origin, self.cells[rows])
+
     def contains_indices(self, idx: np.ndarray) -> np.ndarray:
         return self.rows_of_indices(idx) >= 0
 
@@ -174,27 +175,22 @@ class GridDomain:
     @cached_property
     def neighbor_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis, rows of the +/- face neighbors of every cell (-1 absent)."""
-        out = []
-        for d in range(self.dim):
-            step = np.zeros(self.dim, dtype=np.int64)
-            step[d] = 1
-            out.append(
-                (self.rows_of_indices(self.cells + step),
-                 self.rows_of_indices(self.cells - step))
-            )
-        return tuple(out)
+        return tuple((self.rows_of_indices(self.cells + e), self.rows_of_indices(self.cells - e))
+                     for e in np.eye(self.dim, dtype=np.int64))
+
+    @property
+    def run_starts(self) -> np.ndarray:
+        """Mask of the rows that begin a run of consecutive cells along the last
+        axis; cells are lexsorted, so each run is a block of rows."""
+        c, starts = self.cells, np.ones(self.n_cells, dtype=bool)
+        starts[1:] = np.any(c[1:, :-1] != c[:-1, :-1], axis=1) | (c[1:, -1] != c[:-1, -1] + 1)
+        return starts
 
     @cached_property
     def component_rows(self) -> tuple[np.ndarray, ...]:
         """Ascending read-only rows of each face-connected part, parts in
         order of their smallest cell; labelled once per domain."""
-        cells = self.cells
-        # cells are lexsorted, so each run of consecutive cells along the last
-        # axis is a contiguous block of rows; runs are numbered in cell order
-        starts = np.ones(self.n_cells, dtype=bool)
-        starts[1:] = (np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1)
-                      | (cells[1:, -1] != cells[:-1, -1] + 1))
-        run = np.cumsum(starts) - 1
+        run = np.cumsum(self.run_starts) - 1  # runs are numbered in cell order
         root = np.arange(run[-1] + 1)
         if self.dim == 2:  # union-find over runs touching across rows
             plus = self.neighbor_rows[0][0]
@@ -227,9 +223,8 @@ def dilate_mask(domain: GridDomain, mask: np.ndarray, steps: int) -> np.ndarray:
     """Cells of ``domain`` within ``steps`` face steps of a cell in ``mask``."""
     for _ in range(steps):
         grown = mask.copy()
-        for plus, minus in domain.neighbor_rows:
-            grown[plus >= 0] |= mask[plus[plus >= 0]]
-            grown[minus >= 0] |= mask[minus[minus >= 0]]
+        for rows in itertools.chain(*domain.neighbor_rows):  # +/- neighbours per axis
+            grown[rows >= 0] |= mask[rows[rows >= 0]]
         mask = grown
     return mask
 
@@ -279,13 +274,11 @@ def make_box(lo, hi, h: float) -> GridDomain:
 def _subtract_boxes(domain: GridDomain, boxes: Iterable[tuple]) -> GridDomain:
     keep = np.ones(domain.n_cells, dtype=bool)
     for lo, hi in boxes:
-        lo = np.asarray(_as_point(lo, domain.dim))
-        hi = np.asarray(_as_point(hi, domain.dim))
-        inside = np.all((domain.centers > lo) & (domain.centers < hi), axis=1)
-        keep &= ~inside
+        lo, hi = (np.asarray(_as_point(x, domain.dim)) for x in (lo, hi))
+        keep &= ~np.all((domain.centers > lo) & (domain.centers < hi), axis=1)
     if not keep.any():
         raise ValueError("subtraction removed every cell of the domain")
-    return GridDomain(domain.dim, domain.h, domain.origin, domain.cells[keep])
+    return domain.subset(keep)
 
 
 def connected_components(domain: GridDomain) -> list[GridDomain]:
@@ -295,8 +288,7 @@ def connected_components(domain: GridDomain) -> list[GridDomain]:
     share ``dim``/``h``/``origin`` with the input, and split the active
     cells exactly (no cell lost or duplicated).
     """
-    return [GridDomain(domain.dim, domain.h, domain.origin, domain.cells[rows])
-            for rows in domain.component_rows]
+    return [domain.subset(rows) for rows in domain.component_rows]
 
 
 def is_topologically_regular(domain: GridDomain) -> bool:
@@ -306,10 +298,11 @@ def is_topologically_regular(domain: GridDomain) -> bool:
     active, i.e. the rasterization has a slit or puncture thinner than one
     cell that closure would swallow.
     """
-    # a surrounded inactive cell is the missing +e_0 neighbor of an active
-    # cell, so those boundary-sized candidates are all that need checking
+    # a surrounded inactive cell is the missing +e_last neighbor of an active
+    # cell, the last of its run, so those boundary-sized candidates are all
+    # that need checking; a run ends where the next one starts
     steps = np.eye(domain.dim, dtype=np.int64)
-    cand = domain.cells[domain.neighbor_rows[0][0] < 0] + steps[0]
+    cand = domain.cells[np.roll(domain.run_starts, -1)] + steps[-1]
     surrounded = np.ones(cand.shape[0], dtype=bool)
     for e in steps:
         surrounded &= domain.contains_indices(cand + e)

@@ -21,13 +21,14 @@ receiving a value; a clean composition operator leaves that set empty.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .field import (Field, VectorField, _worst, exponential_probe, gradient, lp_norm,
+from .field import (Field, VectorField, _worst, exponential_probe, gradient_rows, lp_norm,
                     probe_rate, w1p_norm)
 from .forms import form_a
 from .grid_domain import (
@@ -126,10 +127,7 @@ class OperatorSpec:
         if isinstance(self.variant, TabulatedMap):
             if self.variant.g.domain != self.target or self.variant.xi.domain != self.target:
                 raise ValueError("tabulated weight/map must live on the target domain")
-        # touching the cached values runs the bounding-box containment check
-        self._validate_h1()
-
-    def _validate_h1(self) -> None:
+        # the map must keep the target nodes in the source's bounding box
         xi = self.xi_values
         lo, hi = self.source.bounding_box
         # one cell of slack: the raster box can sit up to h inside the analytic set
@@ -189,9 +187,9 @@ def identity_operator(domain: GridDomain) -> OperatorSpec:
     return OperatorSpec(domain, domain, BuiltinMap("identity"))
 
 
-def example_4_8_operator(h: float = 1e-3, h_source: float | None = None) -> OperatorSpec:
+def example_4_8_operator(h: float = 1e-3) -> OperatorSpec:
     """Hyperbolic-weight interval operator; intertwines the form but is not isometric."""
-    return OperatorSpec(_gd.example_4_8_omega1(h_source or h),
+    return OperatorSpec(_gd.example_4_8_omega1(h),
                         _gd.example_4_8_omega2(h),
                         BuiltinMap("example_4_8"))
 
@@ -204,11 +202,10 @@ def example_5_4_operator(h: float = 0.01) -> OperatorSpec:
 
 
 def rigid_operator(target: GridDomain, motion: RigidMotion,
-                   source: GridDomain | None = None,
-                   h_source: float | None = None) -> OperatorSpec:
+                   source: GridDomain | None = None) -> OperatorSpec:
     """Composition with one rigid motion of the whole target domain."""
     if source is None:
-        source = apply_rigid_motion(target, motion, h_source or target.h)
+        source = apply_rigid_motion(target, motion)
     return OperatorSpec(source, target, RigidMap((motion,), (None,)))
 
 
@@ -319,40 +316,34 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
         if omega2 is not None and omega2 != op.target:
             raise ValueError("omega2 does not match the operator target")
         omega2 = op.target
-        g, xi = op.g_values, op.xi_values
-        images = {(j, sg): g * np.exp(sg * alpha * xi[:, j])
-                  for j in range(omega2.dim) for sg in (1, -1)}
-    else:
-        if omega2 is None or source is None:
-            raise ValueError("black-box reconstruction needs omega2 and source domains")
-        images = {}
-        for j in range(omega2.dim):
-            for sg in (1, -1):
-                img = op(exponential_probe(source, j, sg, p))
-                if img.domain != omega2:
-                    raise ValueError("operator image does not live on omega2")
-                images[(j, sg)] = img.values
+    elif omega2 is None or source is None:
+        raise ValueError("black-box reconstruction needs omega2 and source domains")
+
+    def image(j, sg):  # formed from the nodal data, or sent through the black box
+        if isinstance(op, OperatorSpec):
+            return op.g_values * np.exp(sg * alpha * op.xi_values[:, j])
+        img = op(exponential_probe(source, j, sg, p))
+        if img.domain != omega2:
+            raise ValueError("operator image does not live on omega2")
+        return img.values
 
     n = omega2.n_cells
     zero = np.zeros(n, dtype=bool)
     g_axes = []
-    xi_cols = []
-    for j in range(omega2.dim):
-        vp, vm = images[(j, 1)], images[(j, -1)]
+    xi = np.zeros((n, omega2.dim))
+    for j in range(omega2.dim):  # one axis's pair of probe images alive at a time
+        vp, vm = image(j, 1), image(j, -1)
         prod = vp * vm
         ok = prod > 0.0
         zero |= ~ok
         g_j = np.zeros(n)
         g_j[ok] = np.sign(vp[ok]) * np.sqrt(prod[ok])
-        xi_j = np.zeros(n)
-        xi_j[ok] = np.log(vp[ok] / vm[ok]) / (2.0 * alpha)
+        xi[ok, j] = np.log(vp[ok] / vm[ok]) / (2.0 * alpha)
         g_axes.append(g_j)
-        xi_cols.append(xi_j)
     if zero.all():
         raise ValueError("probe images vanish everywhere; not a composition operator on this grid")
     g_hat = g_axes[0].copy()
     g_hat[zero] = 0.0
-    xi = np.stack(xi_cols, axis=1)
     xi[zero] = 0.0
     return ReconstructionResult(Field(omega2, g_hat), VectorField(omega2, xi),
                                 zero, tuple(g_axes))
@@ -405,8 +396,7 @@ def rigid_motion_fit(rec: ReconstructionResult,
         if rows.size < dim + 1:
             raise ValueError(
                 f"component with {rows.size} usable cells is too small to fit a motion")
-        X = omega2.centers[rows]
-        Y = xi[rows]
+        X, Y = omega2.centers[rows], xi[rows]
         xm, ym = X.mean(axis=0), Y.mean(axis=0)
         coef, *_ = np.linalg.lstsq(X - xm, Y - ym, rcond=None)
         U, _, Vt = np.linalg.svd(coef.T)
@@ -423,17 +413,21 @@ def rigid_motion_fit(rec: ReconstructionResult,
         fd_ok = away_from_zero
     if not fd_ok.any():
         raise ValueError("zero set leaves no cells for defect evaluation")
-    jac = np.stack([gradient(Field(omega2, xi[:, i])).values for i in range(dim)],
-                   axis=1)  # (n, i, d) = d xi_i / d y_d
-    dev = np.empty(omega2.n_cells)
+    # per row block: the Jacobian (b, i, d) = d xi_i / d y_d, its rows of c_field,
+    # and block maxima of both defects over fd_ok (a max is exact and keeps NaN)
+    xi_fields = [Field(omega2, xi[:, i]) for i in range(dim)]
+    c = np.empty(omega2.n_cells)
+    ortho_max, grad_g_max = [], []
     for blk in _gd.row_blocks(omega2.n_cells):
-        jtj = np.einsum("nid,nie->nde", jac[blk], jac[blk])
-        dev[blk] = np.abs(jtj - np.eye(dim)).max(axis=(1, 2))
-    ortho = float(dev[fd_ok].max())
-    grad_g = float(gradient(rec.g_hat).magnitude().values[fd_ok].max())
+        jac = np.stack([gradient_rows(f, blk) for f in xi_fields], axis=1)
+        c[blk] = np.linalg.norm(jac[:, 0, :], axis=1)
+        if (ok := fd_ok[blk]).any():
+            jtj = np.einsum("nid,nie->nde", jac, jac)
+            ortho_max.append(np.abs(jtj - np.eye(dim)).max(axis=(1, 2))[ok].max())
+            grad_g_max.append(np.linalg.norm(gradient_rows(rec.g_hat, blk), axis=1)[ok].max())
+    ortho = _worst(ortho_max)
     weight = float(np.abs(np.abs(rec.g_hat.values[valid]) - 1.0).max())
-    c_field = Field(omega2, np.linalg.norm(jac[:, 0, :], axis=1))
-    return RigidFitReport(tuple(motions), ortho, grad_g, weight, c_field,
+    return RigidFitReport(tuple(motions), ortho, _worst(grad_g_max), weight, Field(omega2, c),
                           rigid=ortho <= _RIGID_ORTHO_TOL)
 
 
@@ -457,14 +451,19 @@ def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray
     return hit, escaped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectSets:
-    """Cells missed by the reconstructed map, on both sides."""
+    """Cells missed by the reconstructed map, on both sides; the matched
+    domains ``u1`` and ``u2`` are built from their cell masks when read."""
 
     n2_cells: int       # target cells mapped outside the source (or unreadable)
     n1_measure: float   # source measure left uncovered by the image
-    u1: GridDomain
-    u2: GridDomain
+    omega1: GridDomain
+    omega2: GridDomain
+    hit: np.ndarray     # cell mask of u1 in omega1
+    inside: np.ndarray  # cell mask of u2 in omega2
+    u1 = property(lambda self: self.omega1.subset(self.hit))
+    u2 = property(lambda self: self.omega2.subset(self.inside))
 
 
 def defect_sets(rec: ReconstructionResult, omega1: GridDomain,
@@ -478,16 +477,17 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain,
     omega2 = rec.g_hat.domain if omega2 is None else omega2
     if omega2 != rec.g_hat.domain:
         raise ValueError("omega2 does not match the reconstruction domain")
-    ok = ~rec.zero_mask
-    inside = np.zeros(omega2.n_cells, dtype=bool)
-    inside[ok] = omega1.contains_points(rec.xi_hat.values[ok])
+    inside = ~rec.zero_mask  # then narrowed to the cells mapped into omega1
+    for blk in _gd.row_blocks(omega2.n_cells):
+        inside[blk] &= omega1.contains_points(rec.xi_hat.values[blk])
     if not inside.any():
         raise ValueError("no target cell maps into the source domain")
     n2 = omega2.n_cells - int(np.count_nonzero(inside))
-    u2 = GridDomain(omega2.dim, omega2.h, omega2.origin, omega2.cells[inside])
     hit = _supersampled_image(omega1, omega2, np.flatnonzero(inside), rec.xi_hat.at)[0]
-    u1 = GridDomain(omega1.dim, omega1.h, omega1.origin, omega1.cells[hit])
-    return DefectSets(n2, omega1.measure - u1.measure, u1, u2)
+    if not hit.any():  # the error building an empty u1 would raise
+        raise ValueError("a domain must contain at least one cell")
+    n1 = omega1.measure - int(np.count_nonzero(hit)) * omega1.h**omega1.dim
+    return DefectSets(n2, n1, omega1, omega2, hit, inside)
 
 
 # -- congruence pipeline --------------------------------------------------------------
@@ -545,14 +545,21 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     """
     rec = reconstruct(T, p=p)
     fit = rigid_motion_fit(rec, T.target)
+    # each stage passes on only motions and scalars, so its n-sized arrays are
+    # freed before the next stage (the topology checks included) allocates its own
+    motions, ortho, grad_g, weight = (fit.motions, fit.orthogonality_defect,
+                                      fit.grad_g_defect, fit.weight_defect)
+    del fit
     ds = defect_sets(rec, T.source, T.target)
     valid = ~rec.zero_mask
+    del rec
+    regular = is_topologically_regular(T.source), is_topologically_regular(T.target)
 
     coverage = np.zeros(T.source.n_cells, dtype=np.int64)
     escaped_pts = 0
     comp_boxes = []
     image_boxes = []
-    for rows, motion in zip(T.target.component_rows, fit.motions):
+    for rows, motion in zip(T.target.component_rows, motions):
         hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
         coverage += hit
         escaped_pts += n_out
@@ -572,9 +579,9 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     n2_measure = ds.n2_cells * cell2
 
     gates = [
-        ("non-rigid xi", fit.orthogonality_defect),
-        ("non-constant weight", fit.grad_g_defect),
-        ("weight magnitude differs from 1", fit.weight_defect),
+        ("non-rigid xi", ortho),
+        ("non-constant weight", grad_g),
+        ("weight magnitude differs from 1", weight),
         ("target cells map outside the source", n2_measure),
         ("source not covered by the image", ds.n1_measure),
         ("component images do not tile the source", tiling),
@@ -588,17 +595,17 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
         congruent=reason == "congruent",
         reason=reason,
         tol=tol,
-        motions=fit.motions,
+        motions=motions,
         component_boxes=tuple(comp_boxes),
         image_boxes=tuple(image_boxes),
-        orthogonality_defect=fit.orthogonality_defect,
-        grad_g_defect=fit.grad_g_defect,
-        weight_defect=fit.weight_defect,
+        orthogonality_defect=ortho,
+        grad_g_defect=grad_g,
+        weight_defect=weight,
         n2_cells=ds.n2_cells,
         n1_measure=ds.n1_measure,
         tiling_defect=tiling,
-        source_regular=is_topologically_regular(T.source),
-        target_regular=is_topologically_regular(T.target),
+        source_regular=regular[0],
+        target_regular=regular[1],
     )
 
 
@@ -668,8 +675,6 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
     ``{"tabulated": {"g": "g.csv", "xi": "xi.csv"}}``.  Domains come from
     embedded ``"source"``/``"target"`` specs or the keyword arguments.
     """
-    import os.path
-
     if not isinstance(spec, dict):
         raise ValueError("operator spec must be an object")
     if target is None and "target" in spec:
@@ -688,27 +693,20 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
     if "rigid" in spec:
         if target is None:
             raise ValueError("a rigid operator spec needs a target domain")
-        motions = []
-        components = []
-        for entry in spec["rigid"]:
-            motions.append(RigidMotion.from_json_dict(entry))
-            components.append(entry.get("component"))
+        motions = tuple(RigidMotion.from_json_dict(entry) for entry in spec["rigid"])
+        components = tuple(entry.get("component") for entry in spec["rigid"])
         if source is None:
             if len(motions) != 1 or components[0] is not None:
                 raise ValueError("per-component rigid specs need an explicit source domain")
             return rigid_operator(target, motions[0])
-        return OperatorSpec(source, target, RigidMap(tuple(motions), tuple(components)))
+        return OperatorSpec(source, target, RigidMap(motions, components))
 
     if "tabulated" in spec:
         if target is None:
             raise ValueError("a tabulated operator spec needs a target domain")
         tab = spec["tabulated"]
-        g_path, xi_path = tab["g"], tab["xi"]
-        if base_dir is not None:
-            g_path = os.path.join(base_dir, g_path)
-            xi_path = os.path.join(base_dir, xi_path)
-        g = Field.from_csv(g_path, target)
-        xi = VectorField.from_csv(xi_path, target)
+        g = Field.from_csv(os.path.join(base_dir or "", tab["g"]), target)
+        xi = VectorField.from_csv(os.path.join(base_dir or "", tab["xi"]), target)
         if source is None:
             lo = xi.values.min(axis=0) - target.h
             hi = xi.values.max(axis=0) + target.h

@@ -7,7 +7,9 @@ generator so a fixed configuration reproduces the report byte for byte.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -447,13 +449,10 @@ def suite_reconstruction(cfg: SuiteConfig) -> list[dict]:
 
 
 def suite_congruence(cfg: SuiteConfig) -> list[dict]:
-    import json
-
     p = cfg.p or 3.0
     if cfg.spec_path:
         with open(cfg.spec_path) as fh:
             spec = json.load(fh)
-        import os.path
         T = operator_from_spec(spec, base_dir=os.path.dirname(cfg.spec_path) or ".")
     else:
         T = example_5_4_operator(cfg.h or 0.01)

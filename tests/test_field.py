@@ -25,8 +25,8 @@ from sil import (
     w1p_norm,
     w1p_pow_sum,
 )
-from sil import grid_domain
-from sil.field import _worst
+from sil import field, grid_domain
+from sil.field import _block_sums, _worst
 
 
 @pytest.fixture
@@ -266,6 +266,22 @@ class TestCsv:
         with pytest.raises(ValueError, match="int64"):
             Field.from_csv(path, domain)
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("0,0.25,abc\n1,0.75,1.0\n", 2, "could not convert string 'abc'"),
+        ("0,0.25\n1,0.75,1.0\n", 2, "requires 3 columns but 2 were found"),
+        ("0,0.25,1.0\n\n1,0.75,abc\n", 4, "could not convert string 'abc'"),
+        ("0,0.25,1.0\n\n1,0.75\n", 4, "requires 3 columns but 2 were found"),
+    ], ids=["value", "short_row", "value_after_blank", "short_row_after_blank"])
+    def test_parse_errors_name_the_file_line(self, tmp_path, body, line, message):
+        # numpy counts body rows from 0 in conversion errors and from 1 in
+        # column-count errors, and skips blank lines in both
+        path = tmp_path / "field.csv"
+        path.write_text("i,x,value\n" + body)
+        with pytest.raises(ValueError) as err:
+            Field.from_csv(path, make_box(0.0, 1.0, 0.5))
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+        assert f"at line {line}" in str(err.value) and "at row" not in str(err.value)
+
     def test_cell_listed_twice_rejected(self, tmp_path):
         # the old reader let the last of two rows for a cell win
         domain = make_box((0, 0), (1, 1), 0.5)
@@ -459,7 +475,7 @@ def test_interpolation_block_size_invariant(domain, n, seed):
     v = VectorField(domain, rng.normal(size=(domain.n_cells, domain.dim)))
     whole = (u.at(pts), *u.at_with_coverage(pts), v.at(pts))  # one block
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid_domain, "_BLOCK", 7)
+        mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
         blocked = (u.at(pts), *u.at_with_coverage(pts), v.at(pts))
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
@@ -503,3 +519,34 @@ def test_worst_matches_max_and_propagates_nan(values, data):
 def test_worst_of_nothing_raises_its_message():
     with pytest.raises(ValueError, match="no samples given"):
         _worst(iter([]), "no samples given")
+
+
+@pytest.mark.parametrize("n", [1, grid_domain._BLOCK - 1, grid_domain._BLOCK,
+                               grid_domain._BLOCK + 1, 2 * grid_domain._BLOCK + 3])
+def test_block_sums_single_block_path_is_exact(n):
+    # up to _BLOCK rows the summands are summed as returned; above it they
+    # fill a buffer block by block; both must equal np.sum over whole arrays
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 9, size=(2, n))
+
+    def pair(blk):
+        return np.abs(a[blk]) ** 2.5, a[blk] * b[blk]
+
+    expected = [float(np.sum(np.abs(a) ** 2.5)), float(np.sum(a * b))]
+    assert _block_sums(n, pair, 2) == expected
+    assert _block_sums(n, lambda blk: pair(blk)[1]) == expected[1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_BLOCK", 0)  # every n takes the buffered path
+        assert _block_sums(n, pair, 2) == expected
+
+
+@pytest.mark.parametrize("n", [grid_domain._BLOCK, grid_domain._BLOCK + 1])
+def test_power_sums_on_either_side_of_one_block(n):
+    h = 1.0 / n
+    line = GridDomain(1, h, (0.0,), np.arange(n)[:, None])
+    plane = GridDomain(2, h, (0.0, 0.0), np.stack([np.arange(n) // 128, np.arange(n) % 128], 1))
+    rng = np.random.default_rng(n)
+    u = Field(line, rng.normal(size=n))
+    v = VectorField(plane, rng.normal(size=(n, 2)))
+    assert lp_pow_sum(u, 3.0) == float(np.sum(np.abs(u.values) ** 3.0)) * h
+    assert lp_pow_sum(v, 3.0) == float(np.sum(np.linalg.norm(v.values, axis=1) ** 3.0)) * h**2

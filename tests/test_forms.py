@@ -415,6 +415,22 @@ def test_blocked_kernels_exact_on_random_domains(domain, seed):
     _assert_blocked_kernels_exact(domain, seed)
 
 
+
+@pytest.mark.parametrize("form, args, p", [
+    (form_a, ("big", "big"), 3.0),
+    (form_a, ("big", "zero"), 3.0),   # inf * 0 is NaN, which must not pass either
+    (form_b, ("big", "big", "big"), 3.0),
+    (form_b, ("big", "zero", "zero"), 4.0),
+], ids=["form_a", "form_a_times_zero", "form_b", "form_b_times_zero"])
+def test_forms_reject_overflow(form, args, p):
+    # |u| = 1e200 overflows |u|^(p-1) v and |u|^(p-2) v w; the forms raise, as
+    # the power sums do, instead of returning inf or NaN with a numpy
+    # RuntimeWarning (which the pytest configuration turns into an error)
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.05)
+    fields = {"big": Field.constant(domain, 1e200), "zero": Field.constant(domain, 0.0)}
+    with pytest.raises(ValueError, match=f"overflows at p = {p}"):
+        form(*(fields[a] for a in args), p)
+
 def test_blocked_kernels_peak_memory():
     # traced peak above the memory live at entry, in n-float arrays, on a
     # 400x400 box; the full-array code read 5.37 (gradient), 8.13 (form_a),

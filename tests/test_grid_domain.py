@@ -231,6 +231,23 @@ class TestGridDomainBasics:
         assert a == b and hash(a) == hash(b)
         assert a != make_box((0, 0), (1, 1), 0.05)
 
+    @pytest.mark.parametrize("lo, b, moved_lo, equal", [
+        ((0.0, 0.0), (0.3, 0.0), (0.3, 0.0), True),   # 0.0 + 0.3 is exact
+        ((0.0, 0.0), (0.2, 0.1), (0.2, 0.1), True),
+        ((0.1, 0.0), (0.2, 0.0), (0.3, 0.0), False),  # 0.1 + 0.2 != 0.3 in floats
+    ])
+    def test_translated_box_equality_is_exact_in_the_origin(self, lo, b, moved_lo, equal):
+        # pins current behaviour: __eq__ compares h and origin as exact floats,
+        # so a grid-exact translation built by apply_rigid_motion equals the
+        # make_box of the moved box only when the origin arithmetic is exact,
+        # although both hold the same cells with the same centers up to roundoff
+        box = make_box(lo, (lo[0] + 1.0, lo[1] + 0.5), 0.1)
+        moved = apply_rigid_motion(box, RigidMotion(np.eye(2), b))
+        direct = make_box(moved_lo, (moved_lo[0] + 1.0, moved_lo[1] + 0.5), 0.1)
+        assert np.array_equal(moved.cells, direct.cells)
+        assert np.allclose(moved.centers, direct.centers, rtol=0.0, atol=1e-12)
+        assert (moved == direct) is equal and (moved.origin == direct.origin) is equal
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GridDomain(1, 0.1, (0.0,), np.zeros((0, 1), dtype=np.int64))
@@ -448,7 +465,7 @@ def test_rows_of_indices_block_size_invariant(domain, n, seed):
     idx = np.random.default_rng(seed).integers(lo - 3, hi + 4, size=(n, domain.dim))
     whole = domain.rows_of_indices(idx)  # one block at the default size
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid_domain, "_BLOCK", 7)
+        mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
         assert np.array_equal(domain.rows_of_indices(idx), whole)
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from sil import (
     example_4_8_operator,
     example_5_4_operator,
     form_a,
+    gradient,
     identity_operator,
     intertwining_defect,
     isometry_defect,
@@ -402,7 +405,7 @@ class TestCongruencePipeline:
     def test_block_size_invariant(self, T, p):
         whole = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid_domain, "_BLOCK", 7)
+            mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
             blocked = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
         assert blocked == whole
 
@@ -466,13 +469,139 @@ def test_supersampled_image_matches_old_loops(case):
                    for rows in comps])
     for block in (grid_domain._BLOCK, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid_domain, "_BLOCK", block)
+            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
             hit, _ = _supersampled_image(T.source, T.target, np.flatnonzero(inside),
                                          rec.xi_hat.at)
             assert np.array_equal(hit, references[0][0])
             for rows, (ref_hit, ref_escaped) in zip(comps, references[1]):
                 hit, escaped = _supersampled_image(T.source, T.target, rows, moved.transform)
                 assert np.array_equal(hit, ref_hit) and escaped == ref_escaped
+
+
+def _dead_patch(T):
+    """A black box that applies ``T`` and zeroes its image on a 6x6 patch of
+    target cells, which the reconstruction then puts in its zero set."""
+    dead = np.all(np.abs(T.target.centers - (0.5, 1.5)) < 0.03, axis=1)
+    return lambda u: Field(T.target, np.where(dead, 0.0, apply(T, u).values))
+
+
+_STAGE_CASES = {  # name -> (operator, p, black box around it or None)
+    "two_block": lambda: (example_5_4_operator(0.01), 3.0, None),
+    # zero-set cells get xi = 0, a point of the source
+    "two_block_dead_patch": lambda: (example_5_4_operator(0.01), 3.0, _dead_patch),
+    "rotated_box": lambda: (rigid_operator(make_box((0.0, 0.0), (0.6, 0.4), 0.01),
+                                           RigidMotion.rotation(0.4, (0.3, -0.2), sign=-1)),
+                            2.0, None),
+    "blackbox_rotated_box": lambda: (rigid_operator(make_box((0.0, 0.0), (0.6, 0.4), 0.01),
+                                                    RigidMotion.rotation(0.4, (0.3, -0.2))),
+                                     2.0, lambda T: lambda u: apply(T, u)),
+    "hyperbolic": lambda: (example_4_8_operator(1e-3), 2.0, None),
+    "fat_cantor_inclusion": lambda: (rigid_operator(make_fat_cantor_complement(0.5, 1e-3),
+                                                    RigidMotion.identity(1),
+                                                    source=make_box(0.0, 1.0, 1e-3)), 2.0, None),
+}
+
+
+def _stage_case(name):
+    T, p, black_box = _STAGE_CASES[name]()
+    if black_box is None:
+        return T, reconstruct(T, p=p)
+    return T, reconstruct(black_box(T), T.target, p=p, source=T.source)
+
+
+@contextlib.contextmanager
+def _blocks_of(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_domain.row_blocks, "__defaults__", (size,))
+        yield
+
+
+# 150-row blocks: many per domain, and on the two-block target some whose
+# every row lies in the boundary layer
+_BLOCK_SIZES = (grid_domain._BLOCK, 150)
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE_CASES))
+def test_defect_sets_build_the_eager_domains_lazily(name):
+    T, rec = _stage_case(name)
+    # u1 and u2 as defect_sets first built them, eagerly and unblocked
+    ok = ~rec.zero_mask
+    inside = np.zeros(T.target.n_cells, dtype=bool)
+    inside[ok] = T.source.contains_points(rec.xi_hat.values[ok])
+    u2 = GridDomain(T.target.dim, T.target.h, T.target.origin, T.target.cells[inside])
+    hit = _reference_defect_hit(rec, T.source, T.target, inside)
+    u1 = GridDomain(T.source.dim, T.source.h, T.source.origin, T.source.cells[hit])
+    for size in _BLOCK_SIZES:
+        with _blocks_of(size):
+            ds = defect_sets(rec, T.source, T.target)
+        assert "u1" not in vars(ds) and "u2" not in vars(ds)  # built when read
+        assert ds.u1 == u1 and ds.u2 == u2
+        assert ds.n2_cells == T.target.n_cells - int(np.count_nonzero(inside))
+        assert ds.n1_measure == T.source.measure - u1.measure
+
+
+def test_empty_image_raises_as_the_empty_u1_did(monkeypatch):
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.1)
+    rec = reconstruct(identity_operator(domain), p=2.0)
+    monkeypatch.setattr(operators, "_supersampled_image",
+                        lambda omega1, *_: (np.zeros(omega1.n_cells, dtype=bool), 0))
+    with pytest.raises(ValueError, match="a domain must contain at least one cell"):
+        defect_sets(rec, domain)
+
+
+@pytest.mark.parametrize("name", ["blackbox_rotated_box", "hyperbolic", "rotated_box",
+                                  "two_block", "two_block_dead_patch"])
+def test_rigid_fit_defects_match_the_whole_domain_reference(name):
+    T, rec = _stage_case(name)
+    # the defects and c_field as first written, from whole-domain gradients
+    omega2, xi = T.target, rec.xi_hat.values
+    away = ~grid_domain.dilate_mask(omega2, rec.zero_mask, 2)
+    fd_ok = away & ~omega2.boundary_layer_mask(2)
+    fd_ok = fd_ok if fd_ok.any() else away
+    jac = np.stack([gradient(Field(omega2, xi[:, i])).values for i in range(omega2.dim)],
+                   axis=1)
+    jtj = np.einsum("nid,nie->nde", jac, jac)
+    ortho = float(np.abs(jtj - np.eye(omega2.dim)).max(axis=(1, 2))[fd_ok].max())
+    grad_g = float(np.linalg.norm(gradient(rec.g_hat).values, axis=1)[fd_ok].max())
+    c = np.linalg.norm(jac[:, 0, :], axis=1)
+    for size in _BLOCK_SIZES:
+        with _blocks_of(size):
+            fit = rigid_motion_fit(rec, omega2)
+        assert fit.orthogonality_defect == ortho and fit.grad_g_defect == grad_g
+        assert np.array_equal(fit.c_field.values, c)
+
+
+def test_congruence_pipeline_peak_memory(monkeypatch):
+    # in n-float arrays above the live operator (n = 20,000 cells a side), with
+    # 1,024-row blocks so that n-sized arrays dominate block-sized ones: the
+    # traced peak, and what is still live when the topology checks start;
+    # stages that kept their intermediates to the end read 25.8 and 19.4
+    congruence_pipeline(example_5_4_operator(0.1), p=3.0, tol=0.4)  # first-use imports
+    T = example_5_4_operator(0.01)
+    T.g_values  # the operator's own nodal data are not the pipeline's
+    live_at_checks = []
+    regular = operators.is_topologically_regular
+
+    def traced_regular(domain):
+        live_at_checks.append(tracemalloc.get_traced_memory()[0])
+        return regular(domain)
+
+    monkeypatch.setattr(operators, "is_topologically_regular", traced_regular)
+    with _blocks_of(1024):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            report = congruence_pipeline(T, p=3.0, tol=4 * T.target.h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def n_floats(size):
+        return (size - live) / (8 * T.target.n_cells)
+
+    assert report.congruent and report.source_regular and report.target_regular
+    assert n_floats(peak) <= 20
+    assert n_floats(live_at_checks[0]) <= 8
 
 
 class TestPreimage:
