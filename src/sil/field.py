@@ -169,7 +169,8 @@ def gradient_rows(u: Field, blk: slice) -> np.ndarray:
     vb = v[blk]
     out = np.zeros((vb.shape[0], u.domain.dim))
     for d, (plus_all, minus_all) in enumerate(u.domain.neighbor_rows):
-        plus, minus = plus_all[blk], minus_all[blk]
+        # numpy gathers fastest with intp indices: cast the block's rows once
+        plus, minus = plus_all[blk].astype(np.intp), minus_all[blk].astype(np.intp)
         g = out[:, d]  # view: the stencils below write straight into out
         has_p, has_m = plus >= 0, minus >= 0
         central = has_p & has_m
@@ -304,8 +305,10 @@ def bump(domain: GridDomain, center, radius: float) -> Field:
     if not ball_fits(domain, center, radius):
         raise ValueError("bump support is not contained in the domain")
     center = np.asarray(center, dtype=float).reshape(domain.dim)
-    r2 = np.sum((domain.centers - center) ** 2, axis=1) / radius**2
-    vals = np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
+    vals = np.empty(domain.n_cells)
+    for blk in row_blocks(domain.n_cells):
+        r2 = np.sum((domain.centers[blk] - center) ** 2, axis=1) / radius**2
+        vals[blk] = np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
     return Field(domain, vals)
 
 
@@ -319,8 +322,11 @@ def hat(domain: GridDomain, center, halfwidth) -> Field:
     w = np.broadcast_to(np.asarray(halfwidth, dtype=float), (domain.dim,))
     if not (w > 0).all():
         raise ValueError("halfwidth must be positive")
-    factors = np.clip(1.0 - np.abs(domain.centers - center) / w, 0.0, None)
-    return Field(domain, np.prod(factors, axis=1))
+    vals = np.empty(domain.n_cells)
+    for blk in row_blocks(domain.n_cells):
+        factors = np.clip(1.0 - np.abs(domain.centers[blk] - center) / w, 0.0, None)
+        vals[blk] = np.prod(factors, axis=1)
+    return Field(domain, vals)
 
 
 def random_smooth_field(domain: GridDomain, rng: np.random.Generator,
@@ -376,7 +382,9 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
         rows = domain.rows_of_indices(table["k"])
         if (rows < 0).any():
             raise ValueError("CSV contains cells outside the domain")
-        distinct = np.unique(rows).size
+        seen = np.zeros(n, dtype=bool)  # a mark array: np.unique would import numpy.ma
+        seen[rows] = True
+        distinct = np.count_nonzero(seen)
         if not rows.size == distinct == n:
             raise ValueError(f"CSV does not cover each of the {n} domain cells exactly once: "
                              f"{rows.size} rows, {distinct} distinct cells")

@@ -47,6 +47,12 @@ def cell_budget() -> int:
     return budget
 
 
+def _check_int32_rows(n: int) -> None:
+    """Cached row arrays are int32, so a domain must have fewer than 2**31 cells."""
+    if n >= 2**31:
+        raise ValueError(f"a domain of {n} cells is too large for int32 rows (at most 2**31 - 1)")
+
+
 def _check_budget(n: int, what: str) -> None:
     budget = cell_budget()
     if n > budget:
@@ -82,8 +88,11 @@ class GridDomain:
         ordered = step[:, -1] > 0
         for d in range(self.dim - 2, -1, -1):
             ordered = (step[:, d] > 0) | ((step[:, d] == 0) & ordered)
-        if not ordered.all():
-            cells = np.unique(cells, axis=0)  # unique rows come back lexsorted
+        if not ordered.all():  # lexsort and drop repeats (np.unique would import numpy.ma)
+            cells = cells[np.lexsort(cells.T[::-1])]
+            keep = np.ones(cells.shape[0], dtype=bool)
+            keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+            cells = cells[keep]
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -174,9 +183,27 @@ class GridDomain:
 
     @cached_property
     def neighbor_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per axis, rows of the +/- face neighbors of every cell (-1 absent)."""
-        return tuple((self.rows_of_indices(self.cells + e), self.rows_of_indices(self.cells - e))
-                     for e in np.eye(self.dim, dtype=np.int64))
+        """Per axis, read-only int32 rows of the +/- face neighbors of every
+        cell (-1 absent).  Along the last axis they are the adjacent rows of a
+        run; along the others they are looked up one row block at a time."""
+        n = self.n_cells
+        _check_int32_rows(n)
+        starts = self.run_starts
+        plus = np.arange(1, n + 1, dtype=np.int32)
+        plus[np.roll(starts, -1)] = -1  # a run ends where the next one starts
+        minus = np.arange(-1, n - 1, dtype=np.int32)
+        minus[starts] = -1
+        axes = []
+        for e in np.eye(self.dim, dtype=np.int64)[:-1]:
+            pair = (np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32))
+            for blk in row_blocks(n):
+                pair[0][blk] = self.rows_of_indices(self.cells[blk] + e)
+                pair[1][blk] = self.rows_of_indices(self.cells[blk] - e)
+            axes.append(pair)
+        axes.append((plus, minus))
+        for rows in itertools.chain(*axes):
+            rows.setflags(write=False)
+        return tuple(axes)
 
     @property
     def run_starts(self) -> np.ndarray:
@@ -188,14 +215,20 @@ class GridDomain:
 
     @cached_property
     def component_rows(self) -> tuple[np.ndarray, ...]:
-        """Ascending read-only rows of each face-connected part, parts in
-        order of their smallest cell; labelled once per domain."""
+        """Ascending read-only int32 rows of each face-connected part, parts
+        in order of their smallest cell; labelled once per domain."""
+        _check_int32_rows(self.n_cells)
         run = np.cumsum(self.run_starts) - 1  # runs are numbered in cell order
         root = np.arange(run[-1] + 1)
         if self.dim == 2:  # union-find over runs touching across rows
             plus = self.neighbor_rows[0][0]
             src = np.nonzero(plus >= 0)[0]
-            pairs = np.divmod(np.unique(run[src] * len(root) + run[plus[src]]), len(root))
+            # both rows of a pair grow with src, so the keys come sorted; drop
+            # repeats by comparison, as np.unique would (it also imports numpy.ma)
+            key = run[src] * len(root) + run[plus[src]]
+            first = np.ones(key.size, dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            pairs = np.divmod(key[first], len(root))
             for a, b in zip(*(side.tolist() for side in pairs)):
                 while root[a] != a:  # path halving
                     root[a] = a = root[root[a]]
@@ -205,7 +238,8 @@ class GridDomain:
         while np.any(root[root] != root):
             root = root[root]
         labels = np.unique(root, return_inverse=True)[1][run]
-        order = np.argsort(labels, kind="stable")
+        del run  # one n-length array fewer while the order is built
+        order = np.argsort(labels, kind="stable").astype(np.int32)
         order.setflags(write=False)  # the parts are views of it
         return tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
 

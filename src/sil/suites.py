@@ -73,6 +73,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
+        if self.p is not None:  # Clarkson's inequality holds from p = 1, the rest need p > 1
+            lo, ok = ("[1", self.p >= 1) if self.suite == "clarkson" else ("(1", self.p > 1)
+            if not (ok and self.p < np.inf):
+                raise ValueError(f"p must lie in {lo}, inf), got {self.p}")
         if self.h is not None and not (self.h > 0):
             raise ValueError("h must be positive")
         if self.tol is not None and not (0 < self.tol < np.inf):

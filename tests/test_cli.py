@@ -11,6 +11,7 @@ import pytest
 import sil
 from sil import Field, VectorField, make_box
 from sil.cli import main
+from sil.suites import SuiteConfig
 
 
 def write_json(path, payload):
@@ -228,6 +229,24 @@ class TestInputErrorsExit2:
         code = main(["verify", "--suite", "clarkson", "--p", p])
         self._assert_input_error(code, capsys, "p must lie in [1, inf)")
 
+    @pytest.mark.parametrize("suite", ["norm-calculus", "clarkson", "plaplace", "examples",
+                                       "reconstruction", "congruence"])
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf", "below"])
+    def test_verify_p_out_of_range_before_any_battery(self, monkeypatch, capsys, suite, p):
+        # Clarkson's inequality holds from p = 1; every other suite needs p > 1
+        lo = "[1, inf)" if suite == "clarkson" else "(1, inf)"
+        if p == "below":
+            p = "0.5" if suite == "clarkson" else "1"
+        ran = []
+        monkeypatch.setattr(sil.cli, "run_suite", lambda cfg: ran.append(cfg) or [])
+        code = main(["verify", "--suite", suite, f"--p={p}"])
+        self._assert_input_error(code, capsys, f"p must lie in {lo}, got {float(p)}")
+        assert ran == []
+
+    @pytest.mark.parametrize("suite, p", [("clarkson", 1.0), ("plaplace", 1.5)])
+    def test_verify_p_at_the_edge_of_its_range(self, suite, p):
+        assert SuiteConfig(suite, p=p).p == p
+
     def test_clarkson_overflowing_p(self):
         # |f|^p overflows: an input error, not an inf - inf = NaN slack per
         # sample, and no numpy warning on stderr
@@ -310,3 +329,21 @@ def test_cli_import_does_not_load_scipy():
     run = _run_python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_congruence_and_csv_do_not_load_numpy_ma(tmp_path):
+    # numpy 2.x imports numpy.ma in np.unique when no return_* flag is set;
+    # that cost every congruence and CSV-reading process about 1 MiB
+    probe = ("import sys, numpy as np\n"
+             "from sil import Field, GridDomain, make_box\n"
+             "from sil.cli import main\n"
+             "assert main(['verify', '--suite', 'congruence']) == 0\n"
+             "box = make_box((0.0, 0.0), (1.0, 1.0), 0.25)\n"
+             f"path = {str(tmp_path / 'f.csv')!r}\n"
+             "Field(box, np.arange(16.0)).to_csv(path)\n"
+             "Field.from_csv(path, box)\n"
+             "GridDomain(2, 0.1, (0.0, 0.0), [[1, 0], [0, 1], [1, 0]])\n"
+             "print('numpy.ma' in sys.modules)\n")
+    run = _run_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

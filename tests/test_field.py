@@ -14,6 +14,7 @@ from sil import (
     ball_fits,
     bump,
     example_4_8_omega1,
+    example_5_4_omega2,
     exponential_probe,
     gradient,
     hat,
@@ -367,6 +368,56 @@ class TestHat:
 
     def test_compact_inside(self, interval):
         assert not hat(interval, 0.5, 0.3).values[interval.boundary_layer_mask()].any()
+
+
+def _reference_bump(domain, center, radius):
+    """``bump`` as first written: one full-array pass."""
+    center = np.asarray(center, dtype=float).reshape(domain.dim)
+    r2 = np.sum((domain.centers - center) ** 2, axis=1) / radius**2
+    return np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
+
+
+def _reference_hat(domain, center, halfwidth):
+    """``hat`` as first written: one full-array pass."""
+    center = np.asarray(center, dtype=float).reshape(domain.dim)
+    w = np.broadcast_to(np.asarray(halfwidth, dtype=float), (domain.dim,))
+    return np.prod(np.clip(1.0 - np.abs(domain.centers - center) / w, 0.0, None), axis=1)
+
+
+@pytest.mark.parametrize("make_domain, block", [
+    pytest.param(lambda: make_box((0.0, 0.0), (1.0, 1.0), 0.0025), None, id="box-160000"),
+    pytest.param(lambda: make_box(0.0, 1.0, 2.5e-5), None, id="interval-40000"),
+    pytest.param(lambda: example_5_4_omega2(5e-3), None, id="two-block"),
+    pytest.param(lambda: make_box((0.0, 0.0), (1.0, 1.0), 0.05), 7, id="box-400-blocks-of-7"),
+])
+def test_blocked_generators_equal_full_array_code(make_domain, block):
+    domain = make_domain()
+    rng = np.random.default_rng(3)
+    lo, hi = domain.bounding_box
+    with pytest.MonkeyPatch.context() as mp:
+        if block:
+            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+        for _ in range(5):
+            radius = rng.uniform(0.05, 0.2) * float(np.min(hi - lo))
+            center = rng.uniform(lo + radius, hi - radius)
+            if ball_fits(domain, center, radius):
+                got = bump(domain, center, radius).values
+                assert got.tobytes() == _reference_bump(domain, center, radius).tobytes()
+            width = rng.uniform(0.05, 0.6, size=domain.dim) * (hi - lo)
+            got = hat(domain, center, width).values
+            assert got.tobytes() == _reference_hat(domain, center, width).tobytes()
+
+
+def test_blocked_generators_peak_memory():
+    # traced peak in n-float arrays on a 400x400 box with its centers and cell
+    # keys built; the full-array code read 3.13 (bump) and 4.00 (hat), and the
+    # output alone is 1.  The bump is small because ball_fits checks the cells
+    # of the ball's bounding box, which scale with the ball, not the domain
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    domain.centers, domain.rows_of_indices(domain.cells[:1])
+    for make in (lambda: bump(domain, (0.5, 0.5), 0.1), lambda: hat(domain, (0.5, 0.5), 0.3)):
+        peak, _ = _traced_peak(make)
+        assert peak / (8 * domain.n_cells) <= 1.75
 
 
 def _reference_gradient(u):

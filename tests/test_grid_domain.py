@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,8 +481,10 @@ class TestCellStorage:
 
     def test_sorted_input_is_not_resorted(self, monkeypatch):
         calls = []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        for name in ("unique", "lexsort"):
+            sort = getattr(np, name)
+            monkeypatch.setattr(np, name,
+                                lambda *a, _sort=sort, **k: calls.append(1) or _sort(*a, **k))
         make_box((0.0, 0.0), (1.0, 0.5), 0.1)
         make_box(0.0, 1.0, 0.1)
         assert calls == []
@@ -491,3 +494,117 @@ class TestCellStorage:
     def test_cells_come_back_lexsorted_and_unique(self, cells):
         domain = GridDomain(2, 0.1, (0.0, 0.0), np.array(cells))
         assert np.array_equal(domain.cells, np.unique(np.array(cells), axis=0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=20))
+    def test_1d_cells_come_back_sorted_and_unique(self, cells):
+        domain = GridDomain(1, 0.1, (0.0,), np.array(cells))
+        assert domain.cells[:, 0].tolist() == sorted(set(cells))
+
+
+def _reference_neighbor_rows(domain):
+    """The neighbour rows as first written: int64 lookups of whole ``cells +/- e``."""
+    return [(domain.rows_of_indices(domain.cells + e), domain.rows_of_indices(domain.cells - e))
+            for e in np.eye(domain.dim, dtype=np.int64)]
+
+
+def _reference_component_rows(domain):
+    """``component_rows`` as first written: run pairs from ``np.unique``, an
+    int64 ``argsort`` order."""
+    run = np.cumsum(domain.run_starts) - 1
+    root = np.arange(run[-1] + 1)
+    if domain.dim == 2:
+        plus = _reference_neighbor_rows(domain)[0][0]
+        src = np.nonzero(plus >= 0)[0]
+        pairs = np.divmod(np.unique(run[src] * len(root) + run[plus[src]]), len(root))
+        for a, b in zip(*(side.tolist() for side in pairs)):
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            root[max(a, b)] = min(a, b)
+    while np.any(root[root] != root):
+        root = root[root]
+    labels = np.unique(root, return_inverse=True)[1][run]
+    order = np.argsort(labels, kind="stable")
+    return tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
+
+
+@st.composite
+def _row_index_domains(draw):
+    """1D and 2D unions of random boxes, possibly disjoint, minus random holes,
+    with a patch of random cells for one- and two-cell runs; about half have
+    more cells than one row block."""
+    dim = draw(st.sampled_from([1, 2]))
+    big = draw(st.booleans())
+    shape = ((40_000,) if big else (300,)) if dim == 1 else ((200, 200) if big else (30, 30))
+    mask = np.zeros(shape, dtype=bool)
+    base = [draw(st.integers(7 * n // 10, n)) for n in shape]
+    mask[tuple(slice(0, s) for s in base)] = True
+    for active in (True, True, False, False):
+        if draw(st.booleans()):
+            lo = [draw(st.integers(0, n - 1)) for n in shape]
+            size = [draw(st.integers(1, n // 3)) for n in shape]
+            mask[tuple(slice(a, a + s) for a, s in zip(lo, size))] = active
+    lo = [draw(st.integers(0, n - 10)) for n in shape]
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((10,) * dim)
+    mask[tuple(slice(a, a + 10) for a in lo)] = noise < draw(st.floats(0.2, 0.8))
+    assume(mask.any())
+    return GridDomain(dim, 0.01, (0.0,) * dim, np.argwhere(mask) + draw(st.integers(-9, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_index_domains(), st.sampled_from([None, 7]))
+def test_compact_row_index_matches_int64_reference(domain, block):
+    with pytest.MonkeyPatch.context() as mp:
+        if block and domain.n_cells < 2_000:  # many blocks, but not thousands
+            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+        rows = domain.neighbor_rows
+        parts = domain.component_rows
+    assert len(rows) == domain.dim
+    for pair, ref in zip(rows, _reference_neighbor_rows(domain)):
+        for got, want in zip(pair, ref):
+            assert got.dtype == np.int32 and not got.flags.writeable
+            assert np.array_equal(got, want)
+    ref_parts = _reference_component_rows(domain)
+    assert len(parts) == len(ref_parts)
+    for got, want in zip(parts, ref_parts):
+        assert got.dtype == np.int32 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+def test_compact_row_index_spans_blocks():
+    # a run crossing a block edge along the last axis, and looked-up rows on
+    # both sides of it along the first
+    domain = make_box((0.0, 0.0), (1.0, 0.6), 1.0 / 256)  # 154-cell runs
+    assert domain.n_cells > 2 * grid_domain._BLOCK
+    for pair, ref in zip(domain.neighbor_rows, _reference_neighbor_rows(domain)):
+        assert all(np.array_equal(got, want) for got, want in zip(pair, ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_int32_row_bound(monkeypatch, dim):
+    # a domain of 2**31 cells is only pretended: the check comes before any
+    # array is built, so nothing of that size is allocated
+    grid_domain._check_int32_rows(2**31 - 1)
+    domain = make_box((0.0,) * dim, (1.0,) * dim, 0.25)
+    monkeypatch.setattr(GridDomain, "n_cells", property(lambda self: 2**31))
+    for attr in ("neighbor_rows", "component_rows"):
+        with pytest.raises(ValueError, match="too large for int32 rows"):
+            getattr(domain, attr)
+
+
+def test_neighbor_rows_peak_memory():
+    # traced peak above the memory live at entry, in n-float arrays, on a
+    # 400x400 box whose cell keys are built; the int64 lookups of whole
+    # cells +/- e read 6.53, and their output alone is 4
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    domain.rows_of_indices(domain.cells[:1])
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        domain.neighbor_rows
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * domain.n_cells) <= 3
