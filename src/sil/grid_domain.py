@@ -59,6 +59,19 @@ def _check_budget(n: int, what: str) -> None:
         raise ValueError(f"{what} needs {n} cells, exceeding the budget of {budget}")
 
 
+_JSON_TYPES = {"a finite number": (int, float), "a finite number or null": (int, float, type(None)),
+               "a string": str, "an array": list, "an object": dict}
+
+
+def _json_value(value, kind: str, key: str):
+    """``value`` if it has the JSON type ``kind``, a key of ``_JSON_TYPES``; otherwise
+    a ValueError naming ``key``, so a malformed spec is a parse error, not a traceback."""
+    if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     pt = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
     if dim is not None and len(pt) != dim:
@@ -148,7 +161,7 @@ class GridDomain:
         strides = np.ones(self.dim, dtype=np.int64)
         for d in range(self.dim - 2, -1, -1):
             strides[d] = strides[d + 1] * span[d + 1]
-        return strides, (self.cells - lo) @ strides
+        return strides, self.cells @ strides - lo @ strides
 
     def rows_of_indices(self, idx: np.ndarray) -> np.ndarray:
         """Row positions of the given integer cells, -1 where absent."""
@@ -279,9 +292,12 @@ def _covering_cells(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np
     """Cells, and their centers, of the width-``h`` grid anchored at ``origin``
     that cover the physical box ``[lo, hi]`` with one cell of padding per side."""
     o = np.asarray(origin)
-    k_lo = np.floor((lo - o) / h).astype(np.int64) - 1
-    k_hi = np.floor((hi - o) / h).astype(np.int64) + 1
-    _check_budget(int(np.prod(k_hi - k_lo + 1)), what)
+    k_lo = np.floor((lo - o) / h) - 1
+    k_hi = np.floor((hi - o) / h) + 1
+    if not (np.abs(np.concatenate([k_lo, k_hi])) < 2.0**62).all():  # NaN fails it too
+        raise ValueError(f"{what} has non-finite or out-of-range bounds")
+    k_lo, k_hi = k_lo.astype(np.int64), k_hi.astype(np.int64)
+    _check_budget(math.prod((k_hi - k_lo + 1).tolist()), what)
     cand = box_cells(k_lo, k_hi)
     return cand, o + h * (cand + 0.5)
 
@@ -294,8 +310,8 @@ def make_box(lo, hi, h: float) -> GridDomain:
         raise ValueError(f"cell width must be positive, got {h}")
     counts = []
     for a, b in zip(lo, hi):
-        if not (b > a):
-            raise ValueError(f"box extent must be positive, got ({a}, {b})")
+        if not (b > a and math.isfinite(b - a)):
+            raise ValueError(f"box extent must be positive and finite, got ({a}, {b})")
         n = math.ceil((b - a) / h - 0.5)
         if n < 1:
             raise ValueError(f"box extent ({a}, {b}) is below one cell at h={h}")
@@ -362,10 +378,12 @@ class RigidMotion:
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if b.shape[0] != Q.shape[0]:
             raise ValueError("translation dimension does not match Q")
+        if not (np.isfinite(Q).all() and np.isfinite(b).all()):
+            raise ValueError("Q and b must be finite")
         dev = np.abs(Q.T @ Q - np.eye(Q.shape[0])).max()
-        if dev > _ORTHO_TOL:
+        if not (dev <= _ORTHO_TOL):
             raise ValueError(f"Q is not orthogonal: max |Q^T Q - I| = {dev:.3e}")
-        if abs(abs(float(np.linalg.det(Q))) - 1.0) > _ORTHO_TOL:
+        if not (abs(abs(float(np.linalg.det(Q))) - 1.0) <= _ORTHO_TOL):
             raise ValueError("Q must have |det Q| = 1")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
@@ -410,9 +428,11 @@ class RigidMotion:
 
     @staticmethod
     def from_json_dict(d: dict) -> "RigidMotion":
-        return RigidMotion(np.asarray(d["Q"], dtype=float),
-                           np.asarray(d["b"], dtype=float),
-                           int(d.get("sign", 1)))
+        d = _json_value(d, "an object", "motion")
+        sign = d.get("sign", 1)  # anything but -1 or 1 fails the sign check
+        return RigidMotion(np.asarray(_json_value(d["Q"], "an array", "Q"), dtype=float),
+                           np.asarray(_json_value(d["b"], "an array", "b"), dtype=float),
+                           int(sign) if sign in (-1, 1) else sign)
 
 
 def random_rigid_motion(dim: int, rng: np.random.Generator,
@@ -560,15 +580,13 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
         raise ValueError(f"domain spec must be a string or an object, got {type(spec).__name__}")
     if "builtin" in spec:
         return _builtin_domain(spec["builtin"], spec.get("h", default_h))
-    try:
-        h = float(spec["h"])
-        boxes = spec["boxes"]
-    except KeyError as exc:
-        raise ValueError(f"domain spec is missing required key {exc}") from exc
+    h = float(_json_value(spec.get("h"), "a finite number", "h"))
+    boxes = [_spec_box(b) for b in _json_value(spec.get("boxes"), "an array", "boxes")]
+    holes = [_spec_box(b) for b in _json_value(spec.get("subtract", []), "an array", "subtract")]
     if not boxes:
         raise ValueError("domain spec needs at least one box")
-    dim = int(spec.get("dim", len(_as_point(boxes[0]["lo"]))))
-    parts = [make_box(_as_point(b["lo"], dim), _as_point(b["hi"], dim), h) for b in boxes]
+    dim = int(_json_value(spec.get("dim", len(boxes[0][0])), "a finite number", "dim"))
+    parts = [make_box(_as_point(lo, dim), _as_point(hi, dim), h) for lo, hi in boxes]
     origin = parts[0].origin
     merged = []
     for part in parts:
@@ -579,14 +597,21 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
         merged.append(part.cells + shift_int)
     domain = GridDomain(dim, h, origin, np.concatenate(merged, axis=0))
     _check_budget(domain.n_cells, "domain spec")
-    subtract = [( _as_point(b["lo"], dim), _as_point(b["hi"], dim))
-                for b in spec.get("subtract", [])]
-    if subtract:
-        domain = _subtract_boxes(domain, subtract)
+    if holes:
+        domain = _subtract_boxes(domain, holes)
     return domain
 
 
+def _spec_box(box) -> tuple[list, list]:
+    """The ``lo`` and ``hi`` corners of a JSON box, each an array of numbers."""
+    box = _json_value(box, "an object", "box")
+    return tuple([_json_value(x, "a finite number", k)
+                  for x in _json_value(box.get(k), "an array", k)] for k in ("lo", "hi"))
+
+
 def _builtin_domain(name: str, h: float | None) -> GridDomain:
+    name = _json_value(name, "a string", "builtin")
+    _json_value(h, "a finite number or null", "h")
     m = _FAT_CANTOR_RE.match(name)
     if m:
         return make_fat_cantor_complement(float(m.group(1)), h if h else 1e-4)

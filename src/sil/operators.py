@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -74,131 +73,86 @@ _BUILTIN_OPERATORS: dict[str, Callable] = {  # JSON builtin name -> factory(h, t
 }
 
 
-@dataclass(frozen=True)
-class BuiltinMap:
-    """Closed-form weight/map pair looked up by registry name."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _BUILTIN_MAPS:
-            raise ValueError(f"unknown builtin operator {self.name!r}")
-
-
-@dataclass(frozen=True)
-class RigidMap:
-    """One rigid motion per target component; ``None`` applies to all."""
-
-    motions: tuple[RigidMotion, ...]
-    components: tuple[int | None, ...]
-
-    def __post_init__(self):
-        motions = tuple(self.motions)
-        components = tuple(self.components)
-        if len(motions) != len(components):
-            raise ValueError("each motion needs a component assignment")
-        if len(motions) == 0:
-            raise ValueError("a rigid operator needs at least one motion")
-        if None in components and len(components) > 1:
-            raise ValueError("a catch-all motion cannot be combined with others")
-        object.__setattr__(self, "motions", motions)
-        object.__setattr__(self, "components", components)
-
-
-@dataclass(frozen=True)
-class TabulatedMap:
-    """Weight and map sampled at the target nodes."""
-
-    g: Field
-    xi: VectorField
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSpec:
-    """A weighted composition operator from fields on ``source`` to ``target``."""
+    """A weighted composition operator from fields on ``source`` to ``target``,
+    held as its weight ``g`` and map ``xi`` sampled at the target nodes."""
 
     source: GridDomain
     target: GridDomain
-    variant: BuiltinMap | RigidMap | TabulatedMap
+    g_values: np.ndarray   # (n,) read-only weight values at the target nodes
+    xi_values: np.ndarray  # (n, dim) read-only map values at the target nodes
 
     def __post_init__(self):
         if self.source.dim != self.target.dim:
             raise ValueError("source and target must have the same dimension")
-        if isinstance(self.variant, TabulatedMap):
-            if self.variant.g.domain != self.target or self.variant.xi.domain != self.target:
-                raise ValueError("tabulated weight/map must live on the target domain")
+        g = np.asarray(self.g_values, dtype=float)
+        xi = np.asarray(self.xi_values, dtype=float)
+        if g.shape != (self.target.n_cells,) or xi.shape != (self.target.n_cells, self.target.dim):
+            raise ValueError("weight and map must be sampled at the target nodes")
         # the map must keep the target nodes in the source's bounding box
-        xi = self.xi_values
         lo, hi = self.source.bounding_box
         # one cell of slack: the raster box can sit up to h inside the analytic set
         slack = self.source.h + _BBOX_SLACK * (1.0 + np.abs(np.concatenate([lo, hi])).max())
         if np.any(xi < lo - slack) or np.any(xi > hi + slack):
             raise ValueError(
                 "the map sends target nodes outside the closed bounding box of the source")
-
-    @property
-    def dim(self) -> int:
-        return self.target.dim
-
-    @property
-    def xi_values(self) -> np.ndarray:
-        """(n, dim) map values at the target nodes."""
-        return self._nodal_values[1]
-
-    @property
-    def g_values(self) -> np.ndarray:
-        """(n,) weight values at the target nodes."""
-        return self._nodal_values[0]
-
-    @cached_property
-    def _nodal_values(self) -> tuple[np.ndarray, np.ndarray]:  # (g, xi), evaluated once
-        pts = self.target.centers
-        if isinstance(self.variant, BuiltinMap):
-            g, xi = _BUILTIN_MAPS[self.variant.name](pts)
-            return np.asarray(g, dtype=float), np.asarray(xi, dtype=float)
-        if isinstance(self.variant, TabulatedMap):  # field values are read-only
-            return self.variant.g.values, self.variant.xi.values
-        comp_rows = self.target.component_rows
-        n_comp = len(comp_rows)
-        assignment: dict[int, RigidMotion] = {}
-        for motion, comp in zip(self.variant.motions, self.variant.components):
-            if motion.dim != self.dim:
-                raise ValueError("motion dimension does not match the domains")
-            targets = range(n_comp) if comp is None else [int(comp)]
-            for ci in targets:
-                if ci in assignment:
-                    raise ValueError(f"component {ci} has two motions assigned")
-                if not (0 <= ci < n_comp):
-                    raise ValueError(f"component index {ci} out of range")
-                assignment[ci] = motion
-        if len(assignment) != n_comp:
-            missing = sorted(set(range(n_comp)) - set(assignment))
-            raise ValueError(f"components {missing} have no motion assigned")
-        xi = np.empty_like(pts)
-        g = np.empty(pts.shape[0])
-        for ci, motion in assignment.items():
-            rows = comp_rows[ci]
-            xi[rows] = motion.transform(pts[rows])
-            g[rows] = float(motion.sign)
-        return g, xi
+        for name, values in (("g_values", g), ("xi_values", xi)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def identity_operator(domain: GridDomain) -> OperatorSpec:
-    return OperatorSpec(domain, domain, BuiltinMap("identity"))
+    return OperatorSpec(domain, domain, *_BUILTIN_MAPS["identity"](domain.centers))
 
 
 def example_4_8_operator(h: float = 1e-3) -> OperatorSpec:
     """Hyperbolic-weight interval operator; intertwines the form but is not isometric."""
-    return OperatorSpec(_gd.example_4_8_omega1(h),
-                        _gd.example_4_8_omega2(h),
-                        BuiltinMap("example_4_8"))
+    source, target = _gd.example_4_8_omega1(h), _gd.example_4_8_omega2(h)
+    return OperatorSpec(source, target, *_BUILTIN_MAPS["example_4_8"](target.centers))
 
 
 def example_5_4_operator(h: float = 0.01) -> OperatorSpec:
     """Two-block translation operator; an isometric lattice homomorphism."""
-    return OperatorSpec(_gd.example_5_4_omega1(h),
-                        _gd.example_5_4_omega2(h),
-                        BuiltinMap("example_5_4"))
+    source, target = _gd.example_5_4_omega1(h), _gd.example_5_4_omega2(h)
+    return OperatorSpec(source, target, *_BUILTIN_MAPS["example_5_4"](target.centers))
+
+
+def piecewise_rigid_operator(source: GridDomain, target: GridDomain,
+                             motions: Iterable[RigidMotion],
+                             components: Iterable[int | None]) -> OperatorSpec:
+    """Composition with one rigid motion per target component, the component
+    given by its index in ``target.component_rows``; ``None`` applies to all."""
+    motions, components = tuple(motions), tuple(components)
+    if len(motions) != len(components):
+        raise ValueError("each motion needs a component assignment")
+    if len(motions) == 0:
+        raise ValueError("a rigid operator needs at least one motion")
+    if None in components and len(components) > 1:
+        raise ValueError("a catch-all motion cannot be combined with others")
+    comp_rows = target.component_rows
+    n_comp = len(comp_rows)
+    assignment: dict[int, RigidMotion] = {}
+    for motion, comp in zip(motions, components):
+        if motion.dim != target.dim:
+            raise ValueError("motion dimension does not match the domains")
+        if comp is not None and comp not in range(n_comp):
+            raise ValueError(f"component index {comp} out of range")
+        for ci in range(n_comp) if comp is None else [int(comp)]:
+            if ci in assignment:
+                raise ValueError(f"component {ci} has two motions assigned")
+            assignment[ci] = motion
+    if len(assignment) != n_comp:
+        missing = sorted(set(range(n_comp)) - set(assignment))
+        raise ValueError(f"components {missing} have no motion assigned")
+    pts = target.centers
+    xi = np.empty_like(pts)
+    g = np.empty(pts.shape[0])
+    for ci, motion in assignment.items():
+        rows = comp_rows[ci]
+        xi[rows] = motion.transform(pts[rows])
+        g[rows] = float(motion.sign)
+    return OperatorSpec(source, target, g, xi)
 
 
 def rigid_operator(target: GridDomain, motion: RigidMotion,
@@ -206,7 +160,7 @@ def rigid_operator(target: GridDomain, motion: RigidMotion,
     """Composition with one rigid motion of the whole target domain."""
     if source is None:
         source = apply_rigid_motion(target, motion)
-    return OperatorSpec(source, target, RigidMap((motion,), (None,)))
+    return piecewise_rigid_operator(source, target, (motion,), (None,))
 
 
 # -- application ---------------------------------------------------------------
@@ -675,42 +629,45 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
     ``{"tabulated": {"g": "g.csv", "xi": "xi.csv"}}``.  Domains come from
     embedded ``"source"``/``"target"`` specs or the keyword arguments.
     """
-    if not isinstance(spec, dict):
-        raise ValueError("operator spec must be an object")
+    spec = _gd._json_value(spec, "an object", "operator spec")
+    h = _gd._json_value(spec.get("h"), "a finite number or null", "h")
     if target is None and "target" in spec:
-        target = _gd.domain_from_spec(spec["target"], default_h=spec.get("h"))
+        target = _gd.domain_from_spec(spec["target"], default_h=h)
     if source is None and "source" in spec:
-        source = _gd.domain_from_spec(spec["source"], default_h=spec.get("h"))
+        source = _gd.domain_from_spec(spec["source"], default_h=h)
 
     if "builtin" in spec:
-        name = spec["builtin"]
+        name = _gd._json_value(spec["builtin"], "a string", "builtin")
         if name not in _BUILTIN_OPERATORS:
             raise ValueError(f"unknown builtin operator {name!r}")
         if name == "identity" and target is None:
             raise ValueError("the identity operator needs a target domain")
-        return _BUILTIN_OPERATORS[name](spec.get("h"), target)
+        return _BUILTIN_OPERATORS[name](h, target)
 
     if "rigid" in spec:
         if target is None:
             raise ValueError("a rigid operator spec needs a target domain")
-        motions = tuple(RigidMotion.from_json_dict(entry) for entry in spec["rigid"])
-        components = tuple(entry.get("component") for entry in spec["rigid"])
+        entries = _gd._json_value(spec["rigid"], "an array", "rigid")
+        motions = tuple(RigidMotion.from_json_dict(entry) for entry in entries)
+        components = tuple(entry.get("component") for entry in entries)
         if source is None:
             if len(motions) != 1 or components[0] is not None:
                 raise ValueError("per-component rigid specs need an explicit source domain")
             return rigid_operator(target, motions[0])
-        return OperatorSpec(source, target, RigidMap(motions, components))
+        return piecewise_rigid_operator(source, target, motions, components)
 
     if "tabulated" in spec:
         if target is None:
             raise ValueError("a tabulated operator spec needs a target domain")
-        tab = spec["tabulated"]
-        g = Field.from_csv(os.path.join(base_dir or "", tab["g"]), target)
-        xi = VectorField.from_csv(os.path.join(base_dir or "", tab["xi"]), target)
+        tab = _gd._json_value(spec["tabulated"], "an object", "tabulated")
+        g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab[k], "a string", k))
+                           for k in ("g", "xi"))
+        g = Field.from_csv(g_path, target)
+        xi = VectorField.from_csv(xi_path, target)
         if source is None:
             lo = xi.values.min(axis=0) - target.h
             hi = xi.values.max(axis=0) + target.h
             source = _gd.make_box(tuple(lo), tuple(hi), target.h)
-        return OperatorSpec(source, target, TabulatedMap(g, xi))
+        return OperatorSpec(source, target, g.values, xi.values)
 
     raise ValueError("operator spec needs one of 'builtin', 'rigid', 'tabulated'")

@@ -223,8 +223,9 @@ def random_rigid_operator(rng: np.random.Generator, h: float = 0.01,
 
 def operator_defect_report(T: OperatorSpec, p: float, rng: np.random.Generator,
                            n_samples: int = 20, n_pairs: int = 10,
-                           n_trials: int = 10) -> DefectReport:
-    """Run every per-operator battery once and collect the aggregate defects."""
+                           n_trials: int = 10) -> tuple[DefectReport, ReconstructionResult]:
+    """Run every per-operator battery once and collect the aggregate defects;
+    the probe reconstruction they were measured on comes back with them."""
     # each battery goes straight to its consumer, so it is freed before the next
     iso = isometry_defect(T, smooth_samples(T.source, rng, n_samples, amplitude=0.5), p)
     dis = disjointness_defect(T, disjoint_bump_pairs(T.source, rng, n_pairs), p)
@@ -241,7 +242,7 @@ def operator_defect_report(T: OperatorSpec, p: float, rng: np.random.Generator,
         weight=fit.weight_defect,
         n1_measure=ds.n1_measure,
         n2_cells=ds.n2_cells,
-    )
+    ), rec
 
 
 def _closed_form_error(rec: ReconstructionResult) -> float:
@@ -377,11 +378,10 @@ def suite_examples(cfg: SuiteConfig) -> list[dict]:
                          "intertwines-plaplace-form", defect, 10.0 * h_int,
                          h=h_int, constant=defect / h_int))
 
-    # the fit inside the p = 2 defect report is the one this check needs
-    report_48 = operator_defect_report(T_int, 2.0, np.random.default_rng(cfg.seed))
+    # the reconstruction and fit inside the p = 2 defect report are the ones these checks need
+    report_48, rec_48 = operator_defect_report(T_int, 2.0, np.random.default_rng(cfg.seed))
     checks.append(_check("reconstruction_matches_closed_form",
-                         "probe-reconstruction-roundtrip",
-                         _closed_form_error(reconstruct(T_int, p=2.0)), 1e-6))
+                         "probe-reconstruction-roundtrip", _closed_form_error(rec_48), 1e-6))
     checks.append(_check("hyperbolic_map_not_rigid", "map-locally-rigid-fails",
                          0.5 - report_48.orthogonality, 0.0,
                          orthogonality=report_48.orthogonality,
@@ -402,7 +402,7 @@ def suite_examples(cfg: SuiteConfig) -> list[dict]:
     checks.append(_check("two_block_preimage_solvable", "zero-trace-image-onto",
                          resid, 5.0 * h54, covered=bool(covered.all())))
 
-    report_54 = operator_defect_report(T54, 3.0, np.random.default_rng(cfg.seed))
+    report_54 = operator_defect_report(T54, 3.0, np.random.default_rng(cfg.seed))[0]
     checks.append(_check("defect_report_hyperbolic", "operator-defect-summary", 0.0, 0.0,
                          report=report_48.to_json_dict()))
     checks.append(_check("defect_report_two_block", "operator-defect-summary", 0.0, 0.0,

@@ -1,12 +1,17 @@
+import copy
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sil
 from sil import Field, VectorField, make_box
@@ -17,6 +22,9 @@ from sil.suites import SuiteConfig
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+_UNIT_BOX = {"lo": [0, 0], "hi": [1, 1]}
 
 
 @pytest.fixture
@@ -308,6 +316,63 @@ class TestInputErrorsExit2:
         code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec])
         self._assert_input_error(code, capsys, "SIL_CELL_BUDGET")
 
+    @pytest.mark.parametrize("motion, needle", [
+        pytest.param({"Q": [[1, 0], [0, 1]], "b": [math.nan, 0]}, "Q and b must be finite",
+                     id="nan-b"),
+        pytest.param({"Q": [[math.nan, 0], [0, 1]], "b": [0, 0]}, "Q and b must be finite",
+                     id="nan-Q"),
+        pytest.param({"Q": [[1, 0], [0, 1]], "b": [1e300, 0]}, "out-of-range bounds",
+                     id="far-b"),
+    ])
+    def test_congruence_motion_fails_closed(self, tmp_path, capsys, motion, needle):
+        # each motion once emptied the refinement grid: "measure 0 -> congruent", exit 0
+        square = write_json(tmp_path / "sq.json",
+                            {"dim": 2, "h": 0.1, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]})
+        far = write_json(tmp_path / "far.json",
+                         {"dim": 2, "h": 0.1, "boxes": [{"lo": [5, 5], "hi": [7, 6]}]})
+        assert main(["congruence", "--domain1", square, "--domain2", far]) == 1
+        capsys.readouterr()
+        code = main(["congruence", "--domain1", square, "--domain2", far,
+                     "--motion", write_json(tmp_path / "m.json", motion)])
+        self._assert_input_error(code, capsys, needle)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("kind, payload, needle", [
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [5]}, "'box' must be an object",
+                     id="box-int"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": 5}, "'boxes' must be an array",
+                     id="boxes-int"),
+        pytest.param("domain", {"dim": 2, "h": None, "boxes": [_UNIT_BOX]},
+                     "'h' must be a finite number", id="h-null"),
+        pytest.param("domain", {"builtin": 5}, "'builtin' must be a string", id="builtin-int"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [_UNIT_BOX], "subtract": 5},
+                     "'subtract' must be an array", id="subtract-int"),
+        pytest.param("domain", {"dim": 2, "h": 0.1,
+                                "boxes": [{"lo": [0, 0], "hi": [1, math.inf]}]},
+                     "'hi' must be a finite number", id="hi-infinite"),
+        pytest.param("motion", [1, 2], "'motion' must be an object", id="motion-list"),
+        pytest.param("operator", {"builtin": ["x"]}, "'builtin' must be a string",
+                     id="op-builtin-list"),
+        pytest.param("operator", {"rigid": 5, "target": "example_5_4_omega2"},
+                     "'rigid' must be an array", id="op-rigid-int"),
+        pytest.param("operator", {"tabulated": {"g": 5, "xi": "xi.csv"},
+                                  "target": "example_5_4_omega2"},
+                     "'g' must be a string", id="op-tabulated-g-int"),
+        pytest.param("operator", {"builtin": "example_4_8", "h": "fine"},
+                     "'h' must be a finite number or null", id="op-h-string"),
+    ])
+    def test_wrong_json_type(self, tmp_path, capsys, square_spec, kind, payload, needle):
+        # each of these once ended in a traceback and exit 1, the code of a failed check
+        path = write_json(tmp_path / "spec.json", payload)
+        argv = {"domain": ["congruence", "--domain1", square_spec, "--domain2", path],
+                "motion": ["congruence", "--domain1", square_spec, "--domain2", square_spec,
+                           "--motion", path],
+                "operator": ["reconstruct", "--spec", path, "--out", str(tmp_path / "o")]}
+        code = main(argv[kind])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"{argv[kind][0]} error: ") and needle in err
+
 
 def _run_python(*args):
     """A fresh interpreter that imports this checkout's ``sil``."""
@@ -347,3 +412,73 @@ def test_congruence_and_csv_do_not_load_numpy_ma(tmp_path):
     run = _run_python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+# -- one malformed node in an otherwise valid spec -------------------------------
+
+_FUZZ_SQUARE = {"dim": 2, "h": 0.25, "boxes": [_UNIT_BOX]}
+_FUZZ_RECONSTRUCT = ["reconstruct", "--spec", "{spec}", "--out", "{out}"]
+_FUZZ_BASES = {  # a valid spec, and the command that reads it
+    "domain": ({"dim": 2, "h": 0.25, "boxes": [_UNIT_BOX, {"lo": [1, 0], "hi": [1.5, 0.5]}],
+                "subtract": [{"lo": [0.25, 0.25], "hi": [0.5, 0.5]}]},
+               ["congruence", "--domain1", "{spec}", "--domain2", "{square}"]),
+    "motion": ({"Q": [[0, -1], [1, 0]], "b": [1, 0], "sign": -1},
+               ["congruence", "--domain1", "{square}", "--domain2", "{square}",
+                "--motion", "{spec}"]),
+    "rigid-operator": ({"rigid": [{"Q": [[0, -1], [1, 0]], "b": [1, 0], "sign": 1,
+                                   "component": 0}],
+                        "target": {"dim": 2, "h": 0.125, "boxes": [{"lo": [0, 0], "hi": [1, 0.5]}]},
+                        "source": {"dim": 2, "h": 0.125,
+                                   "boxes": [{"lo": [0.5, 0], "hi": [1, 1]}]}},
+                       _FUZZ_RECONSTRUCT),
+    "builtin-operator": ({"builtin": "example_5_4", "h": 0.1}, _FUZZ_RECONSTRUCT),
+}
+_NODE_VALUES = st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none(),
+                         st.lists(st.integers(-3, 3), max_size=2),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _json_paths(node, path=()):
+    """Every node of a JSON tree, as the keys and indices that lead to it."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = copy.copy(node)
+    node[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return node
+
+
+def _run_in(tmp, argv, spec):
+    files = {"spec": write_json(tmp / "spec.json", spec),
+             "square": write_json(tmp / "square.json", _FUZZ_SQUARE), "out": str(tmp / "out")}
+    return main([arg.format(**files) for arg in argv])
+
+
+@pytest.mark.parametrize("base", list(_FUZZ_BASES))
+def test_valid_fuzz_base_passes(tmp_path, base):
+    spec, argv = _FUZZ_BASES[base]
+    assert _run_in(tmp_path, argv, spec) == 0
+
+
+@pytest.mark.parametrize("base", list(_FUZZ_BASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_malformed_node_keeps_the_exit_code_contract(base, data):
+    # exit 0, 1 or 2 and no escaped exception, whatever one node holds; a
+    # non-finite number is always an input error, never a verdict (a NaN
+    # motion once made two far-apart domains congruent)
+    spec, argv = _FUZZ_BASES[base]
+    path = data.draw(st.sampled_from(list(_json_paths(spec))), label="path")
+    value = data.draw(_NODE_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _run_in(pathlib.Path(tmp), argv, _replaced(spec, path, value))
+    assert code in (0, 1, 2)
+    if isinstance(value, float) and not math.isfinite(value):
+        assert code == 2

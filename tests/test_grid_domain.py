@@ -40,6 +40,13 @@ class TestMakeBox:
         with pytest.raises(ValueError):
             make_box((0, 0), (1, 0), 0.1)
 
+    @pytest.mark.parametrize("lo, hi", [((0, 0), (1, math.inf)), ((-math.inf, 0), (1, 1)),
+                                        ((0, 0), (math.nan, 1))])
+    def test_non_finite_extent_rejected(self, lo, hi):
+        # an infinite extent once escaped as an OverflowError from math.ceil
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_box(lo, hi, 0.1)
+
     def test_cell_budget_enforced(self, monkeypatch):
         monkeypatch.setenv("SIL_CELL_BUDGET", "100")
         with pytest.raises(ValueError, match="budget"):
@@ -103,6 +110,16 @@ class TestRigidMotion:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             RigidMotion(np.eye(2), np.zeros(2), sign=0)
+
+    @pytest.mark.parametrize("Q, b", [
+        ([[math.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, -math.inf]),
+    ])
+    def test_non_finite_motion_rejected(self, Q, b):
+        # a NaN once passed both tolerance tests, and b was never checked
+        with pytest.raises(ValueError, match="must be finite"):
+            RigidMotion(np.array(Q), np.array(b))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(0)
@@ -566,6 +583,8 @@ def test_compact_row_index_matches_int64_reference(domain, block):
         for got, want in zip(pair, ref):
             assert got.dtype == np.int32 and not got.flags.writeable
             assert np.array_equal(got, want)
+    strides, keys = domain._key_data  # as the (n, dim) int64 copy computed them
+    assert np.array_equal(keys, (domain.cells - domain.index_bounds[0]) @ strides)
     ref_parts = _reference_component_rows(domain)
     assert len(parts) == len(ref_parts)
     for got, want in zip(parts, ref_parts):

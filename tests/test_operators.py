@@ -14,9 +14,7 @@ from sil import (
     Field,
     GridDomain,
     OperatorSpec,
-    RigidMap,
     RigidMotion,
-    TabulatedMap,
     VectorField,
     apply,
     apply_with_flags,
@@ -35,6 +33,7 @@ from sil import (
     make_box,
     make_fat_cantor_complement,
     operator_from_spec,
+    piecewise_rigid_operator,
     preimage_field,
     random_rigid_motion,
     random_smooth_field,
@@ -390,9 +389,10 @@ class TestCongruencePipeline:
         monkeypatch.setattr(GridDomain, "component_rows", patched)
         T = example_5_4_operator(0.05)
         if rigid:  # the same two translations, assigned per component
-            T = OperatorSpec(T.source, T.target, RigidMap(
+            T = piecewise_rigid_operator(
+                T.source, T.target,
                 (RigidMotion(np.eye(2), [0.0, 1.0]), RigidMotion(np.eye(2), [0.0, -1.0])),
-                (0, 1)))
+                (0, 1))
         report = congruence_pipeline(T, p=3.0, tol=4 * T.target.h)
         assert len(report.motions) == 2
         assert len(calls) == 1 and calls[0] is T.target
@@ -578,7 +578,6 @@ def test_congruence_pipeline_peak_memory(monkeypatch):
     # stages that kept their intermediates to the end read 25.8 and 19.4
     congruence_pipeline(example_5_4_operator(0.1), p=3.0, tol=0.4)  # first-use imports
     T = example_5_4_operator(0.01)
-    T.g_values  # the operator's own nodal data are not the pipeline's
     live_at_checks = []
     regular = operators.is_topologically_regular
 
@@ -636,8 +635,8 @@ class TestPreimage:
             T = rigid_operator(make_box((0, 0), (0.6, 0.4), 0.02), motion)
         else:  # both blocks land on the upper half of the source, so they overlap
             motions = (RigidMotion(np.eye(2), [0.0, 2.0]), RigidMotion(np.eye(2), [0.0, -1.0]))
-            T = OperatorSpec(grid_domain.example_5_4_omega1(0.05),
-                             grid_domain.example_5_4_omega2(0.05), RigidMap(motions, (0, 1)))
+            T = piecewise_rigid_operator(grid_domain.example_5_4_omega1(0.05),
+                                         grid_domain.example_5_4_omega2(0.05), motions, (0, 1))
         fit = rigid_motion_fit(reconstruct(T, p=2.0), T.target)
         phi = random_smooth_field(T.target, np.random.default_rng(13))
         w, covered = preimage_field(T, phi, fit)
@@ -647,25 +646,47 @@ class TestPreimage:
         assert np.array_equal(w.values, w_ref)
 
 
-def test_examples_suite_fits_hyperbolic_operator_once(monkeypatch):
-    fitted = []
-    fit = suites.rigid_motion_fit
+@pytest.fixture(scope="module")
+def examples_run():
+    """The checks of one ``examples`` suite run, and the domain of each
+    reconstruction and of each rigid fit it made; a coarse two-block operator
+    keeps the run short, and only the 1e-3 hyperbolic operator's calls count."""
+    domains = {"reconstruct": [], "rigid_motion_fit": []}
 
-    def counted(rec, omega2=None):
-        fitted.append(rec.g_hat.domain)
-        return fit(rec, omega2)
+    def counted(name):
+        fn = getattr(suites, name)
 
-    monkeypatch.setattr(suites, "rigid_motion_fit", counted)
-    # a coarse two-block operator keeps the run short; only the 1e-3
-    # hyperbolic operator's fits are counted
-    monkeypatch.setattr(suites, "example_5_4_operator", lambda h: example_5_4_operator(0.05))
-    checks = {c["check"]: c for c in suites.run_suite(suites.SuiteConfig("examples"))}
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            rec = out if name == "reconstruct" else args[0]
+            domains[name].append(rec.g_hat.domain)
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in domains:
+            mp.setattr(suites, name, counted(name))
+        mp.setattr(suites, "example_5_4_operator", lambda h: example_5_4_operator(0.05))
+        checks = {c["check"]: c for c in suites.run_suite(suites.SuiteConfig("examples"))}
     hyperbolic_target = example_4_8_operator(1e-3).target
-    assert sum(domain == hyperbolic_target for domain in fitted) == 1
+    counts = {name: sum(d == hyperbolic_target for d in seen) for name, seen in domains.items()}
+    return checks, counts
+
+
+def test_examples_suite_fits_hyperbolic_operator_once(examples_run):
+    checks, counts = examples_run
+    assert counts["rigid_motion_fit"] == 1
     not_rigid = checks["hyperbolic_map_not_rigid"]
     report = checks["defect_report_hyperbolic"]["report"]
     assert not_rigid["orthogonality"] == report["orthogonality"]
     assert not_rigid["grad_g"] == report["grad_g"]
+
+
+def test_examples_suite_reconstructs_hyperbolic_operator_once(examples_run):
+    # the closed-form check reads the reconstruction of the p = 2 defect report
+    checks, counts = examples_run
+    assert counts["reconstruct"] == 1
+    assert checks["reconstruction_matches_closed_form"]["status"] == "pass"
 
 
 class TestOperatorSpec:
@@ -675,7 +696,7 @@ class TestOperatorSpec:
         source = make_box((0, 0), (1, 1), 0.05)
         motion = RigidMotion(np.eye(2), np.array([10.0, 0.0]))
         with pytest.raises(ValueError, match="bounding box"):
-            OperatorSpec(source, target, RigidMap((motion,), (None,)))
+            piecewise_rigid_operator(source, target, (motion,), (None,))
 
     def test_tabulated_requires_target_domain(self):
         a = make_box((0, 0), (1, 1), 0.1)
@@ -683,12 +704,12 @@ class TestOperatorSpec:
         g = Field.constant(b, 1.0)
         xi = VectorField(b, b.centers)
         with pytest.raises(ValueError):
-            OperatorSpec(a, a, TabulatedMap(g, xi))
+            OperatorSpec(a, a, g.values, xi.values)
 
     def test_rigid_component_assignment_checked(self, two_block):
         motion = RigidMotion.identity(2)
         with pytest.raises(ValueError, match="no motion"):
-            OperatorSpec(two_block.source, two_block.target, RigidMap((motion,), (0,)))
+            piecewise_rigid_operator(two_block.source, two_block.target, (motion,), (0,))
 
     def test_map_evaluated_once_per_operator(self, monkeypatch):
         calls = []
@@ -741,7 +762,7 @@ class TestOperatorJson:
         u = random_smooth_field(two_block.source, np.random.default_rng(11))
         via_builtin = apply(two_block, u).values
         # the tabulated twin reproduces the builtin up to its own source box
-        T = OperatorSpec(two_block.source, T.target, T.variant)
+        T = OperatorSpec(two_block.source, T.target, T.g_values, T.xi_values)
         assert np.abs(apply(T, u).values - via_builtin).max() <= 1e-12
 
     def test_unknown_kind_rejected(self):
