@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .grid_domain import RigidMotion, congruence_check, domain_from_spec
 from .operators import operator_from_spec, reconstruct, rigid_motion_fit
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -56,7 +58,7 @@ def cmd_reconstruct(args) -> int:
     base = os.path.dirname(args.spec) or "."
     T = operator_from_spec(spec, target=target, base_dir=base)
     rec = reconstruct(T, p=args.p)
-    fit = rigid_motion_fit(rec, T.target)
+    fit = rigid_motion_fit(rec)
     os.makedirs(args.out, exist_ok=True)
     rec.g_hat.to_csv(os.path.join(args.out, "g_hat.csv"))
     rec.xi_hat.to_csv(os.path.join(args.out, "xi_hat.csv"))
@@ -122,11 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # bad input found at any stage (json.JSONDecodeError is a ValueError)
-    # exits 2, never 1, which is reserved for a failed check
+    # bad input found at any stage (a JSONDecodeError is a ValueError; a number too large
+    # for float arithmetic overflows) exits 2, never 1, which is reserved for a failed check
     try:
-        return args.fn(args)
-    except (OSError, ValueError, KeyError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
+    except (OSError, ValueError, KeyError, OverflowError, FloatingPointError) as exc:
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return 2
 

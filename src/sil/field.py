@@ -330,16 +330,15 @@ def hat(domain: GridDomain, center, halfwidth) -> Field:
 
 
 def random_smooth_field(domain: GridDomain, rng: np.random.Generator,
-                        terms: int = 3, max_freq: int = 2,
                         amplitude: float = 1.0) -> Field:
-    """Low-frequency random trigonometric polynomial, O(amplitude) values."""
+    """Random three-term trigonometric polynomial, frequencies up to 2, O(amplitude) values."""
     x = domain.centers
     vals = np.full(domain.n_cells, amplitude * rng.uniform(-0.5, 0.5))
-    for _ in range(terms):
-        k = rng.integers(-max_freq, max_freq + 1, size=domain.dim)
+    for _ in range(3):
+        k = rng.integers(-2, 3, size=domain.dim)
         if not np.any(k):
             k[rng.integers(domain.dim)] = 1
-        a = amplitude * rng.uniform(0.2, 1.0) / terms
+        a = amplitude * rng.uniform(0.2, 1.0) / 3
         phase = rng.uniform(0.0, 2.0 * np.pi)
         vals += a * np.cos(2.0 * np.pi * (x @ k) + phase)
     return Field(domain, vals)
@@ -366,7 +365,7 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
     dim, n = domain.dim, domain.n_cells
     line = itertools.count(2)  # compress() below draws the next file line per body line
     try:
-        with open(path) as fh:
+        with open(path, encoding="ascii") as fh:  # numpy's int parser can crash on non-ASCII
             header = fh.readline().rstrip("\n").split(",")
             if header[: 2 * dim] != _lead_names(dim) or len(header) != 2 * dim + n_values:
                 raise ValueError(f"unexpected CSV header {header}")
@@ -388,7 +387,7 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
         if not rows.size == distinct == n:
             raise ValueError(f"CSV does not cover each of the {n} domain cells exactly once: "
                              f"{rows.size} rows, {distinct} distinct cells")
-        if not np.isfinite(table["v"]).all():
+        if not (np.isfinite(table["x"]).all() and np.isfinite(table["v"]).all()):
             raise ValueError("CSV values must be finite")
         out = np.empty((n, n_values))
         out[rows] = table["v"]

@@ -397,8 +397,8 @@ class RigidMotion:
         return self.Q.shape[0]
 
     @staticmethod
-    def identity(dim: int, sign: int = 1) -> "RigidMotion":
-        return RigidMotion(np.eye(dim), np.zeros(dim), sign)
+    def identity(dim: int) -> "RigidMotion":
+        return RigidMotion(np.eye(dim), np.zeros(dim))
 
     @staticmethod
     def rotation(angle: float, b=(0.0, 0.0), sign: int = 1,
@@ -430,44 +430,36 @@ class RigidMotion:
     def from_json_dict(d: dict) -> "RigidMotion":
         d = _json_value(d, "an object", "motion")
         sign = d.get("sign", 1)  # anything but -1 or 1 fails the sign check
-        return RigidMotion(np.asarray(_json_value(d["Q"], "an array", "Q"), dtype=float),
-                           np.asarray(_json_value(d["b"], "an array", "b"), dtype=float),
+        return RigidMotion(np.asarray(_json_value(d.get("Q"), "an array", "Q"), dtype=float),
+                           np.asarray(_json_value(d.get("b"), "an array", "b"), dtype=float),
                            int(sign) if sign in (-1, 1) else sign)
 
 
-def random_rigid_motion(dim: int, rng: np.random.Generator,
-                        translation_scale: float = 0.5,
-                        allow_reflection: bool = True) -> RigidMotion:
-    """Seeded random orthogonal-plus-translation motion for test sweeps."""
-    b = rng.uniform(-translation_scale, translation_scale, size=dim)
+def random_rigid_motion(dim: int, rng: np.random.Generator) -> RigidMotion:
+    """Seeded motion for test sweeps: b in [-0.5, 0.5)^dim, random sign, reflected 1 in 2."""
+    b = rng.uniform(-0.5, 0.5, size=dim)
     sign = 1 if rng.random() < 0.5 else -1
+    reflect = rng.random() < 0.5
     if dim == 1:
-        q = -1.0 if (allow_reflection and rng.random() < 0.5) else 1.0
-        return RigidMotion(np.array([[q]]), b, sign)
-    reflect = bool(allow_reflection and rng.random() < 0.5)
-    return RigidMotion.rotation(rng.uniform(0.0, 2.0 * math.pi), b, sign,
-                                reflect=reflect)
+        return RigidMotion(np.array([[-1.0 if reflect else 1.0]]), b, sign)
+    return RigidMotion.rotation(rng.uniform(0.0, 2.0 * math.pi), b, sign, reflect=reflect)
 
 
-def apply_rigid_motion(domain: GridDomain, motion: RigidMotion,
-                       h_out: float | None = None) -> GridDomain:
-    """Rasterize the image ``{Qx + b : x in domain}`` on a grid of width h_out.
+def apply_rigid_motion(domain: GridDomain, motion: RigidMotion) -> GridDomain:
+    """Rasterize the image ``{Qx + b : x in domain}`` on a grid of the same width.
 
     The output grid has origin ``Q @ origin + b`` so that the identity motion
     reproduces ``domain`` exactly and grid-aligned translations are lossless.
     """
     if motion.dim != domain.dim:
         raise ValueError("motion dimension does not match the domain")
-    h_out = domain.h if h_out is None else float(h_out)
-    if not (h_out > 0):
-        raise ValueError("output cell width must be positive")
     lo, hi = motion.image_box(*domain.bounding_box)
     origin_out = tuple(motion.transform(np.asarray(domain.origin)[None, :])[0])
-    cand, centers = _covering_cells(lo, hi, origin_out, h_out, "rigid-motion image")
+    cand, centers = _covering_cells(lo, hi, origin_out, domain.h, "rigid-motion image")
     keep = domain.contains_points(motion.inverse_transform(centers))
     if not keep.any():
         raise ValueError("rigid-motion image contains no cells")
-    return GridDomain(domain.dim, h_out, origin_out, cand[keep])
+    return GridDomain(domain.dim, domain.h, origin_out, cand[keep])
 
 
 def congruence_check(omega1: GridDomain, omega2: GridDomain,

@@ -45,27 +45,6 @@ _RIGID_ORTHO_TOL = 0.1  # orthogonality defect up to which a fit counts as rigid
 # -- operator descriptions ----------------------------------------------------
 
 
-def _builtin_identity(pts):
-    return np.ones(pts.shape[0]), pts.copy()
-
-
-def _builtin_example_4_8(pts):
-    y = pts[:, 0]
-    return np.sqrt(np.sinh(2.0 * y)), (-np.arctanh(np.exp(-2.0 * y)))[:, None]
-
-
-def _builtin_example_5_4(pts):
-    out = pts.copy()
-    out[:, 1] -= np.sign(pts[:, 1])
-    return np.ones(pts.shape[0]), out
-
-
-_BUILTIN_MAPS: dict[str, Callable] = {
-    "identity": _builtin_identity,
-    "example_4_8": _builtin_example_4_8,
-    "example_5_4": _builtin_example_5_4,
-}
-
 _BUILTIN_OPERATORS: dict[str, Callable] = {  # JSON builtin name -> factory(h, target)
     "identity": lambda h, target: identity_operator(target),
     "example_4_8": lambda h, target: example_4_8_operator(h) if h else example_4_8_operator(),
@@ -103,19 +82,23 @@ class OperatorSpec:
 
 
 def identity_operator(domain: GridDomain) -> OperatorSpec:
-    return OperatorSpec(domain, domain, *_BUILTIN_MAPS["identity"](domain.centers))
+    return OperatorSpec(domain, domain, np.ones(domain.n_cells), domain.centers)
 
 
 def example_4_8_operator(h: float = 1e-3) -> OperatorSpec:
     """Hyperbolic-weight interval operator; intertwines the form but is not isometric."""
     source, target = _gd.example_4_8_omega1(h), _gd.example_4_8_omega2(h)
-    return OperatorSpec(source, target, *_BUILTIN_MAPS["example_4_8"](target.centers))
+    y = target.centers[:, 0]
+    return OperatorSpec(source, target, np.sqrt(np.sinh(2.0 * y)),
+                        (-np.arctanh(np.exp(-2.0 * y)))[:, None])
 
 
 def example_5_4_operator(h: float = 0.01) -> OperatorSpec:
     """Two-block translation operator; an isometric lattice homomorphism."""
     source, target = _gd.example_5_4_omega1(h), _gd.example_5_4_omega2(h)
-    return OperatorSpec(source, target, *_BUILTIN_MAPS["example_5_4"](target.centers))
+    xi = target.centers.copy()
+    xi[:, 1] -= np.sign(xi[:, 1])
+    return OperatorSpec(source, target, np.ones(target.n_cells), xi)
 
 
 def piecewise_rigid_operator(source: GridDomain, target: GridDomain,
@@ -329,8 +312,7 @@ class RigidFitReport:
         }
 
 
-def rigid_motion_fit(rec: ReconstructionResult,
-                     omega2: GridDomain | None = None) -> RigidFitReport:
+def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
     """Affine least squares plus polar projection, one motion per component.
 
     The polar factor of the fitted linear part is the orthogonal matrix
@@ -338,9 +320,7 @@ def rigid_motion_fit(rec: ReconstructionResult,
     away from the reconstruction zero set; ``rigid`` records whether the
     Jacobian orthogonality defect stays within ``_RIGID_ORTHO_TOL``.
     """
-    omega2 = rec.g_hat.domain if omega2 is None else omega2
-    if omega2 != rec.g_hat.domain:
-        raise ValueError("omega2 does not match the reconstruction domain")
+    omega2 = rec.g_hat.domain
     dim = omega2.dim
     xi = rec.xi_hat.values
     valid = ~rec.zero_mask
@@ -420,17 +400,14 @@ class DefectSets:
     u2 = property(lambda self: self.omega2.subset(self.inside))
 
 
-def defect_sets(rec: ReconstructionResult, omega1: GridDomain,
-                omega2: GridDomain | None = None) -> DefectSets:
+def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
     """Split the domains into the matched parts and the defects.
 
     ``u2`` holds the target cells whose reconstructed image lands inside the
     source; ``u1`` is the rasterized image of those cells (three subsamples
     per axis, interpolated map).  ``n1_measure = |omega1| - |u1|``.
     """
-    omega2 = rec.g_hat.domain if omega2 is None else omega2
-    if omega2 != rec.g_hat.domain:
-        raise ValueError("omega2 does not match the reconstruction domain")
+    omega2 = rec.g_hat.domain
     inside = ~rec.zero_mask  # then narrowed to the cells mapped into omega1
     for blk in _gd.row_blocks(omega2.n_cells):
         inside[blk] &= omega1.contains_points(rec.xi_hat.values[blk])
@@ -498,13 +475,13 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     beyond ``tol``, and the component images tile the source up to ``tol``.
     """
     rec = reconstruct(T, p=p)
-    fit = rigid_motion_fit(rec, T.target)
+    fit = rigid_motion_fit(rec)
     # each stage passes on only motions and scalars, so its n-sized arrays are
     # freed before the next stage (the topology checks included) allocates its own
     motions, ortho, grad_g, weight = (fit.motions, fit.orthogonality_defect,
                                       fit.grad_g_defect, fit.weight_defect)
     del fit
-    ds = defect_sets(rec, T.source, T.target)
+    ds = defect_sets(rec, T.source)
     valid = ~rec.zero_mask
     del rec
     regular = is_topologically_regular(T.source), is_topologically_regular(T.target)
@@ -564,8 +541,7 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
 
 
 def preimage_field(T: OperatorSpec, phi: Field,
-                   fit: RigidFitReport | None = None, p: float = 2.0
-                   ) -> tuple[Field, np.ndarray]:
+                   fit: RigidFitReport) -> tuple[Field, np.ndarray]:
     """Solve ``T w = phi`` through the fitted inverse, w = (phi/g) o xi^-1.
 
     Returns the candidate preimage on the source grid together with the mask
@@ -574,8 +550,6 @@ def preimage_field(T: OperatorSpec, phi: Field,
     """
     if phi.domain != T.target:
         raise ValueError("phi does not live on the operator target domain")
-    if fit is None:
-        fit = rigid_motion_fit(reconstruct(T, p=p), T.target)
     g = T.g_values
     if np.any(g == 0.0):
         raise ValueError("operator weight vanishes somewhere; cannot invert")
@@ -620,21 +594,20 @@ class DefectReport:
 
 
 def operator_from_spec(spec: dict, target: GridDomain | None = None,
-                       source: GridDomain | None = None,
                        base_dir=None) -> OperatorSpec:
     """Build an operator from its JSON description.
 
     Supported forms: ``{"builtin": name}`` with optional ``"h"``;
     ``{"rigid": [{"Q": ..., "b": ..., "sign": 1, "component": 0}, ...]}``;
     ``{"tabulated": {"g": "g.csv", "xi": "xi.csv"}}``.  Domains come from
-    embedded ``"source"``/``"target"`` specs or the keyword arguments.
+    embedded ``"source"``/``"target"`` specs; a given ``target`` takes the
+    place of the spec's ``"target"``.
     """
     spec = _gd._json_value(spec, "an object", "operator spec")
     h = _gd._json_value(spec.get("h"), "a finite number or null", "h")
     if target is None and "target" in spec:
         target = _gd.domain_from_spec(spec["target"], default_h=h)
-    if source is None and "source" in spec:
-        source = _gd.domain_from_spec(spec["source"], default_h=h)
+    source = _gd.domain_from_spec(spec["source"], default_h=h) if "source" in spec else None
 
     if "builtin" in spec:
         name = _gd._json_value(spec["builtin"], "a string", "builtin")
@@ -660,7 +633,7 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
         if target is None:
             raise ValueError("a tabulated operator spec needs a target domain")
         tab = _gd._json_value(spec["tabulated"], "an object", "tabulated")
-        g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab[k], "a string", k))
+        g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab.get(k), "a string", k))
                            for k in ("g", "xi"))
         g = Field.from_csv(g_path, target)
         xi = VectorField.from_csv(xi_path, target)

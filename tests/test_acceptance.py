@@ -153,7 +153,7 @@ def test_criterion_8_fat_cantor_positive_defect():
     source = make_box(0.0, 1.0, h)
     target = make_fat_cantor_complement(0.5, h)
     T = rigid_operator(target, RigidMotion.identity(1), source=source)
-    ds = defect_sets(reconstruct(T, p=2.0), source, target)
+    ds = defect_sets(reconstruct(T, p=2.0), source)
     ok = abs(ds.n1_measure - 0.5) <= 0.02 and ds.n2_cells == 0
     verdict(8, ok, f"n1_measure={ds.n1_measure:.4f} n2_cells={ds.n2_cells}")
 

@@ -1,8 +1,11 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,6 +28,8 @@ def write_json(path, payload):
 
 
 _UNIT_BOX = {"lo": [0, 0], "hi": [1, 1]}
+_HUGE = 10**400  # json writes it as a 401-digit integer literal
+_TOO_LARGE = "int too large to convert to float"
 
 
 @pytest.fixture
@@ -289,6 +294,9 @@ class TestInputErrorsExit2:
                      id="cell-outside-domain"),
         pytest.param(lambda b: b[:3] + ["1,1,0.75,0.75,nan"], "finite", id="nan-value"),
         pytest.param(lambda b: [], "0 rows, 0 distinct cells", id="header-only"),
+        pytest.param(lambda b: b[:3] + ["1,1,nan,0.75,1.0"], "finite", id="nan-center"),
+        pytest.param(lambda b: b[:3] + ["\U00083550,1,0.75,0.75,1.0"], "'ascii' codec",
+                     id="non-ascii-index"),
     ])
     def test_malformed_tabulated_csv(self, tmp_path, capsys, edit, needle):
         with warnings.catch_warnings(record=True) as caught:
@@ -360,9 +368,25 @@ class TestInputErrorsExit2:
                      "'g' must be a string", id="op-tabulated-g-int"),
         pytest.param("operator", {"builtin": "example_4_8", "h": "fine"},
                      "'h' must be a finite number or null", id="op-h-string"),
+        # a missing key is named as such, not only quoted
+        pytest.param("motion", {"b": [0, 0]}, "'Q' must be an array, got None", id="motion-no-Q"),
+        pytest.param("motion", {"Q": [[1, 0], [0, 1]]}, "'b' must be an array, got None",
+                     id="motion-no-b"),
+        pytest.param("operator", {"tabulated": {"xi": "xi.csv"}, "target": "example_5_4_omega2"},
+                     "'g' must be a string, got None", id="op-tabulated-no-g"),
+        # JSON integer literals too large for a float
+        pytest.param("domain", {"dim": 2, "h": _HUGE, "boxes": [_UNIT_BOX]}, _TOO_LARGE,
+                     id="h-huge"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [{"lo": [0, 0], "hi": [_HUGE, 1]}]},
+                     _TOO_LARGE, id="hi-huge"),
+        pytest.param("motion", {"Q": [[1, 0], [0, 1]], "b": [_HUGE, 0]}, _TOO_LARGE,
+                     id="motion-b-huge"),
+        pytest.param("operator", {"builtin": "example_4_8", "h": _HUGE}, _TOO_LARGE,
+                     id="op-h-huge"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, square_spec, kind, payload, needle):
-        # each of these once ended in a traceback and exit 1, the code of a failed check
+        # each of these once ended in a traceback and exit 1, the code of a failed
+        # check, or named a missing key by nothing but its quoted name
         path = write_json(tmp_path / "spec.json", payload)
         argv = {"domain": ["congruence", "--domain1", square_spec, "--domain2", path],
                 "motion": ["congruence", "--domain1", square_spec, "--domain2", square_spec,
@@ -482,3 +506,57 @@ def test_one_malformed_node_keeps_the_exit_code_contract(base, data):
     assert code in (0, 1, 2)
     if isinstance(value, float) and not math.isfinite(value):
         assert code == 2
+
+
+# -- one changed token or line in a valid CSV ------------------------------------
+
+_CSV_TOKENS = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e400", "", "0x10", "+0", "-0", "1.5", "\x00", "\ufeff0",
+                     str(2**63), "1_0", " 1", "1e200"]),
+    st.integers(-3, 3).map(str), st.floats().map(repr),
+    st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"), max_size=4))
+
+
+def _finite_in_column(token, column):
+    """Whether ``token`` is a finite value of its CSV column's type: an int64
+    index in the first two columns, a float in the others."""
+    if column < 2:
+        return (re.fullmatch(r"\s*[+-]?[0-9]+\s*", token) is not None
+                and -2**63 <= int(token) < 2**63)
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("name", ["g.csv", "xi.csv"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_changed_csv_token_or_line_keeps_the_exit_code_contract(name, data):
+    # exit 0, 1 or 2 and no escaped exception, whatever one token or line
+    # holds; a token that is not a finite value of its column's type, and a
+    # dropped or repeated line, are input errors that name the file (a NaN
+    # cell center once read as valid, and a non-ASCII index could crash numpy)
+    line = data.draw(st.integers(0, 3), label="line")
+    kind = data.draw(st.sampled_from(["token", "drop", "repeat", "replace"]), label="kind")
+    if kind == "token":
+        column = data.draw(st.integers(0, 4 if name == "g.csv" else 5), label="column")
+        token = data.draw(_CSV_TOKENS, label="token")
+
+        def edit(body):
+            fields = body[line].split(",")
+            fields[column] = token
+            return body[:line] + [",".join(fields)] + body[line + 1:]
+    else:
+        text = data.draw(st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                                 max_size=12), label="text")
+        edit = {"drop": lambda b: b[:line] + b[line + 1:],
+                "repeat": lambda b: b[:line + 1] + b[line:],
+                "replace": lambda b: b[:line] + [text] + b[line + 1:]}[kind]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = _reconstruct_2x2_tabulated(pathlib.Path(tmp), edit, name)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if kind in ("drop", "repeat") or kind == "token" and not _finite_in_column(token, column):
+        assert code == 2 and f"{name}: " in err.getvalue()

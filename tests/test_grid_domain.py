@@ -390,6 +390,43 @@ def test_grid_exact_motions_are_lossless(domain, data):
     assert congruence_check(domain, image, inverse, tol=0.0) == (True, 0.0)
 
 
+@st.composite
+def _masked_blocks(draw, dim):
+    """Blocks 0.1 wide picked by a random mask, on a grid of width 0.01, 0.02
+    or 0.05 anchored at a random origin."""
+    h = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    shape = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    n = round(0.1 / h)
+    block = np.argwhere(np.ones((n,) * dim, dtype=bool))
+    cells = np.concatenate([n * k + block for k in np.argwhere(mask)])
+    origin = draw(st.lists(st.floats(-0.3, 0.3), min_size=dim, max_size=dim))
+    return GridDomain(dim, h, tuple(origin), cells)
+
+
+def _perimeter(domain):
+    """Boundary faces of the active cells, times the face size h^(dim - 1)."""
+    faces = sum(int(np.count_nonzero(rows < 0))
+                for rows in itertools.chain(*domain.neighbor_rows))
+    return faces * domain.h ** (domain.dim - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda dim: st.tuples(_masked_blocks(dim),
+                                                              _masked_blocks(dim))),
+       st.integers(0, 2**32 - 1))
+def test_congruence_check_symmetric_under_the_inverse_motion(domains, seed):
+    # |A symm-diff m(B)| and |B symm-diff m^-1(A)| are the same measure; their
+    # rasterizations differ by at most a boundary layer of either domain
+    a, b = domains
+    m = random_rigid_motion(a.dim, np.random.default_rng(seed))
+    inverse = RigidMotion(m.Q.T, -m.Q.T @ m.b)
+    gap = abs(congruence_check(a, b, m, 0.0)[1] - congruence_check(b, a, inverse, 0.0)[1])
+    assert gap <= (_perimeter(a) + _perimeter(b)) * max(a.h, b.h)
+
+
 def test_component_counts_pinned():
     assert len(connected_components(domain_from_spec("fat_cantor(0.5)", default_h=1e-4))) == 64
     block = np.argwhere(np.ones((8, 8), dtype=bool))
