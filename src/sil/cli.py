@@ -53,8 +53,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     spec = _load_json(args.spec)
-    target = (domain_from_spec(_load_json(args.domain), default_h=args.h)
-              if args.domain else None)
+    target = domain_from_spec(_load_json(args.domain)) if args.domain else None
     base = os.path.dirname(args.spec) or "."
     T = operator_from_spec(spec, target=target, base_dir=base)
     rec = reconstruct(T, p=args.p)
@@ -77,8 +76,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    omega1 = domain_from_spec(_load_json(args.domain1), default_h=args.h)
-    omega2 = domain_from_spec(_load_json(args.domain2), default_h=args.h)
+    omega1 = domain_from_spec(_load_json(args.domain1))
+    omega2 = domain_from_spec(_load_json(args.domain2))
     motion = (RigidMotion.from_json_dict(_load_json(args.motion))
               if args.motion else RigidMotion.identity(omega1.dim))
     tol = args.tol if args.tol is not None else 4.0 * min(omega1.h, omega2.h)
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--spec", required=True, help="operator spec JSON file")
     pr.add_argument("--domain", default=None, help="target domain spec JSON file")
     pr.add_argument("--p", type=float, default=2.0)
-    pr.add_argument("--h", type=float, default=None)
     pr.add_argument("--out", required=True, help="output directory")
     pr.set_defaults(fn=cmd_reconstruct)
 
@@ -117,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--domain2", required=True)
     pc.add_argument("--motion", default=None, help="rigid motion JSON file")
     pc.add_argument("--tol", type=float, default=None)
-    pc.add_argument("--h", type=float, default=None)
     pc.set_defaults(fn=cmd_congruence)
     return parser
 

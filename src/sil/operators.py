@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -69,6 +69,9 @@ class OperatorSpec:
         xi = np.asarray(self.xi_values, dtype=float)
         if g.shape != (self.target.n_cells,) or xi.shape != (self.target.n_cells, self.target.dim):
             raise ValueError("weight and map must be sampled at the target nodes")
+        for what, values in (("weight", g), ("map", xi)):  # a NaN passes the box check below
+            if not np.isfinite(values).all():
+                raise ValueError(f"the {what} must be finite at every target node")
         # the map must keep the target nodes in the source's bounding box
         lo, hi = self.source.bounding_box
         # one cell of slack: the raster box can sit up to h inside the analytic set
@@ -103,38 +106,32 @@ def example_5_4_operator(h: float = 0.01) -> OperatorSpec:
 
 def piecewise_rigid_operator(source: GridDomain, target: GridDomain,
                              motions: Iterable[RigidMotion],
-                             components: Iterable[int | None]) -> OperatorSpec:
+                             components: Iterable[int]) -> OperatorSpec:
     """Composition with one rigid motion per target component, the component
-    given by its index in ``target.component_rows``; ``None`` applies to all."""
+    given by its index in ``target.component_rows``."""
     motions, components = tuple(motions), tuple(components)
     if len(motions) != len(components):
         raise ValueError("each motion needs a component assignment")
     if len(motions) == 0:
         raise ValueError("a rigid operator needs at least one motion")
-    if None in components and len(components) > 1:
-        raise ValueError("a catch-all motion cannot be combined with others")
     comp_rows = target.component_rows
-    n_comp = len(comp_rows)
-    assignment: dict[int, RigidMotion] = {}
-    for motion, comp in zip(motions, components):
-        if motion.dim != target.dim:
-            raise ValueError("motion dimension does not match the domains")
-        if comp is not None and comp not in range(n_comp):
-            raise ValueError(f"component index {comp} out of range")
-        for ci in range(n_comp) if comp is None else [int(comp)]:
-            if ci in assignment:
-                raise ValueError(f"component {ci} has two motions assigned")
-            assignment[ci] = motion
-    if len(assignment) != n_comp:
-        missing = sorted(set(range(n_comp)) - set(assignment))
-        raise ValueError(f"components {missing} have no motion assigned")
     pts = target.centers
     xi = np.empty_like(pts)
     g = np.empty(pts.shape[0])
-    for ci, motion in assignment.items():
+    assigned: set[int] = set()
+    for motion, comp in zip(motions, components):
+        if motion.dim != target.dim:
+            raise ValueError("motion dimension does not match the domains")
+        if comp not in range(len(comp_rows)):
+            raise ValueError(f"component index {comp} out of range")
+        if (ci := int(comp)) in assigned:
+            raise ValueError(f"component {ci} has two motions assigned")
+        assigned.add(ci)
         rows = comp_rows[ci]
         xi[rows] = motion.transform(pts[rows])
         g[rows] = float(motion.sign)
+    if missing := sorted(set(range(len(comp_rows))) - assigned):
+        raise ValueError(f"components {missing} have no motion assigned")
     return OperatorSpec(source, target, g, xi)
 
 
@@ -143,7 +140,10 @@ def rigid_operator(target: GridDomain, motion: RigidMotion,
     """Composition with one rigid motion of the whole target domain."""
     if source is None:
         source = apply_rigid_motion(target, motion)
-    return piecewise_rigid_operator(source, target, (motion,), (None,))
+    if motion.dim != target.dim:
+        raise ValueError("motion dimension does not match the domains")
+    return OperatorSpec(source, target, np.full(target.n_cells, float(motion.sign)),
+                        motion.transform(target.centers))
 
 
 # -- application ---------------------------------------------------------------
@@ -301,15 +301,10 @@ class RigidFitReport:
     rigid: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "motions": [m.to_json_dict() for m in self.motions],
-            "orthogonality_defect": self.orthogonality_defect,
-            "grad_g_defect": self.grad_g_defect,
-            "weight_defect": self.weight_defect,
-            "rigid": self.rigid,
-            "c_range": [float(self.c_field.values.min()),
-                        float(self.c_field.values.max())],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "c_field"}
+        out["motions"] = [m.to_json_dict() for m in self.motions]
+        out["c_range"] = [float(self.c_field.values.min()), float(self.c_field.values.max())]
+        return out
 
 
 def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
@@ -431,9 +426,8 @@ class PipelineReport:
     congruent: bool
     reason: str
     tol: float
-    motions: tuple[RigidMotion, ...]
-    component_boxes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
-    image_boxes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
+    # per target component, in component order: its (lo, hi) box, that box's image, the motion
+    pairing: tuple[tuple[tuple, tuple, RigidMotion], ...]
     orthogonality_defect: float
     grad_g_defect: float
     weight_defect: float
@@ -442,28 +436,13 @@ class PipelineReport:
     tiling_defect: float
     source_regular: bool
     target_regular: bool
+    motions = property(lambda self: tuple(motion for _, _, motion in self.pairing))
 
     def to_json_dict(self) -> dict:
-        return {
-            "congruent": self.congruent,
-            "reason": self.reason,
-            "tol": self.tol,
-            "pairing": [
-                {"component_box": [list(lo), list(hi)],
-                 "image_box": [list(ilo), list(ihi)],
-                 "motion": m.to_json_dict()}
-                for (lo, hi), (ilo, ihi), m in zip(
-                    self.component_boxes, self.image_boxes, self.motions)
-            ],
-            "orthogonality_defect": self.orthogonality_defect,
-            "grad_g_defect": self.grad_g_defect,
-            "weight_defect": self.weight_defect,
-            "n2_cells": self.n2_cells,
-            "n1_measure": self.n1_measure,
-            "tiling_defect": self.tiling_defect,
-            "source_regular": self.source_regular,
-            "target_regular": self.target_regular,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["pairing"] = [{"component_box": box, "image_box": image,
+                           "motion": motion.to_json_dict()} for box, image, motion in self.pairing]
+        return out
 
 
 def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport:
@@ -488,18 +467,16 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
 
     coverage = np.zeros(T.source.n_cells, dtype=np.int64)
     escaped_pts = 0
-    comp_boxes = []
-    image_boxes = []
+    pairing = []
     for rows, motion in zip(T.target.component_rows, motions):
         hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
         coverage += hit
         escaped_pts += n_out
         cells = T.target.cells[rows]
-        lo, hi = _gd.physical_box(T.target.origin, T.target.h,
-                                  cells.min(axis=0), cells.max(axis=0))
-        img_lo, img_hi = motion.image_box(lo, hi)
-        comp_boxes.append((tuple(map(float, lo)), tuple(map(float, hi))))
-        image_boxes.append((tuple(map(float, img_lo)), tuple(map(float, img_hi))))
+        box = tuple(tuple(map(float, end)) for end in _gd.physical_box(
+            T.target.origin, T.target.h, cells.min(axis=0), cells.max(axis=0)))
+        image = tuple(tuple(map(float, end)) for end in motion.image_box(*box))
+        pairing.append((box, image, motion))
 
     cell1 = T.source.h**T.source.dim
     cell2 = T.target.h**T.target.dim
@@ -517,18 +494,12 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
         ("source not covered by the image", ds.n1_measure),
         ("component images do not tile the source", tiling),
     ]
-    reason = "congruent"
-    for name, value in gates:
-        if value > tol:
-            reason = name
-            break
+    reason = next((name for name, value in gates if value > tol), "congruent")
     return PipelineReport(
         congruent=reason == "congruent",
         reason=reason,
         tol=tol,
-        motions=motions,
-        component_boxes=tuple(comp_boxes),
-        image_boxes=tuple(image_boxes),
+        pairing=tuple(pairing),
         orthogonality_defect=ortho,
         grad_g_defect=grad_g,
         weight_defect=weight,
@@ -623,10 +594,10 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
         entries = _gd._json_value(spec["rigid"], "an array", "rigid")
         motions = tuple(RigidMotion.from_json_dict(entry) for entry in entries)
         components = tuple(entry.get("component") for entry in entries)
+        if len(motions) == 1 and components[0] is None:
+            return rigid_operator(target, motions[0], source)
         if source is None:
-            if len(motions) != 1 or components[0] is not None:
-                raise ValueError("per-component rigid specs need an explicit source domain")
-            return rigid_operator(target, motions[0])
+            raise ValueError("per-component rigid specs need an explicit source domain")
         return piecewise_rigid_operator(source, target, motions, components)
 
     if "tabulated" in spec:

@@ -13,10 +13,8 @@ import pytest
 from sil import (
     Field,
     RigidMotion,
-    VectorField,
     apply,
     bump,
-    clarkson_check,
     congruence_pipeline,
     defect_sets,
     disjointness_defect,
@@ -85,28 +83,18 @@ def test_criterion_3_gateaux_calculus():
 
 
 def test_criterion_4_clarkson_sweep():
+    # p in {1.5, 2, 3, 4}, 1,000 random vector-field pairs each on a 20x20 grid
     start = time.perf_counter()
-    grid = make_box((0.0, 0.0), (1.0, 1.0), 0.05)
-    rng = np.random.default_rng(7)
-    ok = True
-    extremes = {}
-    for p in (1.5, 2.0, 3.0, 4.0):
-        low = high = 0.0
-        for _ in range(1000):
-            f = VectorField(grid, rng.normal(0.0, 1.0, (grid.n_cells, 2)))
-            g = VectorField(grid, rng.normal(0.0, 1.0, (grid.n_cells, 2)))
-            slack = clarkson_check(f, g, p)
-            low, high = min(low, slack), max(high, slack)
-        extremes[p] = (low, high)
-        if p >= 2.0:
-            ok &= low >= -1e-12
-        if p <= 2.0:
-            ok &= high <= 1e-12
-        if p == 2.0:
-            ok &= max(abs(low), abs(high)) <= 1e-12
+    checks = _checks_of(SuiteConfig("clarkson", h=0.05, seed=7))
     elapsed = time.perf_counter() - start
-    ok &= elapsed < 10.0
-    verdict(4, ok, f"extremes={{p: (min, max)}}={extremes} runtime={elapsed:.2f}s")
+    # below p = 2 the max slack is at most 0; above, the min slack is at least 0;
+    # at p = 2 both, since the parallelogram law is an equality
+    names = ("clarkson_upper_p1.5", "clarkson_equality_p2", "clarkson_lower_p3",
+             "clarkson_lower_p4")
+    assert checks.keys() == set(names)
+    defects = {name: checks[name]["defect"] for name in names}
+    ok = all(d <= 1e-12 for d in defects.values()) and elapsed < 10.0
+    verdict(4, ok, f"defects={defects} runtime={elapsed:.2f}s")
 
 
 def test_criterion_5_weak_solution_residual_decay():

@@ -359,7 +359,7 @@ class TestCongruencePipeline:
         # pairing: lower block translates up, upper block translates down
         assert np.abs(report.motions[0].b - [0.0, 1.0]).max() <= 2 * h
         assert np.abs(report.motions[1].b - [0.0, -1.0]).max() <= 2 * h
-        lows = [box[0][1] for box in report.image_boxes]
+        lows = [image[0][1] for _, image, _ in report.pairing]
         assert sorted(round(v) for v in lows) == [-1, 0]
         assert report.source_regular and report.target_regular
 
@@ -371,8 +371,14 @@ class TestCongruencePipeline:
     def test_report_serializes(self, two_block):
         import json
         report = congruence_pipeline(two_block, p=3.0, tol=0.04)
-        payload = json.dumps(report.to_json_dict())
-        assert "pairing" in payload
+        payload = json.loads(json.dumps(report.to_json_dict()))
+        assert list(payload) == [
+            "congruent", "reason", "tol", "pairing", "orthogonality_defect", "grad_g_defect",
+            "weight_defect", "n2_cells", "n1_measure", "tiling_defect", "source_regular",
+            "target_regular"]
+        assert len(payload["pairing"]) == 2
+        for pair in payload["pairing"]:
+            assert list(pair) == ["component_box", "image_box", "motion"]
 
     @pytest.mark.parametrize("rigid", [False, True], ids=["builtin", "per_component_rigid"])
     def test_target_labelled_once(self, monkeypatch, rigid):
@@ -695,7 +701,17 @@ class TestOperatorSpec:
         source = make_box((0, 0), (1, 1), 0.05)
         motion = RigidMotion(np.eye(2), np.array([10.0, 0.0]))
         with pytest.raises(ValueError, match="bounding box"):
-            piecewise_rigid_operator(source, target, (motion,), (None,))
+            rigid_operator(target, motion, source)
+
+    @pytest.mark.parametrize("what", ["weight", "map"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_or_map_rejected(self, what, value):
+        # a NaN node passes every bounding-box comparison, so finiteness is checked first
+        domain = make_box((0, 0), (1, 1), 0.1)
+        g, xi = np.ones(domain.n_cells), domain.centers.copy()
+        (g if what == "weight" else xi[:, 1])[3] = value
+        with pytest.raises(ValueError, match=f"the {what} must be finite"):
+            OperatorSpec(domain, domain, g, xi)
 
     def test_tabulated_requires_target_domain(self):
         a = make_box((0, 0), (1, 1), 0.1)
