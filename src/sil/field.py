@@ -58,17 +58,7 @@ class Field:
         _same_domain(self, other)
         return Field(self.domain, self.values + other.values)
 
-    def __sub__(self, other: "Field") -> "Field":
-        _same_domain(self, other)
-        return Field(self.domain, self.values - other.values)
-
-    def __neg__(self) -> "Field":
-        return Field(self.domain, -self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, Field):
-            _same_domain(self, other)
-            return Field(self.domain, self.values * other.values)
+    def __mul__(self, other) -> "Field":
         return Field(self.domain, self.values * float(other))
 
     __rmul__ = __mul__
@@ -79,10 +69,6 @@ class Field:
     def minimum(self, other: "Field") -> "Field":
         _same_domain(self, other)
         return Field(self.domain, np.minimum(self.values, other.values))
-
-    def maximum(self, other: "Field") -> "Field":
-        _same_domain(self, other)
-        return Field(self.domain, np.maximum(self.values, other.values))
 
     def at(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at arbitrary points.
@@ -129,11 +115,6 @@ class VectorField:
     def __sub__(self, other: "VectorField") -> "VectorField":
         _same_domain(self, other)
         return VectorField(self.domain, self.values - other.values)
-
-    def __mul__(self, other) -> "VectorField":
-        return VectorField(self.domain, self.values * float(other))
-
-    __rmul__ = __mul__
 
     def at(self, pts: np.ndarray) -> np.ndarray:
         return _interpolate(self.domain, self.values, pts)[0]

@@ -102,10 +102,6 @@ class GateauxReport:
         object.__setattr__(self, "s_values", s)
         object.__setattr__(self, "errors", errs)
 
-    def to_json_dict(self) -> dict:
-        return {"s": list(self.s_values), "error": list(self.errors),
-                "slope": self.slope}
-
 
 def _fit_slope(s: tuple[float, ...], errors: tuple[float, ...]) -> float:
     s_arr = np.asarray(s)

@@ -60,14 +60,16 @@ def _check_budget(n: int, what: str) -> None:
 
 
 _JSON_TYPES = {"a finite number": (int, float), "a finite number or null": (int, float, type(None)),
+               "a number": (int, float), "an integer or null": (int, type(None)),
                "a string": str, "an array": list, "an object": dict}
 
 
 def _json_value(value, kind: str, key: str):
     """``value`` if it has the JSON type ``kind``, a key of ``_JSON_TYPES``; otherwise
-    a ValueError naming ``key``, so a malformed spec is a parse error, not a traceback."""
+    a ValueError naming ``key``, so a malformed spec is a parse error, not a traceback.
+    A boolean is no number, and only "a number" may be non-finite."""
     if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
-            or isinstance(value, float) and not math.isfinite(value)):
+            or isinstance(value, float) and not math.isfinite(value) and kind != "a number"):
         raise ValueError(f"{key!r} must be {kind}, got {value!r}")
     return value
 
@@ -429,9 +431,15 @@ class RigidMotion:
     @staticmethod
     def from_json_dict(d: dict) -> "RigidMotion":
         d = _json_value(d, "an object", "motion")
-        sign = d.get("sign", 1)  # anything but -1 or 1 fails the sign check
-        return RigidMotion(np.asarray(_json_value(d.get("Q"), "an array", "Q"), dtype=float),
-                           np.asarray(_json_value(d.get("b"), "an array", "b"), dtype=float),
+        Q, b = (_json_value(d.get(k), "an array", k) for k in ("Q", "b"))
+        sign = d.get("sign", 1)  # a number other than -1 or 1 fails the sign check
+        # numpy and `in` read true and "1" as 1, so every entry must be a JSON
+        # number; the motion's own checks name a non-finite one or a wrong shape
+        rows = [row if isinstance(row, list) else [row] for row in Q]
+        for key, values in (("Q", itertools.chain(*rows)), ("b", b), ("sign", [sign])):
+            for x in values:
+                _json_value(x, "a number", key)
+        return RigidMotion(np.asarray(Q, dtype=float), np.asarray(b, dtype=float),
                            int(sign) if sign in (-1, 1) else sign)
 
 

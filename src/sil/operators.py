@@ -230,7 +230,7 @@ class ReconstructionResult:
     g_hat: Field
     xi_hat: VectorField
     zero_mask: np.ndarray
-    g_by_axis: tuple[np.ndarray, ...]
+    axis_deviation: float  # max |g_j - g_0| off the zero set, 0.0 in 1D
 
     @property
     def zero_set_cells(self) -> int:
@@ -279,11 +279,11 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
         g_axes.append(g_j)
     if zero.all():
         raise ValueError("probe images vanish everywhere; not a composition operator on this grid")
-    g_hat = g_axes[0].copy()
+    g_hat = g_axes[0]
+    deviation = _worst([0.0, *(np.abs(g_j - g_hat)[~zero].max() for g_j in g_axes[1:])])
     g_hat[zero] = 0.0
     xi[zero] = 0.0
-    return ReconstructionResult(Field(omega2, g_hat), VectorField(omega2, xi),
-                                zero, tuple(g_axes))
+    return ReconstructionResult(Field(omega2, g_hat), VectorField(omega2, xi), zero, deviation)
 
 
 # -- rigid-motion fitting ---------------------------------------------------------
@@ -297,13 +297,12 @@ class RigidFitReport:
     orthogonality_defect: float  # max |xi'^T xi' - I|
     grad_g_defect: float         # max |grad g|
     weight_defect: float         # max ||g| - 1|
-    c_field: Field               # |grad xi_0| samples
     rigid: bool
+    c_range: tuple[float, float]  # min and max of |grad xi_0|
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "c_field"}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["motions"] = [m.to_json_dict() for m in self.motions]
-        out["c_range"] = [float(self.c_field.values.min()), float(self.c_field.values.max())]
         return out
 
 
@@ -342,22 +341,24 @@ def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
         fd_ok = away_from_zero
     if not fd_ok.any():
         raise ValueError("zero set leaves no cells for defect evaluation")
-    # per row block: the Jacobian (b, i, d) = d xi_i / d y_d, its rows of c_field,
-    # and block maxima of both defects over fd_ok (a max is exact and keeps NaN)
+    # per row block: the Jacobian (b, i, d) = d xi_i / d y_d, and block extremes of
+    # |grad xi_0| and of both defects over fd_ok (exact, and numpy keeps NaN)
     xi_fields = [Field(omega2, xi[:, i]) for i in range(dim)]
-    c = np.empty(omega2.n_cells)
-    ortho_max, grad_g_max = [], []
+    c_min, c_max, ortho_max, grad_g_max = [], [], [], []
     for blk in _gd.row_blocks(omega2.n_cells):
         jac = np.stack([gradient_rows(f, blk) for f in xi_fields], axis=1)
-        c[blk] = np.linalg.norm(jac[:, 0, :], axis=1)
+        c = np.linalg.norm(jac[:, 0, :], axis=1)
+        c_min.append(c.min())
+        c_max.append(c.max())
         if (ok := fd_ok[blk]).any():
             jtj = np.einsum("nid,nie->nde", jac, jac)
             ortho_max.append(np.abs(jtj - np.eye(dim)).max(axis=(1, 2))[ok].max())
             grad_g_max.append(np.linalg.norm(gradient_rows(rec.g_hat, blk), axis=1)[ok].max())
     ortho = _worst(ortho_max)
     weight = float(np.abs(np.abs(rec.g_hat.values[valid]) - 1.0).max())
-    return RigidFitReport(tuple(motions), ortho, _worst(grad_g_max), weight, Field(omega2, c),
-                          rigid=ortho <= _RIGID_ORTHO_TOL)
+    return RigidFitReport(tuple(motions), ortho, _worst(grad_g_max), weight,
+                          rigid=ortho <= _RIGID_ORTHO_TOL,
+                          c_range=(float(np.min(c_min)), _worst(c_max)))
 
 
 # -- defect sets -------------------------------------------------------------------
@@ -380,27 +381,20 @@ def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray
     return hit, escaped
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DefectSets:
-    """Cells missed by the reconstructed map, on both sides; the matched
-    domains ``u1`` and ``u2`` are built from their cell masks when read."""
+    """How much the reconstructed map misses, on both sides."""
 
     n2_cells: int       # target cells mapped outside the source (or unreadable)
     n1_measure: float   # source measure left uncovered by the image
-    omega1: GridDomain
-    omega2: GridDomain
-    hit: np.ndarray     # cell mask of u1 in omega1
-    inside: np.ndarray  # cell mask of u2 in omega2
-    u1 = property(lambda self: self.omega1.subset(self.hit))
-    u2 = property(lambda self: self.omega2.subset(self.inside))
 
 
 def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
-    """Split the domains into the matched parts and the defects.
+    """Measure what the reconstructed map misses on both sides.
 
-    ``u2`` holds the target cells whose reconstructed image lands inside the
-    source; ``u1`` is the rasterized image of those cells (three subsamples
-    per axis, interpolated map).  ``n1_measure = |omega1| - |u1|``.
+    ``n2_cells`` counts the target cells whose reconstructed image misses the
+    source; ``n1_measure`` is the source measure outside the rasterized image of
+    the others (three subsamples per axis, interpolated map).
     """
     omega2 = rec.g_hat.domain
     inside = ~rec.zero_mask  # then narrowed to the cells mapped into omega1
@@ -410,10 +404,10 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
         raise ValueError("no target cell maps into the source domain")
     n2 = omega2.n_cells - int(np.count_nonzero(inside))
     hit = _supersampled_image(omega1, omega2, np.flatnonzero(inside), rec.xi_hat.at)[0]
-    if not hit.any():  # the error building an empty u1 would raise
+    if not hit.any():  # an empty image is an empty domain
         raise ValueError("a domain must contain at least one cell")
     n1 = omega1.measure - int(np.count_nonzero(hit)) * omega1.h**omega1.dim
-    return DefectSets(n2, n1, omega1, omega2, hit, inside)
+    return DefectSets(n2, n1)
 
 
 # -- congruence pipeline --------------------------------------------------------------
@@ -455,20 +449,17 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     """
     rec = reconstruct(T, p=p)
     fit = rigid_motion_fit(rec)
-    # each stage passes on only motions and scalars, so its n-sized arrays are
-    # freed before the next stage (the topology checks included) allocates its own
-    motions, ortho, grad_g, weight = (fit.motions, fit.orthogonality_defect,
-                                      fit.grad_g_defect, fit.weight_defect)
-    del fit
     ds = defect_sets(rec, T.source)
     valid = ~rec.zero_mask
+    # the fit and the defect sets hold motions and scalars only; the
+    # reconstruction's n-sized arrays go before the topology checks allocate
     del rec
     regular = is_topologically_regular(T.source), is_topologically_regular(T.target)
 
     coverage = np.zeros(T.source.n_cells, dtype=np.int64)
     escaped_pts = 0
     pairing = []
-    for rows, motion in zip(T.target.component_rows, motions):
+    for rows, motion in zip(T.target.component_rows, fit.motions):
         hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
         coverage += hit
         escaped_pts += n_out
@@ -487,9 +478,9 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     n2_measure = ds.n2_cells * cell2
 
     gates = [
-        ("non-rigid xi", ortho),
-        ("non-constant weight", grad_g),
-        ("weight magnitude differs from 1", weight),
+        ("non-rigid xi", fit.orthogonality_defect),
+        ("non-constant weight", fit.grad_g_defect),
+        ("weight magnitude differs from 1", fit.weight_defect),
         ("target cells map outside the source", n2_measure),
         ("source not covered by the image", ds.n1_measure),
         ("component images do not tile the source", tiling),
@@ -500,9 +491,9 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
         reason=reason,
         tol=tol,
         pairing=tuple(pairing),
-        orthogonality_defect=ortho,
-        grad_g_defect=grad_g,
-        weight_defect=weight,
+        orthogonality_defect=fit.orthogonality_defect,
+        grad_g_defect=fit.grad_g_defect,
+        weight_defect=fit.weight_defect,
         n2_cells=ds.n2_cells,
         n1_measure=ds.n1_measure,
         tiling_defect=tiling,
@@ -593,7 +584,8 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
             raise ValueError("a rigid operator spec needs a target domain")
         entries = _gd._json_value(spec["rigid"], "an array", "rigid")
         motions = tuple(RigidMotion.from_json_dict(entry) for entry in entries)
-        components = tuple(entry.get("component") for entry in entries)
+        components = tuple(_gd._json_value(entry.get("component"), "an integer or null",
+                                           "component") for entry in entries)
         if len(motions) == 1 and components[0] is None:
             return rigid_operator(target, motions[0], source)
         if source is None:

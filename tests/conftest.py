@@ -2,6 +2,18 @@ import math
 
 import pytest
 
+from sil import make_box
+
+
+@pytest.fixture
+def interval():
+    return make_box(0.0, 1.0, 1e-3)
+
+
+@pytest.fixture
+def square():
+    return make_box((0.0, 0.0), (1.0, 1.0), 0.02)
+
 
 @pytest.fixture
 def nan_on_call(monkeypatch):

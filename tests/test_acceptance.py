@@ -15,7 +15,6 @@ from sil import (
     RigidMotion,
     apply,
     bump,
-    congruence_pipeline,
     defect_sets,
     disjointness_defect,
     example_4_8_operator,
@@ -123,17 +122,20 @@ def test_criterion_6_reconstruction_round_trip():
 
 
 def test_criterion_7_two_block_congruence_pipeline():
+    # the two-block operator through the pipeline at p = 3 and tol = 4h
     h = 0.01
-    T = example_5_4_operator(h)
-    report = congruence_pipeline(T, p=3.0, tol=4 * h)
+    checks = _checks_of(SuiteConfig("congruence", h=h))
+    pipeline = checks["pipeline_verdict"]
+    congruent = pipeline["status"] == "pass"
     shift_err = max(
-        float(np.abs(report.motions[0].b - [0.0, 1.0]).max()),
-        float(np.abs(report.motions[1].b - [0.0, -1.0]).max()))
-    ok = (report.congruent and len(report.motions) == 2 and shift_err <= 2 * h
-          and report.n2_cells == 0 and report.n1_measure <= 2 * h)
-    verdict(7, ok, f"components={len(report.motions)} shift_err={shift_err:.2e} "
-                   f"n2={report.n2_cells} n1={report.n1_measure:.2e} "
-                   f"verdict={report.congruent}")
+        float(np.abs(np.subtract(pipeline["pairing"][0]["motion"]["b"], [0.0, 1.0])).max()),
+        float(np.abs(np.subtract(pipeline["pairing"][1]["motion"]["b"], [0.0, -1.0])).max()))
+    n2 = checks["image_defect_measure"]["defect"]  # 0 exactly when n2_cells == 0
+    n1 = checks["uncovered_source_measure"]["defect"]
+    ok = (congruent and pipeline["n_components"] == 2 and shift_err <= 2 * h
+          and n2 == 0.0 and n1 <= 2 * h)
+    verdict(7, ok, f"components={pipeline['n_components']} shift_err={shift_err:.2e} "
+                   f"n2={n2:.2e} n1={n1:.2e} verdict={congruent}")
 
 
 def test_criterion_8_fat_cantor_positive_defect():

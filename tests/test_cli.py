@@ -32,6 +32,13 @@ _HUGE = 10**400  # json writes it as a 401-digit integer literal
 _TOO_LARGE = "int too large to convert to float"
 
 
+def _two_block_rigid(c0, c1):
+    """The two-block operator as per-component rigid motions of components ``c0``, ``c1``."""
+    return {"h": 0.1, "source": "example_5_4_omega1", "target": "example_5_4_omega2",
+            "rigid": [{"Q": [[1, 0], [0, 1]], "b": [0, 1], "component": c0},
+                      {"Q": [[1, 0], [0, 1]], "b": [0, -1], "component": c1}]}
+
+
 @pytest.fixture
 def square_spec(tmp_path):
     return write_json(tmp_path / "square.json",
@@ -383,6 +390,22 @@ class TestInputErrorsExit2:
                      id="motion-b-huge"),
         pytest.param("operator", {"builtin": "example_4_8", "h": _HUGE}, _TOO_LARGE,
                      id="op-h-huge"),
+        # numpy and `in` read true, false and "1" as numbers: each once read
+        # as a valid motion or component, down to a congruent verdict and exit 0
+        pytest.param("motion", {"Q": [[True, 0], [0, True]], "b": [0, 0]},
+                     "'Q' must be a number, got True", id="motion-Q-bool"),
+        pytest.param("motion", {"Q": [[1, 0], [0, 1]], "b": [False, 0], "sign": True},
+                     "'b' must be a number, got False", id="motion-b-bool"),
+        pytest.param("motion", {"Q": [[1, 0], [0, 1]], "b": [0, 0], "sign": True},
+                     "'sign' must be a number, got True", id="motion-sign-bool"),
+        pytest.param("motion", {"Q": [["1", 0], [0, 1]], "b": [0, 0]},
+                     "'Q' must be a number, got '1'", id="motion-Q-string"),
+        pytest.param("motion", {"Q": [[{}, 0], [0, 1]], "b": [0, 0]},
+                     "'Q' must be a number, got {}", id="motion-Q-object"),
+        pytest.param("operator", _two_block_rigid(False, True),
+                     "'component' must be an integer or null, got False", id="op-component-bool"),
+        pytest.param("operator", _two_block_rigid(0.0, 1.0),
+                     "'component' must be an integer or null, got 0.0", id="op-component-float"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, square_spec, kind, payload, needle):
         # each of these once ended in a traceback and exit 1, the code of a failed
@@ -457,7 +480,8 @@ _FUZZ_BASES = {  # a valid spec, and the command that reads it
                        _FUZZ_RECONSTRUCT),
     "builtin-operator": ({"builtin": "example_5_4", "h": 0.1}, _FUZZ_RECONSTRUCT),
 }
-_NODE_VALUES = st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none(),
+_NODE_VALUES = st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none(), st.booleans(),
+                         st.just({}),
                          st.lists(st.integers(-3, 3), max_size=2),
                          st.sampled_from([math.nan, math.inf, -math.inf]))
 
@@ -496,15 +520,15 @@ def test_valid_fuzz_base_passes(tmp_path, base):
 @given(data=st.data())
 def test_one_malformed_node_keeps_the_exit_code_contract(base, data):
     # exit 0, 1 or 2 and no escaped exception, whatever one node holds; a
-    # non-finite number is always an input error, never a verdict (a NaN
-    # motion once made two far-apart domains congruent)
+    # non-finite number or a boolean is always an input error, never a verdict
+    # (a NaN motion once made two far-apart domains congruent)
     spec, argv = _FUZZ_BASES[base]
     path = data.draw(st.sampled_from(list(_json_paths(spec))), label="path")
     value = data.draw(_NODE_VALUES, label="value")
     with tempfile.TemporaryDirectory() as tmp:
         code = _run_in(pathlib.Path(tmp), argv, _replaced(spec, path, value))
     assert code in (0, 1, 2)
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
         assert code == 2
 
 

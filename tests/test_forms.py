@@ -33,16 +33,6 @@ from sil import forms, grid_domain
 from sil.suites import _check
 
 
-@pytest.fixture
-def interval():
-    return make_box(0.0, 1.0, 1e-3)
-
-
-@pytest.fixture
-def square():
-    return make_box((0.0, 0.0), (1.0, 1.0), 0.02)
-
-
 class TestFormA:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_indicator_diagonal(self, interval, p):
@@ -147,10 +137,6 @@ class TestGateauxNorm:
         u = random_smooth_field(square, np.random.default_rng(6))
         with pytest.raises(ValueError):
             gateaux_check_norm(u, u, 2.0, ())
-
-    def test_report_json_keys(self):
-        report = GateauxReport((1e-2, 1e-3), (0.1, 0.01), 1.0)
-        assert list(report.to_json_dict()) == ["s", "error", "slope"]
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):

@@ -244,7 +244,7 @@ class TestReconstruct:
 
     def test_weight_independent_of_probe_axis(self, two_block):
         rec = reconstruct(two_block, p=3.0)
-        assert np.abs(rec.g_by_axis[0] - rec.g_by_axis[1]).max() <= 1e-8
+        assert rec.axis_deviation <= 1e-8
 
     def test_vanishing_operator_rejected(self):
         domain = make_box(0.0, 1.0, 0.05)
@@ -278,14 +278,17 @@ class TestRigidMotionFit:
         assert fit.motions[0].sign == -1
 
     def test_hyperbolic_is_not_rigid(self, hyperbolic):
-        fit = rigid_motion_fit(reconstruct(hyperbolic, p=2.0))
+        rec = reconstruct(hyperbolic, p=2.0)
+        fit = rigid_motion_fit(rec)
         assert not fit.rigid
         assert fit.orthogonality_defect > 0.5
         assert fit.grad_g_defect > 1.0
         # the map stretch |xi'| tracks its closed form away from the ends
         y = hyperbolic.target.centers[:, 0]
         interior = ~hyperbolic.target.boundary_layer_mask(2)
-        dev = np.abs(fit.c_field.values - 1.0 / np.sinh(2.0 * y))
+        c = np.linalg.norm(gradient(Field(hyperbolic.target, rec.xi_hat.values[:, 0])).values,
+                           axis=1)
+        dev = np.abs(c - 1.0 / np.sinh(2.0 * y))
         assert dev[interior].max() <= 1e-3
 
     def test_two_block_translations(self, two_block):
@@ -324,7 +327,6 @@ class TestDefectSets:
         ds = defect_sets(reconstruct(identity_operator(domain), p=2.0), domain)
         assert ds.n2_cells == 0
         assert ds.n1_measure == 0.0
-        assert ds.u1 == domain and ds.u2 == domain
 
     def test_fat_cantor_inclusion_has_thick_complement(self):
         h = 1e-4
@@ -529,18 +531,16 @@ _BLOCK_SIZES = (grid_domain._BLOCK, 150)
 @pytest.mark.parametrize("name", sorted(_STAGE_CASES))
 def test_defect_sets_build_the_eager_domains_lazily(name):
     T, rec = _stage_case(name)
-    # u1 and u2 as defect_sets first built them, eagerly and unblocked
+    # the matched parts as defect_sets first built them, eagerly and unblocked:
+    # the target cells mapped inside the source, and their image u1
     ok = ~rec.zero_mask
     inside = np.zeros(T.target.n_cells, dtype=bool)
     inside[ok] = T.source.contains_points(rec.xi_hat.values[ok])
-    u2 = GridDomain(T.target.dim, T.target.h, T.target.origin, T.target.cells[inside])
     hit = _reference_defect_hit(rec, T.source, T.target, inside)
     u1 = GridDomain(T.source.dim, T.source.h, T.source.origin, T.source.cells[hit])
     for size in _BLOCK_SIZES:
         with _blocks_of(size):
             ds = defect_sets(rec, T.source)
-        assert "u1" not in vars(ds) and "u2" not in vars(ds)  # built when read
-        assert ds.u1 == u1 and ds.u2 == u2
         assert ds.n2_cells == T.target.n_cells - int(np.count_nonzero(inside))
         assert ds.n1_measure == T.source.measure - u1.measure
 
@@ -558,7 +558,7 @@ def test_empty_image_raises_as_the_empty_u1_did(monkeypatch):
                                   "two_block", "two_block_dead_patch"])
 def test_rigid_fit_defects_match_the_whole_domain_reference(name):
     T, rec = _stage_case(name)
-    # the defects and c_field as first written, from whole-domain gradients
+    # the defects and the |grad xi_0| samples as first written, from whole-domain gradients
     omega2, xi = T.target, rec.xi_hat.values
     away = ~grid_domain.dilate_mask(omega2, rec.zero_mask, 2)
     fd_ok = away & ~omega2.boundary_layer_mask(2)
@@ -573,14 +573,15 @@ def test_rigid_fit_defects_match_the_whole_domain_reference(name):
         with _blocks_of(size):
             fit = rigid_motion_fit(rec)
         assert fit.orthogonality_defect == ortho and fit.grad_g_defect == grad_g
-        assert np.array_equal(fit.c_field.values, c)
+        assert fit.c_range == (c.min(), c.max())
 
 
 def test_congruence_pipeline_peak_memory(monkeypatch):
     # in n-float arrays above the live operator (n = 20,000 cells a side), with
     # 1,024-row blocks so that n-sized arrays dominate block-sized ones: the
     # traced peak, and what is still live when the topology checks start;
-    # stages that kept their intermediates to the end read 25.8 and 19.4
+    # stages that kept their intermediates to the end read 25.8 and 19.4, and
+    # a fit that kept its |grad xi_0| samples gave a peak of 14.5
     congruence_pipeline(example_5_4_operator(0.1), p=3.0, tol=0.4)  # first-use imports
     T = example_5_4_operator(0.01)
     live_at_checks = []
@@ -604,8 +605,25 @@ def test_congruence_pipeline_peak_memory(monkeypatch):
         return (size - live) / (8 * T.target.n_cells)
 
     assert report.congruent and report.source_regular and report.target_regular
-    assert n_floats(peak) <= 20
+    assert n_floats(peak) <= 13
     assert n_floats(live_at_checks[0]) <= 8
+
+
+def test_rigid_fit_report_holds_motions_and_scalars_only():
+    # what the report keeps alive, in n-float arrays (n = 20,000 cells); a
+    # report that kept the |grad xi_0| samples held 1.02
+    T = example_5_4_operator(0.01)
+    rec = reconstruct(T, p=3.0)
+    rigid_motion_fit(rec)  # builds the domain's cached neighbour and component rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit = rigid_motion_fit(rec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert fit.rigid and len(fit.motions) == 2
+    assert held / (8 * T.target.n_cells) < 0.1
 
 
 class TestPreimage:
