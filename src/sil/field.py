@@ -395,9 +395,9 @@ def _interpolate(domain: GridDomain, columns: np.ndarray,
             for d, c in enumerate(corner):
                 w *= frac[:, d] if c else 1.0 - frac[:, d]
             rows = domain.rows_of_indices(idx)
-            ok = rows >= 0
-            acc[ok] += w[ok, None] * columns[rows[ok]]
-            wsum[ok] += w[ok]
+            w[rows < 0] = 0.0  # an absent corner reads the (finite) last row at weight 0
+            acc += w[:, None] * columns[rows]
+            wsum += w
         hit = covered[blk] = wsum > 0  # points without a hit stay exactly 0
         acc[hit] /= wsum[hit, None]
     return out, covered

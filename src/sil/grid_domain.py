@@ -614,8 +614,8 @@ def _builtin_domain(name: str, h: float | None) -> GridDomain:
     _json_value(h, "a finite number or null", "h")
     m = _FAT_CANTOR_RE.match(name)
     if m:
-        return make_fat_cantor_complement(float(m.group(1)), h if h else 1e-4)
+        return make_fat_cantor_complement(float(m.group(1)), 1e-4 if h is None else h)
     if name in _DOMAIN_BUILTINS:
         factory = _DOMAIN_BUILTINS[name]
-        return factory(h) if h else factory()
+        return factory() if h is None else factory(h)
     raise ValueError(f"unknown builtin domain {name!r}")

@@ -47,8 +47,8 @@ _RIGID_ORTHO_TOL = 0.1  # orthogonality defect up to which a fit counts as rigid
 
 _BUILTIN_OPERATORS: dict[str, Callable] = {  # JSON builtin name -> factory(h, target)
     "identity": lambda h, target: identity_operator(target),
-    "example_4_8": lambda h, target: example_4_8_operator(h) if h else example_4_8_operator(),
-    "example_5_4": lambda h, target: example_5_4_operator(h) if h else example_5_4_operator(),
+    "example_4_8": lambda h, _: example_4_8_operator() if h is None else example_4_8_operator(h),
+    "example_5_4": lambda h, _: example_5_4_operator() if h is None else example_5_4_operator(h),
 }
 
 
@@ -256,9 +256,9 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
     elif omega2 is None or source is None:
         raise ValueError("black-box reconstruction needs omega2 and source domains")
 
-    def image(j, sg):  # formed from the nodal data, or sent through the black box
+    def image(j, sg):  # formed exactly at the nodes, or sent through the black box
         if isinstance(op, OperatorSpec):
-            return op.g_values * np.exp(sg * alpha * op.xi_values[:, j])
+            return apply_to_function(op, lambda x: np.exp(sg * alpha * x[:, j])).values
         img = op(exponential_probe(source, j, sg, p))
         if img.domain != omega2:
             raise ValueError("operator image does not live on omega2")
@@ -306,31 +306,31 @@ class RigidFitReport:
         return out
 
 
-def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
-    """Affine least squares plus polar projection, one motion per component.
+def _component_motion(rec: ReconstructionResult, rows: np.ndarray) -> RigidMotion:
+    """The rigid motion nearest, in least squares, to the map on a component's usable cells."""
+    rows = rows[~rec.zero_mask[rows]]
+    X, Y = rec.g_hat.domain.centers[rows], rec.xi_hat.values[rows]
+    if rows.size < X.shape[1] + 1:
+        raise ValueError(f"component with {rows.size} usable cells is too small to fit a motion")
+    xm, ym = X.mean(axis=0), Y.mean(axis=0)
+    U, _, Vt = np.linalg.svd((Y - ym).T @ (X - xm))  # the d x d cross-covariance
+    Q = U @ Vt
+    sign = 1 if float(rec.g_hat.values[rows].mean()) >= 0.0 else -1
+    return RigidMotion(Q, ym - Q @ xm, sign)
 
-    The polar factor of the fitted linear part is the orthogonal matrix
-    nearest in Frobenius norm.  Defects are evaluated by finite differences
-    away from the reconstruction zero set; ``rigid`` records whether the
-    Jacobian orthogonality defect stays within ``_RIGID_ORTHO_TOL``.
+
+def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
+    """Orthogonal Procrustes (Kabsch, Umeyama), one motion per component.
+
+    Each ``Q`` is U V^T from the SVD of the component's centred cross-covariance,
+    with no determinant correction, as reflections are isometries too.  Defects are
+    finite differences away from the reconstruction zero set; ``rigid`` records
+    whether the Jacobian orthogonality defect stays within ``_RIGID_ORTHO_TOL``.
     """
     omega2 = rec.g_hat.domain
     dim = omega2.dim
     xi = rec.xi_hat.values
-    valid = ~rec.zero_mask
-    motions = []
-    for rows in omega2.component_rows:
-        rows = rows[valid[rows]]
-        if rows.size < dim + 1:
-            raise ValueError(
-                f"component with {rows.size} usable cells is too small to fit a motion")
-        X, Y = omega2.centers[rows], xi[rows]
-        xm, ym = X.mean(axis=0), Y.mean(axis=0)
-        coef, *_ = np.linalg.lstsq(X - xm, Y - ym, rcond=None)
-        U, _, Vt = np.linalg.svd(coef.T)
-        Q = U @ Vt
-        sign = 1 if float(rec.g_hat.values[rows].mean()) >= 0.0 else -1
-        motions.append(RigidMotion(Q, ym - Q @ xm, sign))
+    motions = [_component_motion(rec, rows) for rows in omega2.component_rows]
 
     # gradient stencils reach two cells, so keep that much distance from the
     # zero set; prefer cells clear of the boundary layer, where one-sided
@@ -355,7 +355,7 @@ def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
             ortho_max.append(np.abs(jtj - np.eye(dim)).max(axis=(1, 2))[ok].max())
             grad_g_max.append(np.linalg.norm(gradient_rows(rec.g_hat, blk), axis=1)[ok].max())
     ortho = _worst(ortho_max)
-    weight = float(np.abs(np.abs(rec.g_hat.values[valid]) - 1.0).max())
+    weight = float(np.abs(np.abs(rec.g_hat.values[~rec.zero_mask]) - 1.0).max())
     return RigidFitReport(tuple(motions), ortho, _worst(grad_g_max), weight,
                           rigid=ortho <= _RIGID_ORTHO_TOL,
                           c_range=(float(np.min(c_min)), _worst(c_max)))

@@ -77,6 +77,10 @@ class SuiteConfig:
             raise ValueError("h must be positive")
         if self.tol is not None and not (0 < self.tol < np.inf):
             raise ValueError("tol must lie in (0, inf)")
+        if self.suite != "congruence" and (self.tol is not None or self.spec_path is not None):
+            raise ValueError("tol and spec apply only to the congruence suite")
+        if self.h is not None and self.spec_path is not None:
+            raise ValueError("h cannot be given with a spec, which sets the grid")
 
 
 def _check(name: str, claim: str, defect: float, tol: float, **extra) -> dict:

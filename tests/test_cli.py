@@ -288,6 +288,36 @@ class TestInputErrorsExit2:
         code = main(["verify", "--suite", "congruence", "--spec", op, "--tol", tol])
         self._assert_input_error(code, capsys, "tol must lie in (0, inf)")
 
+    @pytest.mark.parametrize("argv, needle", [
+        pytest.param(["reconstruction", "--tol", "1e-30", "--spec", "missing.json"],
+                     "tol and spec apply only to the congruence suite", id="tol-and-spec"),
+        pytest.param(["clarkson", "--spec", "missing.json"],
+                     "tol and spec apply only to the congruence suite", id="spec"),
+        pytest.param(["examples", "--tol", "0.1"],
+                     "tol and spec apply only to the congruence suite", id="tol"),
+        pytest.param(["congruence", "--h", "0.02", "--spec", "missing.json"],
+                     "h cannot be given with a spec", id="h-with-spec"),
+    ])
+    def test_verify_flag_the_suite_ignores(self, monkeypatch, capsys, argv, needle):
+        # each once ran without the flag, and the report's config recorded it as applied
+        ran = []
+        monkeypatch.setattr(sil.cli, "run_suite", lambda cfg: ran.append(cfg) or [])
+        code = main(["verify", "--suite", *argv])
+        self._assert_input_error(code, capsys, needle)
+        assert ran == []
+
+    @pytest.mark.parametrize("kind, payload", [
+        pytest.param("operator", {"builtin": "example_5_4", "h": 0}, id="operator"),
+        pytest.param("domain", {"builtin": "example_5_4_omega2", "h": 0}, id="domain"),
+        pytest.param("domain", {"builtin": "fat_cantor(0.5)", "h": 0}, id="fat-cantor"),
+    ])
+    def test_zero_cell_width_in_a_builtin_spec(self, tmp_path, capsys, kind, payload):
+        # "h": 0 once meant the default cell width: every check passed, exit 0
+        spec = write_json(tmp_path / "spec.json", payload)
+        argv = (["verify", "--suite", "congruence", "--spec", spec] if kind == "operator"
+                else ["congruence", "--domain1", spec, "--domain2", spec])
+        self._assert_input_error(main(argv), capsys, "cell width must be positive, got 0")
+
     @pytest.mark.parametrize("edit, needle", [
         pytest.param(lambda b: b[:3] + ["1.5,1,0.75,0.75,1.0"], "'1.5' to int64",
                      id="non-integer-index"),

@@ -172,7 +172,7 @@ class TestLattice:
         v = bump(square, (0.55, 0.5), 0.2)
         assert abs(u).minimum(abs(v)).values.max() > 0.0
 
-    def test_min_max_abs(self, square):
+    def test_abs_is_nonnegative(self, square):
         rng = np.random.default_rng(2)
         u = random_smooth_field(square, rng)
         assert np.all(abs(u).values >= 0.0)

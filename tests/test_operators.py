@@ -302,6 +302,20 @@ class TestRigidMotionFit:
         assert np.abs(shifts[1] - np.array([0.0, -1.0])).max() <= 2 * h
         assert all(m.sign == 1 for m in fit.motions)
 
+    def test_affine_non_rigid_map(self):
+        # xi(x) = A x + 0.05 is affine, so the central differences are exact up to
+        # roundoff: the defects are A's, whatever motion the fit picks
+        A = np.array([[1.1, 0.2], [-0.1, 0.9]])
+        target = make_box((0.0, 0.0), (0.6, 0.3), 0.01)
+        source = make_box((0.0, -0.2), (1.0, 0.5), 0.01)
+        T = OperatorSpec(source, target, np.ones(target.n_cells), target.centers @ A.T + 0.05)
+        fit = rigid_motion_fit(reconstruct(T, p=2.0))
+        assert not fit.rigid
+        assert fit.orthogonality_defect == pytest.approx(
+            np.abs(A.T @ A - np.eye(2)).max(), abs=1e-9)
+        assert fit.c_range == pytest.approx((math.hypot(1.1, 0.2),) * 2, abs=1e-9)
+        assert congruence_pipeline(T, 2.0, 0.04).reason == "non-rigid xi"
+
     def test_tiny_component_rejected(self):
         domain = make_box(0.0, 0.25, 0.3)  # a single cell
         T = identity_operator(domain)
@@ -545,7 +559,7 @@ def test_defect_sets_build_the_eager_domains_lazily(name):
         assert ds.n1_measure == T.source.measure - u1.measure
 
 
-def test_empty_image_raises_as_the_empty_u1_did(monkeypatch):
+def test_empty_image_raises_as_an_empty_domain(monkeypatch):
     domain = make_box((0.0, 0.0), (1.0, 1.0), 0.1)
     rec = reconstruct(identity_operator(domain), p=2.0)
     monkeypatch.setattr(operators, "_supersampled_image",
@@ -624,6 +638,26 @@ def test_rigid_fit_report_holds_motions_and_scalars_only():
         tracemalloc.stop()
     assert fit.rigid and len(fit.motions) == 2
     assert held / (8 * T.target.n_cells) < 0.1
+
+
+def test_rigid_fit_peak_memory():
+    # in n-float arrays above the live reconstruction (n = 40,000 cells, one
+    # component, 16,384-row blocks): a fit that kept its last component's
+    # copies alive through the Jacobian pass peaked at 12.42
+    T = rigid_operator(make_box((0.0, 0.0), (1.0, 1.0), 0.005),
+                       RigidMotion.rotation(0.7, b=(0.1, 0.2), sign=-1))
+    rec = reconstruct(T, p=2.0)
+    rigid_motion_fit(rec)  # builds the domain's cached neighbour and component rows
+    with _blocks_of(16_384):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            fit = rigid_motion_fit(rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert fit.rigid and fit.motions[0].sign == -1
+    assert (peak - live) / (8 * T.target.n_cells) <= 10
 
 
 class TestPreimage:
