@@ -258,7 +258,12 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
 
     def image(j, sg):  # formed exactly at the nodes, or sent through the black box
         if isinstance(op, OperatorSpec):
-            return apply_to_function(op, lambda x: np.exp(sg * alpha * x[:, j])).values
+            try:  # the Field formed rejects the image where the weight times the probe overflowed
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return apply_to_function(op, lambda x: np.exp(sg * alpha * x[:, j])).values
+            except ValueError:
+                raise ValueError(f"the probe image along axis {j}, the weight times "
+                                 f"exp({sg:+d} * {alpha:.6g} xi_{j}), overflows") from None
         img = op(exponential_probe(source, j, sg, p))
         if img.domain != omega2:
             raise ValueError("operator image does not live on omega2")
@@ -270,7 +275,12 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
     xi = np.zeros((n, omega2.dim))
     for j in range(omega2.dim):  # one axis's pair of probe images alive at a time
         vp, vm = image(j, 1), image(j, -1)
-        prod = vp * vm
+        with np.errstate(over="ignore"):  # the images are finite, so only overflow is left
+            prod = vp * vm
+        if not np.isfinite(prod).all():
+            node = tuple(map(float, omega2.centers[np.argmin(np.isfinite(prod))]))
+            raise ValueError(f"the product of the probe images along axis {j}, the squared "
+                             f"weight, overflows at the target node {node}")
         ok = prod > 0.0
         zero |= ~ok
         g_j = np.zeros(n)
@@ -415,27 +425,30 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Outcome of reconstruct -> rigid fit -> defect sets -> tiling check."""
+    """Outcome of reconstruct -> rigid fit -> defect sets -> tiling check.
 
-    congruent: bool
-    reason: str
+    The verdict ``reason`` is the first gate whose value is not ``<= tol``, so a
+    NaN value or tolerance fails it.  The regularity pair is the paper's
+    hypothesis: reported, not gated.
+    """
+
     tol: float
     # per target component, in component order: its (lo, hi) box, that box's image, the motion
     pairing: tuple[tuple[tuple, tuple, RigidMotion], ...]
-    orthogonality_defect: float
-    grad_g_defect: float
-    weight_defect: float
-    n2_cells: int
-    n1_measure: float
-    tiling_defect: float
+    gates: tuple[tuple[str, float], ...]  # (reason, value), in the order the verdict reads them
     source_regular: bool
     target_regular: bool
     motions = property(lambda self: tuple(motion for _, _, motion in self.pairing))
+    reason = property(lambda self: next(
+        (name for name, value in self.gates if not value <= self.tol), "congruent"))
+    congruent = property(lambda self: self.reason == "congruent")
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {"congruent": self.congruent, "reason": self.reason,
+               **{f.name: getattr(self, f.name) for f in fields(self)}}
         out["pairing"] = [{"component_box": box, "image_box": image,
                            "motion": motion.to_json_dict()} for box, image, motion in self.pairing]
+        out["gates"] = dict(self.gates)
         return out
 
 
@@ -474,32 +487,15 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     missing = float(np.count_nonzero(coverage == 0)) * cell1
     overlap = float(np.count_nonzero(coverage >= 2)) * cell1
     escaped = escaped_pts * cell2 / 3**T.target.dim
-    tiling = missing + overlap + escaped
-    n2_measure = ds.n2_cells * cell2
-
-    gates = [
+    gates = (
         ("non-rigid xi", fit.orthogonality_defect),
         ("non-constant weight", fit.grad_g_defect),
         ("weight magnitude differs from 1", fit.weight_defect),
-        ("target cells map outside the source", n2_measure),
+        ("target cells map outside the source", ds.n2_cells * cell2),
         ("source not covered by the image", ds.n1_measure),
-        ("component images do not tile the source", tiling),
-    ]
-    reason = next((name for name, value in gates if value > tol), "congruent")
-    return PipelineReport(
-        congruent=reason == "congruent",
-        reason=reason,
-        tol=tol,
-        pairing=tuple(pairing),
-        orthogonality_defect=fit.orthogonality_defect,
-        grad_g_defect=fit.grad_g_defect,
-        weight_defect=fit.weight_defect,
-        n2_cells=ds.n2_cells,
-        n1_measure=ds.n1_measure,
-        tiling_defect=tiling,
-        source_regular=regular[0],
-        target_regular=regular[1],
+        ("component images do not tile the source", missing + overlap + escaped),
     )
+    return PipelineReport(tol, tuple(pairing), gates, *regular)
 
 
 def preimage_field(T: OperatorSpec, phi: Field,

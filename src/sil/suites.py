@@ -242,8 +242,8 @@ def operator_defect_report(T: OperatorSpec, p: float, rng: np.random.Generator
 
 def _closed_form_error(rec: ReconstructionResult, T: OperatorSpec) -> float:
     """Sup error of a probe-reconstructed (g, xi) against the operator's exact nodal values."""
-    return max(float(np.abs(rec.g_hat.values - T.g_values).max()),
-               float(np.abs(rec.xi_hat.values - T.xi_values).max()))
+    return _worst([np.abs(rec.g_hat.values - T.g_values).max(),
+                   np.abs(rec.xi_hat.values - T.xi_values).max()])
 
 
 # -- suites -------------------------------------------------------------------
@@ -456,20 +456,20 @@ def suite_congruence(cfg: SuiteConfig) -> list[dict]:
         T = example_5_4_operator(cfg.h or 0.01)
     tol = cfg.tol or 4.0 * T.target.h
     report = congruence_pipeline(T, p=p, tol=tol)
-    checks = [
+    gates = dict(report.gates)
+    return [
         _check("pipeline_verdict", "domains-congruent-via-components",
                0.0 if report.congruent else 1.0, 0.0,
                reason=report.reason,
                pairing=report.to_json_dict()["pairing"],
                n_components=len(report.motions)),
         _check("image_defect_measure", "no-mass-maps-outside-source",
-               report.n2_cells * T.target.h**T.target.dim, tol),
+               gates["target cells map outside the source"], tol),
         _check("uncovered_source_measure", "image-dense-in-source",
-               report.n1_measure, tol),
+               gates["source not covered by the image"], tol),
         _check("component_images_tile_source", "components-pair-off",
-               report.tiling_defect, tol),
+               gates["component images do not tile the source"], tol),
     ]
-    return checks
 
 
 _SUITES = {

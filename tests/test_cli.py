@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -214,6 +215,14 @@ class TestCongruenceCommand:
         assert main(["congruence", "--domain1", square_spec,
                      "--domain2", str(tmp_path / "nope.json")]) == 2
 
+    def test_nan_gate_fails_the_congruence_suite(self, monkeypatch, capsys):
+        # a NaN gate fails the verdict check, so the suite exits 1, not 0
+        fit = sil.operators.rigid_motion_fit
+        monkeypatch.setattr(sil.operators, "rigid_motion_fit", lambda rec: dataclasses.replace(
+            fit(rec), orthogonality_defect=math.nan))
+        assert main(["verify", "--suite", "congruence", "--h", "0.05"]) == 1
+        assert "FAIL pipeline_verdict" in capsys.readouterr().out
+
 
 class TestInputErrorsExit2:
     """Bad input exits 2 with a message, never 1 (a verdict) or a traceback."""
@@ -351,6 +360,15 @@ class TestInputErrorsExit2:
         err = capsys.readouterr().err
         assert "xi.csv: could not convert string 'abc' to float64" in err
         assert "g.csv" not in err
+
+    def test_overflowing_tabulated_weight(self, tmp_path, capsys):
+        # the probe product g^2 overflows; the message names the probe axis and the
+        # weight, not numpy's multiply
+        code = _reconstruct_2x2_tabulated(tmp_path, lambda b: b[:3] + ["1,1,0.75,0.75,1e200"])
+        err = capsys.readouterr().err
+        assert code == 2 and "overflow encountered" not in err and "Traceback" not in err
+        assert err == ("reconstruct error: the product of the probe images along axis 0, "
+                       "the squared weight, overflows at the target node (0.75, 0.75)\n")
 
     def test_tabulated_csv_rows_in_any_order(self, tmp_path):
         assert _reconstruct_2x2_tabulated(tmp_path, lambda b: b[::-1]) == 0

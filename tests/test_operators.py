@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import functools
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,6 +248,12 @@ class TestReconstruct:
         rec = reconstruct(two_block, p=3.0)
         assert rec.axis_deviation <= 1e-8
 
+    def test_overflowing_probe_image_named(self):
+        # exp(1000) overflows: the error names the probe, not numpy's exp
+        far = make_box((1000.0, 1000.0), (1001.0, 1001.0), 0.1)
+        with pytest.raises(ValueError, match=r"probe image along axis 0, the weight times exp"):
+            reconstruct(identity_operator(far), p=2.0)
+
     def test_vanishing_operator_rejected(self):
         domain = make_box(0.0, 1.0, 0.05)
         dead = lambda u: Field.constant(domain, 0.0)
@@ -370,8 +378,9 @@ class TestCongruencePipeline:
         report = congruence_pipeline(two_block, p=3.0, tol=4 * h)
         assert report.congruent
         assert len(report.motions) == 2
-        assert report.n2_cells == 0
-        assert report.n1_measure <= 2 * h
+        gates = dict(report.gates)
+        assert gates["target cells map outside the source"] == 0.0
+        assert gates["source not covered by the image"] <= 2 * h
         # pairing: lower block translates up, upper block translates down
         assert np.abs(report.motions[0].b - [0.0, 1.0]).max() <= 2 * h
         assert np.abs(report.motions[1].b - [0.0, -1.0]).max() <= 2 * h
@@ -389,12 +398,41 @@ class TestCongruencePipeline:
         report = congruence_pipeline(two_block, p=3.0, tol=0.04)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert list(payload) == [
-            "congruent", "reason", "tol", "pairing", "orthogonality_defect", "grad_g_defect",
-            "weight_defect", "n2_cells", "n1_measure", "tiling_defect", "source_regular",
-            "target_regular"]
+            "congruent", "reason", "tol", "pairing", "gates", "source_regular", "target_regular"]
+        assert payload["gates"] == dict(report.gates)
+        assert list(payload["gates"]) == [
+            "non-rigid xi", "non-constant weight", "weight magnitude differs from 1",
+            "target cells map outside the source", "source not covered by the image",
+            "component images do not tile the source"]
         assert len(payload["pairing"]) == 2
         for pair in payload["pairing"]:
             assert list(pair) == ["component_box", "image_box", "motion"]
+
+    @pytest.mark.parametrize("gate, stage, field", [
+        ("non-rigid xi", "rigid_motion_fit", "orthogonality_defect"),
+        ("non-constant weight", "rigid_motion_fit", "grad_g_defect"),
+        ("weight magnitude differs from 1", "rigid_motion_fit", "weight_defect"),
+        ("target cells map outside the source", "defect_sets", "n2_cells"),
+        ("source not covered by the image", "defect_sets", "n1_measure"),
+        # the tiling gate counts the subsamples each component's image sends outside
+        ("component images do not tile the source", "_supersampled_image", None),
+    ], ids=["orthogonality", "grad_g", "weight", "n2", "n1", "tiling"])
+    def test_nan_gate_fails_the_verdict(self, monkeypatch, gate, stage, field):
+        # "value > tol" is False for NaN too; the verdict must fail on it
+        real = getattr(operators, stage)
+        if field is None:
+            monkeypatch.setattr(operators, stage, lambda *a: (real(*a)[0], math.nan))
+        else:
+            monkeypatch.setattr(operators, stage,
+                                lambda *a: dataclasses.replace(real(*a), **{field: math.nan}))
+        T = example_5_4_operator(0.05)
+        report = congruence_pipeline(T, p=3.0, tol=4 * T.target.h)
+        assert math.isnan(dict(report.gates)[gate])
+        assert not report.congruent and report.reason == gate
+
+    def test_nan_tolerance_fails_the_verdict(self):
+        report = congruence_pipeline(example_5_4_operator(0.05), p=3.0, tol=math.nan)
+        assert not report.congruent and report.reason == "non-rigid xi"
 
     @pytest.mark.parametrize("rigid", [False, True], ids=["builtin", "per_component_rigid"])
     def test_target_labelled_once(self, monkeypatch, rigid):
@@ -429,6 +467,61 @@ class TestCongruencePipeline:
             mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
             blocked = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
         assert blocked == whole
+
+
+@st.composite
+def _lattice_block_cases(draw):
+    """1-3 disjoint grid blocks (intervals in 1D), each sent into the source by a
+    lattice symmetry, a whole-cell shift and a random sign; the source is the
+    union of the images.  Also a k^dim patch of cells strictly inside one image."""
+    dim = draw(st.sampled_from([1, 2]))
+    h = 0.05
+    blocks, images, motions = [], [], []
+    for m in range(draw(st.integers(1, 3))):  # ten cells apart on axis 0: disjoint
+        size = np.array([draw(st.integers(3, 6)) for _ in range(dim)])
+        lo = np.array([10 * m] + [0] * (dim - 1))
+        cells = grid_domain.box_cells(lo, lo + size - 1)
+        signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(dim)])
+        Q = np.eye(dim)[list(draw(st.permutations(range(dim))))] * signs[:, None]
+        # move the rotated block's lowest cell onto the image's lowest cell
+        image_lo = np.array([10 * m + draw(st.integers(-2, 2))]
+                            + [draw(st.integers(-5, 5)) for _ in range(dim - 1)])
+        rotated_lo = (Q @ (cells + 0.5).T).T.min(axis=0) - 0.5
+        motion = RigidMotion(Q, h * (image_lo - rotated_lo), draw(st.sampled_from([-1, 1])))
+        blocks.append(cells)
+        images.append(np.floor(motion.transform(h * (cells + 0.5)) / h).astype(np.int64))
+        motions.append(motion)
+    target = GridDomain(dim, h, (0.0,) * dim, np.concatenate(blocks))
+    source = GridDomain(dim, h, (0.0,) * dim, np.concatenate(images))
+    image = images[draw(st.integers(0, len(images) - 1))]
+    lo, hi = image.min(axis=0), image.max(axis=0)
+    k = draw(st.integers(1, int((hi - lo).min()) - 1))
+    corner = np.array([draw(st.integers(a + 1, b - k)) for a, b in zip(lo, hi)])
+    hole = grid_domain.box_cells(corner, corner + k - 1)
+    return source, target, motions, hole, draw(st.sampled_from([2.0, 3.0]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_lattice_block_cases())
+def test_lattice_blocks_are_congruent_until_a_hole_is_cut(case):
+    source, target, motions, hole, p = case
+    components = range(len(motions))  # numbered in the order of their smallest cell
+    h, dim = target.h, target.dim
+    tol = h**dim / 2  # above the fit's roundoff, below one cell's measure
+    measures = ("target cells map outside the source", "source not covered by the image",
+                "component images do not tile the source")
+    report = congruence_pipeline(
+        piecewise_rigid_operator(source, target, motions, components), p=p, tol=tol)
+    gates = dict(report.gates)
+    assert report.congruent
+    assert [gates[name] for name in measures] == [0.0, 0.0, 0.0]
+    keep = np.ones(source.n_cells, dtype=bool)
+    keep[source.rows_of_indices(hole)] = False
+    holed = source.subset(keep)
+    report = congruence_pipeline(
+        piecewise_rigid_operator(holed, target, motions, components), p=p, tol=tol)
+    assert dict(report.gates)["target cells map outside the source"] == len(hole) * h**dim
+    assert report.reason == "target cells map outside the source"
 
 
 def _reference_offsets(h, dim):
@@ -543,7 +636,7 @@ _BLOCK_SIZES = (grid_domain._BLOCK, 150)
 
 
 @pytest.mark.parametrize("name", sorted(_STAGE_CASES))
-def test_defect_sets_build_the_eager_domains_lazily(name):
+def test_defect_sets_match_the_eager_reference(name):
     T, rec = _stage_case(name)
     # the matched parts as defect_sets first built them, eagerly and unblocked:
     # the target cells mapped inside the source, and their image u1
@@ -830,6 +923,14 @@ class TestOperatorJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             operator_from_spec({"mystery": 1})
+
+
+def test_closed_form_error_keeps_a_nan():
+    # the builtin max(0.0, nan) is 0.0; the NaN must not read as no error
+    rec = SimpleNamespace(g_hat=SimpleNamespace(values=np.ones(2)),
+                          xi_hat=SimpleNamespace(values=np.array([[0.5], [math.nan]])))
+    T = SimpleNamespace(g_values=np.ones(2), xi_values=np.array([[0.5], [0.25]]))
+    assert math.isnan(suites._closed_form_error(rec, T))
 
 
 class TestDefectReport:
