@@ -25,8 +25,9 @@ def _load_json(path):
 
 
 def _write_report(path: str, payload: dict) -> None:
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN is not JSON
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(strict, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

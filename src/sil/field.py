@@ -43,10 +43,11 @@ class Field:
 
     @staticmethod
     def from_function(domain: GridDomain, fn: Callable[[np.ndarray], np.ndarray]) -> "Field":
-        """Sample ``fn`` at the cell centers; ``fn`` maps (n, dim) -> (n,)."""
-        vals = np.broadcast_to(np.asarray(fn(domain.centers), dtype=float),
-                               (domain.n_cells,))
-        return Field(domain, vals.copy())
+        """Sample a row-wise ``fn``, (b, dim) -> (b,), at the cell centers a block at a time."""
+        vals = np.empty(domain.n_cells)
+        for blk in row_blocks(domain.n_cells):
+            vals[blk] = fn(domain.centers[blk])
+        return Field(domain, vals)
 
     @staticmethod
     def constant(domain: GridDomain, value: float) -> "Field":
@@ -157,23 +158,18 @@ def gradient_rows(u: Field, blk: slice) -> np.ndarray:
         central = has_p & has_m
         g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
 
-        # the second neighbor along an axis is the first neighbor's neighbor;
+        # one-sided stencils forward (s = 1) and backward (s = -1), with negated coefficients
+        # so that an exact +0.0 stays +0.0; the second neighbor is the first one's neighbor,
         # r counts rows within the block, a is a row of the whole domain
-        fwd = np.flatnonzero(has_p & ~has_m)
-        p1 = plus[fwd]
-        two = plus_all[p1] >= 0
-        r, a = fwd[two], p1[two]
-        g[r] = (-3.0 * vb[r] + 4.0 * v[a] - v[plus_all[a]]) / (2.0 * h)
-        r, a = fwd[~two], p1[~two]
-        g[r] = (v[a] - vb[r]) / h
-
-        bwd = np.flatnonzero(has_m & ~has_p)
-        m1 = minus[bwd]
-        two = minus_all[m1] >= 0
-        r, a = bwd[two], m1[two]
-        g[r] = (3.0 * vb[r] - 4.0 * v[a] + v[minus_all[a]]) / (2.0 * h)
-        r, a = bwd[~two], m1[~two]
-        g[r] = (vb[r] - v[a]) / h
+        for s, near, near_all, one_sided in ((1.0, plus, plus_all, has_p & ~has_m),
+                                             (-1.0, minus, minus_all, has_m & ~has_p)):
+            side = np.flatnonzero(one_sided)
+            n1 = near[side]
+            two = near_all[n1] >= 0
+            r, a = side[two], n1[two]
+            g[r] = (-3.0 * s * vb[r] + 4.0 * s * v[a] - s * v[near_all[a]]) / (2.0 * h)
+            r, a = side[~two], n1[~two]
+            g[r] = (s * v[a] - s * vb[r]) / h
     return out
 
 
@@ -260,7 +256,7 @@ def exponential_probe(domain: GridDomain, axis: int, sign: int, p: float) -> Fie
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     alpha = probe_rate(p)
-    return Field(domain, np.exp(sign * alpha * domain.centers[:, axis]))
+    return Field.from_function(domain, lambda x: np.exp(sign * alpha * x[:, axis]))
 
 
 def probe_rate(p: float) -> float:
@@ -286,11 +282,12 @@ def bump(domain: GridDomain, center, radius: float) -> Field:
     if not ball_fits(domain, center, radius):
         raise ValueError("bump support is not contained in the domain")
     center = np.asarray(center, dtype=float).reshape(domain.dim)
-    vals = np.empty(domain.n_cells)
-    for blk in row_blocks(domain.n_cells):
-        r2 = np.sum((domain.centers[blk] - center) ** 2, axis=1) / radius**2
-        vals[blk] = np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
-    return Field(domain, vals)
+
+    def quartic(x):
+        r2 = np.sum((x - center) ** 2, axis=1) / radius**2
+        return np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
+
+    return Field.from_function(domain, quartic)
 
 
 def hat(domain: GridDomain, center, halfwidth) -> Field:
@@ -303,11 +300,8 @@ def hat(domain: GridDomain, center, halfwidth) -> Field:
     w = np.broadcast_to(np.asarray(halfwidth, dtype=float), (domain.dim,))
     if not (w > 0).all():
         raise ValueError("halfwidth must be positive")
-    vals = np.empty(domain.n_cells)
-    for blk in row_blocks(domain.n_cells):
-        factors = np.clip(1.0 - np.abs(domain.centers[blk] - center) / w, 0.0, None)
-        vals[blk] = np.prod(factors, axis=1)
-    return Field(domain, vals)
+    return Field.from_function(domain, lambda x: np.prod(
+        np.clip(1.0 - np.abs(x - center) / w, 0.0, None), axis=1))
 
 
 def random_smooth_field(domain: GridDomain, rng: np.random.Generator,

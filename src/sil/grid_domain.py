@@ -579,6 +579,8 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
     if not isinstance(spec, dict):
         raise ValueError(f"domain spec must be a string or an object, got {type(spec).__name__}")
     if "builtin" in spec:
+        if mixed := [key for key in ("boxes", "subtract") if key in spec]:
+            raise ValueError(f"a domain spec names one form: 'builtin' cannot go with {mixed}")
         return _builtin_domain(spec["builtin"], spec.get("h", default_h))
     h = float(_json_value(spec.get("h"), "a finite number", "h"))
     boxes = [_spec_box(b) for b in _json_value(spec.get("boxes"), "an array", "boxes")]

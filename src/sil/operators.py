@@ -45,10 +45,14 @@ _RIGID_ORTHO_TOL = 0.1  # orthogonality defect up to which a fit counts as rigid
 # -- operator descriptions ----------------------------------------------------
 
 
-_BUILTIN_OPERATORS: dict[str, Callable] = {  # JSON builtin name -> factory(h, target)
-    "identity": lambda h, target: identity_operator(target),
-    "example_4_8": lambda h, _: example_4_8_operator() if h is None else example_4_8_operator(h),
-    "example_5_4": lambda h, _: example_5_4_operator() if h is None else example_5_4_operator(h),
+# JSON builtin name -> the (source, target) builtin domains it acts between, and its
+# closed form y -> (g, xi) at the target centres; the identity acts on any one domain
+_BUILTIN_OPERATORS: dict[str, tuple[tuple, Callable]] = {
+    "identity": ((None, None), lambda y: (np.ones(y.shape[0]), y)),
+    "example_4_8": (("example_4_8_omega1", "example_4_8_omega2"), lambda y: (
+        np.sqrt(np.sinh(2.0 * y[:, 0])), (-np.arctanh(np.exp(-2.0 * y[:, 0])))[:, None])),
+    "example_5_4": (("example_5_4_omega1", "example_5_4_omega2"),
+                    lambda y: (np.ones(y.shape[0]), y - np.sign(y) * (0.0, 1.0))),
 }
 
 
@@ -84,24 +88,22 @@ class OperatorSpec:
             object.__setattr__(self, name, values)
 
 
+def _closed_form(name: str, source: GridDomain, target: GridDomain) -> OperatorSpec:
+    return OperatorSpec(source, target, *_BUILTIN_OPERATORS[name][1](target.centers))
+
+
 def identity_operator(domain: GridDomain) -> OperatorSpec:
-    return OperatorSpec(domain, domain, np.ones(domain.n_cells), domain.centers)
+    return _closed_form("identity", domain, domain)
 
 
 def example_4_8_operator(h: float = 1e-3) -> OperatorSpec:
     """Hyperbolic-weight interval operator; intertwines the form but is not isometric."""
-    source, target = _gd.example_4_8_omega1(h), _gd.example_4_8_omega2(h)
-    y = target.centers[:, 0]
-    return OperatorSpec(source, target, np.sqrt(np.sinh(2.0 * y)),
-                        (-np.arctanh(np.exp(-2.0 * y)))[:, None])
+    return _closed_form("example_4_8", _gd.example_4_8_omega1(h), _gd.example_4_8_omega2(h))
 
 
 def example_5_4_operator(h: float = 0.01) -> OperatorSpec:
     """Two-block translation operator; an isometric lattice homomorphism."""
-    source, target = _gd.example_5_4_omega1(h), _gd.example_5_4_omega2(h)
-    xi = target.centers.copy()
-    xi[:, 1] -= np.sign(xi[:, 1])
-    return OperatorSpec(source, target, np.ones(target.n_cells), xi)
+    return _closed_form("example_5_4", _gd.example_5_4_omega1(h), _gd.example_5_4_omega2(h))
 
 
 def piecewise_rigid_operator(source: GridDomain, target: GridDomain,
@@ -553,31 +555,35 @@ class DefectReport:
 
 def operator_from_spec(spec: dict, target: GridDomain | None = None,
                        base_dir=None) -> OperatorSpec:
-    """Build an operator from its JSON description.
-
-    Supported forms: ``{"builtin": name}`` with optional ``"h"``;
-    ``{"rigid": [{"Q": ..., "b": ..., "sign": 1, "component": 0}, ...]}``;
-    ``{"tabulated": {"g": "g.csv", "xi": "xi.csv"}}``.  Domains come from
-    embedded ``"source"``/``"target"`` specs; a given ``target`` takes the
-    place of the spec's ``"target"``.
+    """Build an operator from its JSON description, which names exactly one form:
+    ``{"builtin": name}``, ``{"rigid": [{"Q": ..., "b": ..., "sign": 1, "component": 0}]}``
+    or ``{"tabulated": {"g": "g.csv", "xi": "xi.csv"}}``.  Every form reads its domains
+    here: the target is the given ``target``, else the spec's ``"target"``, else the
+    builtin's; the source is the spec's ``"source"``, else the builtin's (the identity's
+    is its target), else the rigid image or the tabulated map's bounding box.
     """
     spec = _gd._json_value(spec, "an object", "operator spec")
+    forms = [key for key in ("builtin", "rigid", "tabulated") if key in spec]
+    if len(forms) != 1:
+        raise ValueError(f"an operator spec needs one of builtin/rigid/tabulated, got {forms}")
     h = _gd._json_value(spec.get("h"), "a finite number or null", "h")
-    if target is None and "target" in spec:
-        target = _gd.domain_from_spec(spec["target"], default_h=h)
-    source = _gd.domain_from_spec(spec["source"], default_h=h) if "source" in spec else None
-
+    named = (None, None)  # the builtin's own (source, target) domain names
     if "builtin" in spec:
         name = _gd._json_value(spec["builtin"], "a string", "builtin")
         if name not in _BUILTIN_OPERATORS:
             raise ValueError(f"unknown builtin operator {name!r}")
-        if name == "identity" and target is None:
-            raise ValueError("the identity operator needs a target domain")
-        return _BUILTIN_OPERATORS[name](h, target)
+        named = _BUILTIN_OPERATORS[name][0]
+    src, tgt = (spec[key] if key in spec else own for key, own in zip(("source", "target"), named))
+    if target is None and tgt is not None:
+        target = _gd.domain_from_spec(tgt, default_h=h)
+    if target is None:
+        raise ValueError(f"the {forms[0]!r} operator spec needs a target domain")
+    source = None if src is None else _gd.domain_from_spec(src, default_h=h)
+
+    if "builtin" in spec:
+        return _closed_form(name, target if source is None else source, target)
 
     if "rigid" in spec:
-        if target is None:
-            raise ValueError("a rigid operator spec needs a target domain")
         entries = _gd._json_value(spec["rigid"], "an array", "rigid")
         motions = tuple(RigidMotion.from_json_dict(entry) for entry in entries)
         components = tuple(_gd._json_value(entry.get("component"), "an integer or null",
@@ -588,18 +594,13 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
             raise ValueError("per-component rigid specs need an explicit source domain")
         return piecewise_rigid_operator(source, target, motions, components)
 
-    if "tabulated" in spec:
-        if target is None:
-            raise ValueError("a tabulated operator spec needs a target domain")
-        tab = _gd._json_value(spec["tabulated"], "an object", "tabulated")
-        g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab.get(k), "a string", k))
-                           for k in ("g", "xi"))
-        g = Field.from_csv(g_path, target)
-        xi = VectorField.from_csv(xi_path, target)
-        if source is None:
-            lo = xi.values.min(axis=0) - target.h
-            hi = xi.values.max(axis=0) + target.h
-            source = _gd.make_box(tuple(lo), tuple(hi), target.h)
-        return OperatorSpec(source, target, g.values, xi.values)
-
-    raise ValueError("operator spec needs one of 'builtin', 'rigid', 'tabulated'")
+    tab = _gd._json_value(spec["tabulated"], "an object", "tabulated")
+    g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab.get(k), "a string", k))
+                       for k in ("g", "xi"))
+    g = Field.from_csv(g_path, target)
+    xi = VectorField.from_csv(xi_path, target)
+    if source is None:
+        lo = xi.values.min(axis=0) - target.h
+        hi = xi.values.max(axis=0) + target.h
+        source = _gd.make_box(tuple(lo), tuple(hi), target.h)
+    return OperatorSpec(source, target, g.values, xi.values)

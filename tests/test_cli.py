@@ -88,6 +88,20 @@ class TestVerify:
         assert verdict["n_components"] == 2
         assert len(verdict["pairing"]) == 2
 
+    def test_builtin_operator_reads_the_spec_domains(self, tmp_path):
+        # the identity with the square minus a hole as source and the whole square
+        # as target once compared the square with itself: "all checks passed", exit 0
+        square = {"dim": 2, "h": 0.05, "boxes": [_UNIT_BOX]}
+        spec = write_json(tmp_path / "holed.json", {
+            "builtin": "identity", "target": square,
+            "source": {**square, "subtract": [{"lo": [0.3, 0.3], "hi": [0.8, 0.8]}]}})
+        report = tmp_path / "holed_report.json"
+        code = main(["verify", "--suite", "congruence", "--spec", spec, "--report", str(report)])
+        assert code == 1
+        by_name = {c["check"]: c for c in json.loads(report.read_text())["checks"]}
+        assert by_name["image_defect_measure"]["defect"] == pytest.approx(0.25, abs=1e-12)
+        assert by_name["image_defect_measure"]["status"] == "fail"
+
     def test_exit_code_on_config_error(self, tmp_path):
         code = main(["verify", "--suite", "congruence",
                      "--spec", str(tmp_path / "missing.json")])
@@ -223,6 +237,28 @@ class TestCongruenceCommand:
         assert main(["verify", "--suite", "congruence", "--h", "0.05"]) == 1
         assert "FAIL pipeline_verdict" in capsys.readouterr().out
 
+    def test_nan_defect_is_null_in_the_report(self, tmp_path, monkeypatch):
+        # a bare NaN token is not JSON; the report writes it as null and keeps exit 1
+        sets = sil.operators.defect_sets
+        monkeypatch.setattr(sil.operators, "defect_sets", lambda rec, omega1: dataclasses.replace(
+            sets(rec, omega1), n1_measure=math.nan))
+        report = tmp_path / "nan.json"
+        assert main(["verify", "--suite", "congruence", "--h", "0.05",
+                     "--report", str(report)]) == 1
+
+        def no_constant(token):
+            raise AssertionError(f"report holds the non-JSON token {token}")
+
+        payload = json.loads(report.read_text(), parse_constant=no_constant)
+        by_name = {c["check"]: c for c in payload["checks"]}
+        assert by_name["uncovered_source_measure"]["defect"] is None
+        assert by_name["uncovered_source_measure"]["status"] == "fail"
+
+    def test_finite_report_bytes_unchanged(self, tmp_path):
+        payload = {"a": [0.1, -0.0, 1e-300, 2**70], "b": {"c": (1, "x")}, "d": None}
+        sil.cli._write_report(str(tmp_path / "r.json"), payload)
+        assert (tmp_path / "r.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
 
 class TestInputErrorsExit2:
     """Bad input exits 2 with a message, never 1 (a verdict) or a traceback."""
@@ -314,6 +350,14 @@ class TestInputErrorsExit2:
         code = main(["verify", "--suite", *argv])
         self._assert_input_error(code, capsys, needle)
         assert ran == []
+
+    def test_builtin_operator_reads_the_given_domain(self, tmp_path, capsys):
+        # the 2D two-block operator once ignored a 1D --domain and reconstructed, exit 0
+        op = write_json(tmp_path / "op.json", {"builtin": "example_5_4", "h": 0.05})
+        line = write_json(tmp_path / "line.json",
+                          {"dim": 1, "h": 0.05, "boxes": [{"lo": [0], "hi": [1]}]})
+        code = main(["reconstruct", "--spec", op, "--domain", line, "--out", str(tmp_path / "o")])
+        self._assert_input_error(code, capsys, "source and target must have the same dimension")
 
     @pytest.mark.parametrize("kind, payload", [
         pytest.param("operator", {"builtin": "example_5_4", "h": 0}, id="operator"),
@@ -454,10 +498,26 @@ class TestInputErrorsExit2:
                      "'component' must be an integer or null, got False", id="op-component-bool"),
         pytest.param("operator", _two_block_rigid(0.0, 1.0),
                      "'component' must be an integer or null, got 0.0", id="op-component-float"),
+        # a spec names one form: the tabulated CSVs were never opened, and the
+        # builtin domain took its 800 cells in place of the 3x3 box's 3,600
+        pytest.param("operator", {"builtin": "identity", "rigid": [{"Q": [[1, 0], [0, 1]],
+                                                                    "b": [0, 0]}]},
+                     "got ['builtin', 'rigid']", id="op-builtin-and-rigid"),
+        pytest.param("operator", {"rigid": [{"Q": [[1, 0], [0, 1]], "b": [0, 0]}],
+                                  "tabulated": {"g": "nope.csv", "xi": "nope.csv"},
+                                  "target": "example_5_4_omega2"},
+                     "got ['rigid', 'tabulated']", id="op-rigid-and-tabulated"),
+        pytest.param("operator", {"h": 0.1}, "got []", id="op-no-form"),
+        pytest.param("domain", {"builtin": "example_5_4_omega1", "h": 0.05,
+                                "boxes": [{"lo": [0, 0], "hi": [3, 3]}]},
+                     "'builtin' cannot go with ['boxes']", id="builtin-and-boxes"),
+        pytest.param("domain", {"builtin": "example_5_4_omega1", "h": 0.05, "subtract": []},
+                     "'builtin' cannot go with ['subtract']", id="builtin-and-subtract"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, square_spec, kind, payload, needle):
         # each of these once ended in a traceback and exit 1, the code of a failed
-        # check, or named a missing key by nothing but its quoted name
+        # check, named a missing key by nothing but its quoted name, or read only
+        # the first of two forms
         path = write_json(tmp_path / "spec.json", payload)
         argv = {"domain": ["congruence", "--domain1", square_spec, "--domain2", path],
                 "motion": ["congruence", "--domain1", square_spec, "--domain2", square_spec,
@@ -527,6 +587,13 @@ _FUZZ_BASES = {  # a valid spec, and the command that reads it
                                    "boxes": [{"lo": [0.5, 0], "hi": [1, 1]}]}},
                        _FUZZ_RECONSTRUCT),
     "builtin-operator": ({"builtin": "example_5_4", "h": 0.1}, _FUZZ_RECONSTRUCT),
+    "builtin-operator-domains": ({"builtin": "example_5_4",
+                                  "source": {"dim": 2, "h": 0.1,
+                                             "boxes": [{"lo": [0, -1], "hi": [1, 1]}]},
+                                  "target": {"dim": 2, "h": 0.1,
+                                             "boxes": [{"lo": [0, -2], "hi": [1, 2]}],
+                                             "subtract": [{"lo": [0, -1], "hi": [1, 1]}]}},
+                                 _FUZZ_RECONSTRUCT),
 }
 _NODE_VALUES = st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none(), st.booleans(),
                          st.just({}),

@@ -35,6 +35,13 @@ class TestGradient:
         g = gradient(Field.constant(interval, 3.5))
         assert np.abs(g.values).max() == 0.0
 
+    def test_constant_field_has_no_negative_zero(self):
+        # backward stencils negate their coefficients, not the forward result, so an
+        # exact zero stays +0.0; a 10x2 strip has three- and two-point stencils each way
+        strip = make_box((0.0, 0.0), (1.0, 0.2), 0.1)
+        assert strip.n_cells == 20
+        assert not np.signbit(gradient(Field.constant(strip, 3.5)).values).any()
+
     def test_linear_is_exact(self, interval):
         g = gradient(Field.from_function(interval, lambda x: x[:, 0]))
         assert np.abs(g.values[:, 0] - 1.0).max() <= 1e-9

@@ -417,25 +417,40 @@ def test_forms_reject_overflow(form, args, p):
     with pytest.raises(ValueError, match=f"overflows at p = {p}"):
         form(*(fields[a] for a in args), p)
 
+
+def _peak_excess(n, fn, *args):
+    """Traced peak of ``fn(*args)`` above the memory live at entry, in n-float arrays."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - live) / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
 def test_blocked_kernels_peak_memory():
-    # traced peak above the memory live at entry, in n-float arrays, on a
-    # 400x400 box; the full-array code read 5.37 (gradient), 8.13 (form_a),
+    # on a 400x400 box; the full-array code read 5.37 (gradient), 8.13 (form_a),
     # 12.13 (form_b) and 6.00 (w1p_pow_sum)
     domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
     domain.neighbor_rows  # the cached stencil rows are not the kernel's
     rng = np.random.default_rng(5)
     u, v, w = (Field(domain, rng.normal(size=domain.n_cells)) for _ in range(3))
+    n = domain.n_cells
 
-    def excess(fn, *args):
-        tracemalloc.start()
-        try:
-            live = tracemalloc.get_traced_memory()[0]
-            fn(*args)
-            return (tracemalloc.get_traced_memory()[1] - live) / (8 * domain.n_cells)
-        finally:
-            tracemalloc.stop()
+    assert _peak_excess(n, gradient, u) <= domain.dim + 1  # its output alone is dim arrays
+    assert _peak_excess(n, form_a, u, v, 3.0) <= 4
+    assert _peak_excess(n, form_b, u, v, w, 3.0) <= 4
+    assert _peak_excess(n, w1p_pow_sum, u, 3.0) <= 4
 
-    assert excess(gradient, u) <= domain.dim + 1  # its output alone is dim arrays
-    assert excess(form_a, u, v, 3.0) <= 4
-    assert excess(form_b, u, v, w, 3.0) <= 4
-    assert excess(w1p_pow_sum, u, 3.0) <= 4
+
+def test_blocked_samplers_peak_memory():
+    # on a 400x400 box the full-array samplers read 2.00 (exponential_probe) and
+    # 2.13 (Field.from_function); the output alone is one array
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    domain.centers  # the cached centres are not the sampler's
+    n = domain.n_cells
+
+    assert _peak_excess(n, exponential_probe, domain, 1, -1, 3.0) <= 1.5
+    assert _peak_excess(n, Field.from_function, domain,
+                        lambda x: np.cos(x[:, 0]) * x[:, 1]) <= 1.5

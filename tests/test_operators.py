@@ -920,6 +920,38 @@ class TestOperatorJson:
         T = OperatorSpec(two_block.source, T.target, T.g_values, T.xi_values)
         assert np.abs(apply(T, u).values - via_builtin).max() <= 1e-12
 
+    @pytest.mark.parametrize("name, factory, h", [
+        ("identity", lambda h: identity_operator(make_box((0, 0), (1, 1), h)), 0.05),
+        ("example_4_8", example_4_8_operator, 1e-3),
+        ("example_4_8", example_4_8_operator, None),
+        ("example_5_4", example_5_4_operator, 0.05),
+        ("example_5_4", example_5_4_operator, None),
+    ])
+    def test_builtin_spec_matches_its_factory(self, name, factory, h):
+        spec = {"builtin": name, "h": h}
+        if name == "identity":
+            spec["target"] = {"dim": 2, "h": h, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}
+        T, F = operator_from_spec(spec), factory() if h is None else factory(h)
+        assert T.source == F.source and T.target == F.target
+        assert np.array_equal(T.g_values, F.g_values)
+        assert np.array_equal(T.xi_values, F.xi_values)
+
+    def test_builtin_domain_precedence(self):
+        # target: the given domain, then the spec's, then the builtin's; source: the
+        # spec's, then the builtin's, then (for the identity) the target
+        box = {"dim": 2, "h": 0.1, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}
+        given = make_box((0, 0), (0.5, 0.5), 0.1)
+        T = operator_from_spec({"builtin": "identity", "target": box}, target=given)
+        assert T.target == given and T.source == given
+        T = operator_from_spec({"builtin": "identity", "source": box, "target": box})
+        assert T.source == T.target == make_box((0, 0), (1, 1), 0.1)
+        fine = {"dim": 2, "h": 0.05, "boxes": [{"lo": [0, -1], "hi": [1, 1]}]}
+        T = operator_from_spec({"builtin": "example_5_4", "h": 0.1, "source": fine})
+        assert T.source == make_box((0, -1), (1, 1), 0.05)
+        assert T.target == grid_domain.example_5_4_omega2(0.1)
+        with pytest.raises(ValueError, match="needs a target domain"):
+            operator_from_spec({"builtin": "identity", "source": box})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             operator_from_spec({"mystery": 1})
