@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--p", type=float, default=None)
     pv.add_argument("--h", type=float, default=None)
     pv.add_argument("--tol", type=float, default=None)
-    pv.add_argument("--seed", type=int, default=7)
+    pv.add_argument("--seed", type=int, default=SuiteConfig.seed)
     pv.add_argument("--spec", default=None, help="operator spec JSON file")
     pv.add_argument("--report", default=None, help="report JSON output path")
     pv.set_defaults(fn=cmd_verify)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -88,22 +88,32 @@ class OperatorSpec:
             object.__setattr__(self, name, values)
 
 
-def _closed_form(name: str, source: GridDomain, target: GridDomain) -> OperatorSpec:
-    return OperatorSpec(source, target, *_BUILTIN_OPERATORS[name][1](target.centers))
+def _closed_form(name: str, domains: tuple | None = None, h: float | None = None
+                 ) -> OperatorSpec:
+    """The builtin ``name`` between ``domains``, a (source, target) pair, else between its
+    own at cell width ``h``, evaluated at the target centres, where it must be defined."""
+    names, form = _BUILTIN_OPERATORS[name]
+    source, target = domains or (_gd._builtin_domain(own, h) for own in names)
+    with np.errstate(all="ignore"):  # a node outside its domain of definition is named below
+        g, xi = form(target.centers)
+    if not (finite := np.isfinite(g) & np.isfinite(xi).all(axis=1)).all():
+        node = tuple(map(float, target.centers[np.argmin(finite)]))
+        raise ValueError(f"the builtin operator {name!r} is not defined at the target node {node}")
+    return OperatorSpec(source, target, g, xi)
 
 
 def identity_operator(domain: GridDomain) -> OperatorSpec:
-    return _closed_form("identity", domain, domain)
+    return _closed_form("identity", (domain, domain))
 
 
-def example_4_8_operator(h: float = 1e-3) -> OperatorSpec:
+def example_4_8_operator(h: float | None = None) -> OperatorSpec:
     """Hyperbolic-weight interval operator; intertwines the form but is not isometric."""
-    return _closed_form("example_4_8", _gd.example_4_8_omega1(h), _gd.example_4_8_omega2(h))
+    return _closed_form("example_4_8", h=h)
 
 
-def example_5_4_operator(h: float = 0.01) -> OperatorSpec:
+def example_5_4_operator(h: float | None = None) -> OperatorSpec:
     """Two-block translation operator; an isometric lattice homomorphism."""
-    return _closed_form("example_5_4", _gd.example_5_4_omega1(h), _gd.example_5_4_omega2(h))
+    return _closed_form("example_5_4", h=h)
 
 
 def piecewise_rigid_operator(source: GridDomain, target: GridDomain,
@@ -530,26 +540,6 @@ def preimage_field(T: OperatorSpec, phi: Field,
     return Field(T.source, w), covered
 
 
-# -- aggregate report -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """One number per verified property of a single operator."""
-
-    isometry: float
-    disjointness: float
-    intertwining: float
-    orthogonality: float
-    grad_g: float
-    weight: float
-    n1_measure: float
-    n2_cells: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 # -- JSON loading -----------------------------------------------------------------------
 
 
@@ -566,6 +556,7 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
     forms = [key for key in ("builtin", "rigid", "tabulated") if key in spec]
     if len(forms) != 1:
         raise ValueError(f"an operator spec needs one of builtin/rigid/tabulated, got {forms}")
+    _gd._json_object(spec, "operator spec", (*forms, "source", "target", "h"))
     h = _gd._json_value(spec.get("h"), "a finite number or null", "h")
     named = (None, None)  # the builtin's own (source, target) domain names
     if "builtin" in spec:
@@ -581,11 +572,12 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
     source = None if src is None else _gd.domain_from_spec(src, default_h=h)
 
     if "builtin" in spec:
-        return _closed_form(name, target if source is None else source, target)
+        return _closed_form(name, (target if source is None else source, target))
 
     if "rigid" in spec:
         entries = _gd._json_value(spec["rigid"], "an array", "rigid")
-        motions = tuple(RigidMotion.from_json_dict(entry) for entry in entries)
+        motions = tuple(RigidMotion.from_json_dict(entry, "rigid entry", (
+            "Q", "b", "sign", "component")) for entry in entries)
         components = tuple(_gd._json_value(entry.get("component"), "an integer or null",
                                            "component") for entry in entries)
         if len(motions) == 1 and components[0] is None:
@@ -594,7 +586,7 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
             raise ValueError("per-component rigid specs need an explicit source domain")
         return piecewise_rigid_operator(source, target, motions, components)
 
-    tab = _gd._json_value(spec["tabulated"], "an object", "tabulated")
+    tab = _gd._json_object(spec["tabulated"], "tabulated", ("g", "xi"))
     g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab.get(k), "a string", k))
                        for k in ("g", "xi"))
     g = Field.from_csv(g_path, target)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import sil
 from sil import Field, VectorField, make_box
-from sil.cli import main
+from sil.cli import build_parser, main
 from sil.suites import SuiteConfig
 
 
@@ -58,6 +59,10 @@ class TestVerify:
         assert abs(payload["checks"][0]["defect"]) <= 1e-12
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_seed_default_is_the_suite_config_default(self):
+        args = build_parser().parse_args(["verify", "--suite", "clarkson"])
+        assert args.seed == SuiteConfig.seed == 7
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -351,6 +356,27 @@ class TestInputErrorsExit2:
         self._assert_input_error(code, capsys, needle)
         assert ran == []
 
+    def test_misspelt_source_fails_the_congruence_suite(self, tmp_path, capsys):
+        # the misspelt "source" went unread, and the identity on the whole box
+        # read "all checks passed", exit 0
+        box = {"dim": 2, "h": 0.05, "boxes": [_UNIT_BOX]}
+        holed = {**box, "subtract": [{"lo": [0.3, 0.3], "hi": [0.8, 0.8]}]}
+        op = write_json(tmp_path / "op.json",
+                        {"builtin": "identity", "h": 0.05, "target": box, "sourse": holed})
+        code = main(["verify", "--suite", "congruence", "--spec", op])
+        self._assert_input_error(code, capsys, "'operator spec' has an unknown key 'sourse'")
+
+    def test_builtin_outside_its_domain_of_definition(self, tmp_path, capsys):
+        # the weight sqrt(sinh 2y) is undefined at y <= 0: numpy's "invalid value
+        # encountered in sqrt" once named neither the operator nor the target
+        line = {"dim": 1, "h": 0.01, "boxes": [{"lo": [-1], "hi": [1]}]}
+        op = write_json(tmp_path / "op.json", {"builtin": "example_4_8", "target": line})
+        code = main(["reconstruct", "--spec", op, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and "encountered" not in err
+        assert err == ("reconstruct error: the builtin operator 'example_4_8' is not defined "
+                       "at the target node (-0.995,)\n")
+
     def test_builtin_operator_reads_the_given_domain(self, tmp_path, capsys):
         # the 2D two-block operator once ignored a 1D --domain and reconstructed, exit 0
         op = write_json(tmp_path / "op.json", {"builtin": "example_5_4", "h": 0.05})
@@ -513,6 +539,35 @@ class TestInputErrorsExit2:
                      "'builtin' cannot go with ['boxes']", id="builtin-and-boxes"),
         pytest.param("domain", {"builtin": "example_5_4_omega1", "h": 0.05, "subtract": []},
                      "'builtin' cannot go with ['subtract']", id="builtin-and-subtract"),
+        # a key no form reads: each of these once went unread, down to a congruent
+        # verdict; the one-form checks still come first
+        pytest.param("domain", {"builtin": "example_5_4_omega1", "dim": 1},
+                     "'builtin domain spec' has an unknown key 'dim'; it reads only builtin, h",
+                     id="builtin-domain-dim"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [_UNIT_BOX], "substract": []},
+                     "'domain spec' has an unknown key 'substract'", id="domain-substract"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [{**_UNIT_BOX, "hole": 1}]},
+                     "'box' has an unknown key 'hole'; it reads only lo, hi", id="box-hole"),
+        pytest.param("motion", {"Q": [[1, 0], [0, 1]], "b": [0, 0], "sing": -1},
+                     "'motion' has an unknown key 'sing'; it reads only Q, b, sign",
+                     id="motion-sing"),
+        pytest.param("motion", {"Q": [[1, 0], [0, 1]], "b": [0, 0], "component": 0},
+                     "'motion' has an unknown key 'component'", id="motion-component"),
+        pytest.param("operator", {"builtin": "example_5_4", "h": 0.1,
+                                  "sourse": "example_5_4_omega1"},
+                     "'operator spec' has an unknown key 'sourse'; it reads only builtin, "
+                     "source, target, h", id="op-sourse"),
+        pytest.param("operator", {"rigid": [{"Q": [[1, 0], [0, 1]], "b": [0, 0], "compnent": 0}],
+                                  "target": "example_5_4_omega2"},
+                     "'rigid entry' has an unknown key 'compnent'", id="op-rigid-compnent"),
+        pytest.param("operator", {"tabulated": {"g": "g.csv", "xi": "xi.csv", "h": 0.1},
+                                  "target": "example_5_4_omega2"},
+                     "'tabulated' has an unknown key 'h'; it reads only g, xi",
+                     id="op-tabulated-h"),
+        pytest.param("operator", {"builtin": "identity", "rigid": [], "sourse": 1},
+                     "got ['builtin', 'rigid']", id="op-two-forms-before-unknown-key"),
+        pytest.param("domain", {"builtin": "example_5_4_omega1", "boxes": [], "dim": 1},
+                     "'builtin' cannot go with ['boxes']", id="builtin-and-boxes-before-dim"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, square_spec, kind, payload, needle):
         # each of these once ended in a traceback and exit 1, the code of a failed
@@ -645,6 +700,31 @@ def test_one_malformed_node_keeps_the_exit_code_contract(base, data):
     assert code in (0, 1, 2)
     if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
         assert code == 2
+
+
+_READ_KEYS = {"builtin", "rigid", "tabulated", "source", "target", "h", "dim", "boxes",
+              "subtract", "lo", "hi", "Q", "b", "sign", "component", "g", "xi"}
+
+
+@pytest.mark.parametrize("base", list(_FUZZ_BASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_one_unread_key_exits_2_naming_it(base, data):
+    # a key that no form reads is an input error that names it, whatever object
+    # holds it (a misspelt "source" or "sign" once went unread, down to exit 0)
+    spec, argv = _FUZZ_BASES[base]
+    objects = {path: node for path in _json_paths(spec)
+               if isinstance(node := functools.reduce(lambda n, k: n[k], path, spec), dict)}
+    path = data.draw(st.sampled_from(list(objects)), label="path")
+    key = data.draw(st.text("abcdefghijklmnopqrstuvwxyzBQ_", min_size=1, max_size=8)
+                    .filter(lambda k: k not in _READ_KEYS), label="key")
+    value = data.draw(_NODE_VALUES, label="value")
+    edited = _replaced(spec, path, {**objects[path], key: value})
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = _run_in(pathlib.Path(tmp), argv, edited)
+    assert code == 2 and f"has an unknown key {key!r}" in err.getvalue()
 
 
 # -- one changed token or line in a valid CSV ------------------------------------

@@ -45,7 +45,7 @@ from sil import (
     w1p_norm,
 )
 from sil import grid_domain, operators, suites
-from sil.operators import DefectReport, _supersampled_image
+from sil.operators import _supersampled_image
 from sil.suites import (
     _check,
     disjoint_bump_pairs,
@@ -936,6 +936,37 @@ class TestOperatorJson:
         assert np.array_equal(T.g_values, F.g_values)
         assert np.array_equal(T.xi_values, F.xi_values)
 
+    @pytest.mark.parametrize("factory", [
+        grid_domain.example_4_8_omega1, grid_domain.example_4_8_omega2,
+        grid_domain.example_5_4_omega1, grid_domain.example_5_4_omega2,
+        example_4_8_operator, example_5_4_operator])
+    @pytest.mark.parametrize("h", [np.float32(0.05), np.float64(0.05)], ids=["f32", "f64"])
+    def test_builtin_factory_takes_any_real_width(self, factory, h):
+        # the JSON type checks belong to the spec readers: a numpy scalar width
+        # builds what the same value as a Python float builds
+        got, want = factory(h), factory(float(h))
+        if isinstance(got, GridDomain):
+            assert got == want
+        else:
+            assert got.source == want.source and got.target == want.target
+            assert np.array_equal(got.g_values, want.g_values)
+            assert np.array_equal(got.xi_values, want.xi_values)
+
+    def test_congruence_suite_takes_any_real_width(self):
+        # its default operator is read from a JSON spec, which takes Python numbers only
+        checks = [suites.run_suite(suites.SuiteConfig("congruence", h=h))
+                  for h in (np.float32(0.05), float(np.float32(0.05)))]
+        assert checks[0] == checks[1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_builtin_outside_its_domain_of_definition_is_named(self):
+        # the weight sqrt(sinh 2y) is undefined at y <= 0; numpy's "invalid value
+        # encountered in sqrt" once named neither the operator nor the node
+        line = {"dim": 1, "h": 0.01, "boxes": [{"lo": [-1], "hi": [1]}]}
+        with pytest.raises(ValueError, match=r"^the builtin operator 'example_4_8' is not "
+                                             r"defined at the target node \(-0\.995,\)$"):
+            operator_from_spec({"builtin": "example_4_8", "target": line})
+
     def test_builtin_domain_precedence(self):
         # target: the given domain, then the spec's, then the builtin's; source: the
         # spec's, then the builtin's, then (for the identity) the target
@@ -967,7 +998,9 @@ def test_closed_form_error_keeps_a_nan():
 
 class TestDefectReport:
     def test_json_key_order(self):
-        report = DefectReport(0.1, 0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 7)
-        assert list(report.to_json_dict()) == [
+        T = random_rigid_operator_local(np.random.default_rng(3), h=0.02)
+        report, rec = suites.operator_defect_report(T, 2.0, np.random.default_rng(4))
+        assert list(report) == [
             "isometry", "disjointness", "intertwining", "orthogonality",
             "grad_g", "weight", "n1_measure", "n2_cells"]
+        assert rec.g_hat.domain == T.target
