@@ -274,7 +274,7 @@ def ball_fits(domain: GridDomain, center, radius: float) -> bool:
     box_lo = o + domain.h * cand
     nearest = np.clip(center, box_lo, box_lo + domain.h)
     touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2
-    return bool(domain.contains_indices(cand[touched]).all())
+    return bool((domain.rows_of_indices(cand[touched]) >= 0).all())
 
 
 def bump(domain: GridDomain, center, radius: float) -> Field:

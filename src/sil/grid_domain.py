@@ -60,7 +60,7 @@ def _check_budget(n: int, what: str) -> None:
 
 
 _JSON_TYPES = {"a finite number": (int, float), "a finite number or null": (int, float, type(None)),
-               "a number": (int, float), "an integer or null": (int, type(None)),
+               "a number": (int, float), "an integer": int, "an integer or null": (int, type(None)),
                "a string": str, "an array": list, "an object": dict}
 
 
@@ -193,16 +193,10 @@ class GridDomain:
         """The domain of the given rows (or row mask) on the same grid."""
         return GridDomain(self.dim, self.h, self.origin, self.cells[rows])
 
-    def contains_indices(self, idx: np.ndarray) -> np.ndarray:
-        return self.rows_of_indices(idx) >= 0
-
-    def index_of_points(self, pts: np.ndarray) -> np.ndarray:
+    def rows_of_points(self, pts: np.ndarray) -> np.ndarray:
+        """Rows of the cells holding the physical points, -1 where absent."""
         pts = np.asarray(pts, dtype=float).reshape(-1, self.dim)
-        return np.floor((pts - np.asarray(self.origin)) / self.h).astype(np.int64)
-
-    def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        """Membership of physical points in the rasterized set."""
-        return self.contains_indices(self.index_of_points(pts))
+        return self.rows_of_indices(np.floor((pts - np.asarray(self.origin)) / self.h))
 
     # -- neighborhood structure --------------------------------------------
 
@@ -281,10 +275,9 @@ class GridDomain:
 def dilate_mask(domain: GridDomain, mask: np.ndarray, steps: int) -> np.ndarray:
     """Cells of ``domain`` within ``steps`` face steps of a cell in ``mask``."""
     for _ in range(steps):
-        grown = mask.copy()
+        padded = np.append(mask, False)  # an absent neighbour, row -1, reads False
         for rows in itertools.chain(*domain.neighbor_rows):  # +/- neighbours per axis
-            grown[rows >= 0] |= mask[rows[rows >= 0]]
-        mask = grown
+            mask = mask | padded[rows]
     return mask
 
 
@@ -367,8 +360,8 @@ def is_topologically_regular(domain: GridDomain) -> bool:
     cand = domain.cells[np.roll(domain.run_starts, -1)] + steps[-1]
     surrounded = np.ones(cand.shape[0], dtype=bool)
     for e in steps:
-        surrounded &= domain.contains_indices(cand + e)
-        surrounded &= domain.contains_indices(cand - e)
+        surrounded &= domain.rows_of_indices(cand + e) >= 0
+        surrounded &= domain.rows_of_indices(cand - e) >= 0
     return not surrounded.any()
 
 
@@ -475,7 +468,7 @@ def apply_rigid_motion(domain: GridDomain, motion: RigidMotion) -> GridDomain:
     lo, hi = motion.image_box(*domain.bounding_box)
     origin_out = tuple(motion.transform(np.asarray(domain.origin)[None, :])[0])
     cand, centers = _covering_cells(lo, hi, origin_out, domain.h, "rigid-motion image")
-    keep = domain.contains_points(motion.inverse_transform(centers))
+    keep = domain.rows_of_points(motion.inverse_transform(centers)) >= 0
     if not keep.any():
         raise ValueError("rigid-motion image contains no cells")
     return GridDomain(domain.dim, domain.h, origin_out, cand[keep])
@@ -500,8 +493,8 @@ def congruence_check(omega1: GridDomain, omega2: GridDomain,
     img_lo, img_hi = motion.image_box(*omega2.bounding_box)
     _, centers = _covering_cells(np.minimum(lo1, img_lo), np.maximum(hi1, img_hi),
                                  omega1.origin, h_ref, "congruence refinement grid")
-    in_a = omega1.contains_points(centers)
-    in_b = omega2.contains_points(motion.inverse_transform(centers))
+    in_a = omega1.rows_of_points(centers) >= 0
+    in_b = omega2.rows_of_points(motion.inverse_transform(centers)) >= 0
     defect = float(np.count_nonzero(in_a != in_b)) * h_ref**omega1.dim
     return defect <= tol, defect
 
@@ -613,7 +606,7 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
     holes = [_spec_box(b) for b in _json_value(spec.get("subtract", []), "an array", "subtract")]
     if not boxes:
         raise ValueError("domain spec needs at least one box")
-    dim = int(_json_value(spec.get("dim", len(boxes[0][0])), "a finite number", "dim"))
+    dim = _json_value(spec.get("dim", len(boxes[0][0])), "an integer", "dim")
     parts = [make_box(_as_point(lo, dim), _as_point(hi, dim), h) for lo, hi in boxes]
     origin = parts[0].origin
     merged = []

@@ -390,17 +390,17 @@ def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray
                         mapping: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
     """Mask of ``omega1`` cells hit by ``mapping`` at three subsamples per axis
     of each given ``omega2`` row, and the count of subsamples landing outside."""
-    hit = np.zeros(omega1.n_cells, dtype=bool)
+    hit = np.zeros(omega1.n_cells + 1, dtype=bool)  # an escaped subsample, row -1, marks the last
     escaped = 0
     steps = (-omega2.h / 3.0, 0.0, omega2.h / 3.0)
     offsets = [np.asarray(off) for off in itertools.product(steps, repeat=omega2.dim)]
     for blk in _gd.row_blocks(rows.shape[0]):
         base = omega2.centers[rows[blk]]
         for off in offsets:
-            rows1 = omega1.rows_of_indices(omega1.index_of_points(mapping(base + off)))
-            hit[rows1[rows1 >= 0]] = True
+            rows1 = omega1.rows_of_points(mapping(base + off))
+            hit[rows1] = True
             escaped += int(np.count_nonzero(rows1 < 0))
-    return hit, escaped
+    return hit[:-1], escaped
 
 
 @dataclass(frozen=True)
@@ -421,7 +421,7 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
     omega2 = rec.g_hat.domain
     inside = ~rec.zero_mask  # then narrowed to the cells mapped into omega1
     for blk in _gd.row_blocks(omega2.n_cells):
-        inside[blk] &= omega1.contains_points(rec.xi_hat.values[blk])
+        inside[blk] &= omega1.rows_of_points(rec.xi_hat.values[blk]) >= 0
     if not inside.any():
         raise ValueError("no target cell maps into the source domain")
     n2 = omega2.n_cells - int(np.count_nonzero(inside))
@@ -524,7 +524,7 @@ def preimage_field(T: OperatorSpec, phi: Field,
     if np.any(g == 0.0):
         raise ValueError("operator weight vanishes somewhere; cannot invert")
     ratio = Field(T.target, phi.values / g)
-    label = np.empty(T.target.n_cells, dtype=np.int64)
+    label = np.full(T.target.n_cells + 1, -1, dtype=np.int64)  # row -1 reads no component
     for ci, rows in enumerate(T.target.component_rows):
         label[rows] = ci
     w = np.zeros(T.source.n_cells)
@@ -532,8 +532,7 @@ def preimage_field(T: OperatorSpec, phi: Field,
     x = T.source.centers
     for ci, motion in enumerate(fit.motions):
         y = motion.inverse_transform(x)
-        rows = T.target.rows_of_indices(T.target.index_of_points(y))
-        mask = (rows >= 0) & (label[rows] == ci) & ~covered
+        mask = (label[T.target.rows_of_points(y)] == ci) & ~covered
         if mask.any():
             w[mask] = ratio.at(y[mask])
             covered |= mask

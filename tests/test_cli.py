@@ -524,6 +524,11 @@ class TestInputErrorsExit2:
                      "'component' must be an integer or null, got False", id="op-component-bool"),
         pytest.param("operator", _two_block_rigid(0.0, 1.0),
                      "'component' must be an integer or null, got 0.0", id="op-component-float"),
+        # a fractional dim once built the 2D square, down to a congruent verdict
+        pytest.param("domain", {"dim": 2.7, "h": 0.1, "boxes": [_UNIT_BOX]},
+                     "'dim' must be an integer, got 2.7", id="dim-fractional"),
+        pytest.param("domain", {"dim": 2.0, "h": 0.1, "boxes": [_UNIT_BOX]},
+                     "'dim' must be an integer, got 2.0", id="dim-float"),
         # a spec names one form: the tabulated CSVs were never opened, and the
         # builtin domain took its 800 cells in place of the 3x3 box's 3,600
         pytest.param("operator", {"builtin": "identity", "rigid": [{"Q": [[1, 0], [0, 1]],

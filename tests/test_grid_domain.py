@@ -272,8 +272,8 @@ class TestGridDomainBasics:
 
     def test_membership(self):
         domain = make_box((0, 0), (1, 1), 0.25)
-        inside = domain.contains_points(np.array([[0.5, 0.5], [1.5, 0.5]]))
-        assert inside.tolist() == [True, False]
+        rows = domain.rows_of_points(np.array([[0.5, 0.5], [1.5, 0.5]]))
+        assert rows.tolist() == [10, -1]
 
 
 def _bfs_components(cells):
@@ -446,15 +446,15 @@ def _reference_is_regular(domain):
         candidates.append(domain.cells + step)
         candidates.append(domain.cells - step)
     cand = np.unique(np.concatenate(candidates, axis=0), axis=0)
-    cand = cand[~domain.contains_indices(cand)]
+    cand = cand[domain.rows_of_indices(cand) < 0]
     if cand.size == 0:
         return True
     surrounded = np.ones(cand.shape[0], dtype=bool)
     for d in range(domain.dim):
         step = np.zeros(domain.dim, dtype=np.int64)
         step[d] = 1
-        surrounded &= domain.contains_indices(cand + step)
-        surrounded &= domain.contains_indices(cand - step)
+        surrounded &= domain.rows_of_indices(cand + step) >= 0
+        surrounded &= domain.rows_of_indices(cand - step) >= 0
     return not surrounded.any()
 
 
@@ -522,6 +522,43 @@ def test_rows_of_indices_block_size_invariant(domain, n, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
         assert np.array_equal(domain.rows_of_indices(idx), whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_boxes_minus_boxes(), _masked_blocks(1), _masked_blocks(2)), st.data())
+def test_rows_of_points_match_a_dict_of_floored_points(domain, data):
+    # points inside cells, exactly on cell faces and far outside the bounding box
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo, hi = domain.index_bounds
+    o, h = np.asarray(domain.origin), domain.h
+    k = rng.integers(lo - 2, hi + 3, size=(30, domain.dim))
+    far = rng.choice([-1.0, 1.0], size=(10, domain.dim)) * rng.uniform(1e3, 1e9, (10, domain.dim))
+    pts = np.concatenate([o + h * (k + rng.uniform(0.0, 1.0, k.shape)), o + h * k, far])
+    row_of = {tuple(c): r for r, c in enumerate(domain.cells.tolist())}
+    floored = np.floor((pts - o) / h).astype(np.int64)
+    want = [row_of.get(tuple(c), -1) for c in floored.tolist()]
+    assert domain.rows_of_points(pts).tolist() == want
+
+
+def _reference_dilate_mask(domain, mask, steps):
+    """``dilate_mask`` as first written: a masked gather of the present neighbours."""
+    for _ in range(steps):
+        grown = mask.copy()
+        for rows in itertools.chain(*domain.neighbor_rows):
+            grown[rows >= 0] |= mask[rows[rows >= 0]]
+        mask = grown
+    return mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_boxes_minus_boxes(), _random_cell_sets()), st.integers(0, 3), st.data())
+def test_dilate_mask_matches_the_masked_gather(domain, steps, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+    before = mask.copy()
+    got = grid_domain.dilate_mask(domain, mask, steps)
+    assert got.dtype == bool and np.array_equal(mask, before)
+    assert np.array_equal(got, _reference_dilate_mask(domain, mask, steps))
 
 
 class TestCellStorage:

@@ -502,19 +502,29 @@ def _lattice_block_cases(draw):
 
 
 @settings(max_examples=10, deadline=None)
-@given(_lattice_block_cases())
-def test_lattice_blocks_are_congruent_until_a_hole_is_cut(case):
+@given(_lattice_block_cases(), st.integers(0, 2**32 - 1))
+def test_lattice_blocks_are_congruent_until_a_hole_is_cut(case, seed):
     source, target, motions, hole, p = case
     components = range(len(motions))  # numbered in the order of their smallest cell
     h, dim = target.h, target.dim
     tol = h**dim / 2  # above the fit's roundoff, below one cell's measure
     measures = ("target cells map outside the source", "source not covered by the image",
                 "component images do not tile the source")
-    report = congruence_pipeline(
-        piecewise_rigid_operator(source, target, motions, components), p=p, tol=tol)
+    T = piecewise_rigid_operator(source, target, motions, components)
+    report = congruence_pipeline(T, p=p, tol=tol)
     gates = dict(report.gates)
     assert report.congruent
     assert [gates[name] for name in measures] == [0.0, 0.0, 0.0]
+    fit = rigid_motion_fit(reconstruct(T, p=p))
+    for fitted, planted in zip(fit.motions, motions, strict=True):
+        assert np.abs(fitted.Q - planted.Q).max() <= 2 * h
+        assert np.abs(fitted.b - planted.b).max() <= 2 * h
+        assert fitted.sign == planted.sign
+    # a smooth field, since a bump's ball may not fit in a small block
+    phi = random_smooth_field(target, np.random.default_rng(seed))
+    w, covered = preimage_field(T, phi, fit)
+    assert covered.all()
+    assert np.abs(apply(T, w).values - phi.values).max() <= 1e-12
     keep = np.ones(source.n_cells, dtype=bool)
     keep[source.rows_of_indices(hole)] = False
     holed = source.subset(keep)
@@ -522,6 +532,13 @@ def test_lattice_blocks_are_congruent_until_a_hole_is_cut(case):
         piecewise_rigid_operator(holed, target, motions, components), p=p, tol=tol)
     assert dict(report.gates)["target cells map outside the source"] == len(hole) * h**dim
     assert report.reason == "target cells map outside the source"
+
+
+def _reference_rows(domain, pts):
+    """The cell lookup as first written: floor the points to cell indices, then
+    look the cells up."""
+    idx = np.floor((pts - np.asarray(domain.origin)) / domain.h).astype(np.int64)
+    return domain.rows_of_indices(idx)
 
 
 def _reference_offsets(h, dim):
@@ -535,7 +552,7 @@ def _reference_defect_hit(rec, omega1, omega2, inside):
     base = omega2.centers[inside]
     for off in _reference_offsets(omega2.h, omega2.dim):
         vals = rec.xi_hat.at(base + off)
-        rows = omega1.rows_of_indices(omega1.index_of_points(vals))
+        rows = _reference_rows(omega1, vals)
         hit[rows[rows >= 0]] = True
     return hit
 
@@ -546,7 +563,7 @@ def _reference_tiling_hit(source, target, pts, motion):
     escaped_pts = 0
     for off in _reference_offsets(target.h, target.dim):
         mapped = motion.transform(pts + off)
-        rows1 = source.rows_of_indices(source.index_of_points(mapped))
+        rows1 = _reference_rows(source, mapped)
         hit[rows1[rows1 >= 0]] = True
         escaped_pts += int(np.count_nonzero(rows1 < 0))
     return hit, escaped_pts
@@ -576,7 +593,7 @@ def _rigid_cases(draw):
 def test_supersampled_image_matches_old_loops(case):
     T, moved = case
     rec = reconstruct(T, p=2.0)
-    inside = T.source.contains_points(rec.xi_hat.values)  # no zero set: g = +-1
+    inside = T.source.rows_of_points(rec.xi_hat.values) >= 0  # no zero set: g = +-1
     comps = [T.target.rows_of_indices(c.cells) for c in connected_components(T.target)]
     references = ([_reference_defect_hit(rec, T.source, T.target, inside)],
                   [_reference_tiling_hit(T.source, T.target, T.target.centers[rows], moved)
@@ -642,7 +659,7 @@ def test_defect_sets_match_the_eager_reference(name):
     # the target cells mapped inside the source, and their image u1
     ok = ~rec.zero_mask
     inside = np.zeros(T.target.n_cells, dtype=bool)
-    inside[ok] = T.source.contains_points(rec.xi_hat.values[ok])
+    inside[ok] = _reference_rows(T.source, rec.xi_hat.values[ok]) >= 0
     hit = _reference_defect_hit(rec, T.source, T.target, inside)
     u1 = GridDomain(T.source.dim, T.source.h, T.source.origin, T.source.cells[hit])
     for size in _BLOCK_SIZES:
@@ -770,7 +787,7 @@ class TestPreimage:
         x = T.source.centers
         for comp, motion in zip(connected_components(T.target), fit.motions):
             y = motion.inverse_transform(x)
-            mask = comp.contains_points(y) & ~covered
+            mask = (_reference_rows(comp, y) >= 0) & ~covered
             if mask.any():
                 w[mask] = ratio.at(y[mask])
                 covered |= mask

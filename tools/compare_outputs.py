@@ -5,7 +5,11 @@
 For each checkout in turn, from one fixed work directory, this runs the six
 ``sil verify`` suites at their defaults with ``--report``, and every command
 that ``perfbench/workloads.generate`` writes for the three workloads at the
-given seeds.  Each command runs as ``python -m sil.cli`` in a fresh
+given seeds, and three fixed commands no workload generates: ``sil
+reconstruct`` of the identity on a 0.01 unit square given as ``--domain``,
+``sil reconstruct`` of ``example_4_8`` at h = 1e-3, and ``sil congruence``
+of two builtin domains with no ``--motion``, so the identity default runs.
+Each command runs as ``python -m sil.cli`` in a fresh
 interpreter that imports the checkout's ``src``.  Both checkouts see the
 same inputs at the same paths, so reports that record a path still compare.
 
@@ -18,6 +22,7 @@ generator is imported from this repository's ``perfbench``.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -30,6 +35,30 @@ import workloads  # noqa: E402
 
 SUITES = ("norm-calculus", "clarkson", "plaplace", "examples", "reconstruction", "congruence")
 _MARKER = ".compare_outputs"
+_SQUARE = {"dim": 2, "h": 0.01, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}
+
+
+def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
+    """The three commands no workload generates; writes their JSON inputs under ``work``."""
+    def write(name, payload):
+        path = os.path.join(work, name)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        return path
+
+    out = []
+    for label, spec, domain in (("identity", {"builtin": "identity"}, _SQUARE),
+                                ("example_4_8", {"builtin": "example_4_8", "h": 1e-3}, None)):
+        out_dir = os.path.join(work, f"reconstruct_{label}")
+        argv = ["reconstruct", "--spec", write(f"{label}.json", spec), "--out", out_dir]
+        if domain is not None:
+            argv += ["--domain", write(f"{label}_domain.json", domain)]
+        out.append((f"reconstruct.{label}", argv, tuple(
+            os.path.join(out_dir, name) for name in ("g_hat.csv", "xi_hat.csv", "rigid_fit.json"))))
+    domains = [write(f"{name}.json", name) for name in ("example_5_4_omega1", "example_5_4_omega2")]
+    out.append(("congruence.default_motion",
+                ["congruence", "--domain1", domains[0], "--domain2", domains[1]], ()))
+    return out
 
 
 def commands(work: str, seeds) -> list[tuple[str, list[str], tuple[str, ...]]]:
@@ -45,7 +74,7 @@ def commands(work: str, seeds) -> list[tuple[str, list[str], tuple[str, ...]]]:
             inputs = os.path.join(work, f"{workload}-{seed}")
             for cmd in workloads.generate(workload, seed, inputs):
                 out.append((f"{workload}-{seed}/{cmd.label}", list(cmd.argv), cmd.outputs))
-    return out
+    return out + _fixed_commands(work)
 
 
 def _fresh(work: str) -> None:
