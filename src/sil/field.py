@@ -9,6 +9,7 @@ error away from re-entrant boundaries.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_domain import _BLOCK, GridDomain, box_cells, row_blocks
+from .grid_domain import _BLOCK, GridDomain, row_blocks
 
 
 def _same_domain(a, b) -> None:
@@ -46,7 +47,7 @@ class Field:
         """Sample a row-wise ``fn``, (b, dim) -> (b,), at the cell centers a block at a time."""
         vals = np.empty(domain.n_cells)
         for blk in row_blocks(domain.n_cells):
-            vals[blk] = fn(domain.centers[blk])
+            vals[blk] = fn(domain.centers_of(blk))
         return Field(domain, vals)
 
     @staticmethod
@@ -173,18 +174,17 @@ def gradient_rows(u: Field, blk: slice) -> np.ndarray:
     return out
 
 
-def _block_sums(n: int, summands, k: int = 1) -> list[float]:
-    """``np.sum`` of each of ``k`` n-length arrays, given a row block at a time
-    by ``summands(blk)`` (``k`` arrays, or one when ``k == 1``).  Temporaries
-    scale with the block; each sum still runs over a whole array."""
-    if n <= _BLOCK:  # one block: sum the arrays as given, with no buffer to fill
-        terms = summands(slice(0, n))
-        terms = (terms,) if k == 1 else terms
-    else:
-        terms = np.empty((k, n))
-        for blk in row_blocks(n):
-            terms[:, blk] = summands(blk)
-    return [float(np.sum(t)) for t in terms]
+def _block_sums(n: int, summands, k: int = 1, start: int = 0) -> list[float]:
+    """``np.sum`` of each of ``k`` arrays over rows ``start`` to ``n``, given a row
+    block at a time by ``summands(blk)`` (``k`` arrays, or one when ``k == 1``), bit
+    for bit: a range longer than a block splits where numpy's pairwise sum splits it
+    (at half its rows, rounded down to a multiple of 8), so no n-length buffer is made."""
+    if (m := n - start) > max(_BLOCK, 128):
+        mid = start + m // 2 - (m // 2) % 8
+        return [a + b for a, b in zip(_block_sums(mid, summands, k, start),
+                                      _block_sums(n, summands, k, mid))]
+    terms = summands(slice(start, n))
+    return [float(np.sum(t)) for t in ((terms,) if k == 1 else terms)]
 
 
 def _finite(total: float, msg: str) -> float:
@@ -265,16 +265,20 @@ def probe_rate(p: float) -> float:
 
 
 def ball_fits(domain: GridDomain, center, radius: float) -> bool:
-    """Whether every cell touched by the closed ball is active."""
+    """Whether every cell touched by the closed ball is active, tested a row block at a time."""
     center = np.asarray(center, dtype=float).reshape(domain.dim)
     o = np.asarray(domain.origin)
     k_lo = np.floor((center - radius - o) / domain.h).astype(np.int64)
     k_hi = np.floor((center + radius - o) / domain.h).astype(np.int64)
-    cand = box_cells(k_lo, k_hi)
-    box_lo = o + domain.h * cand
-    nearest = np.clip(center, box_lo, box_lo + domain.h)
-    touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2
-    return bool((domain.rows_of_indices(cand[touched]) >= 0).all())
+    shape = np.maximum(k_hi - k_lo + 1, 0).tolist()
+    for blk in row_blocks(n := math.prod(shape)):
+        cand = np.stack(np.unravel_index(np.arange(*blk.indices(n)), shape), axis=1) + k_lo
+        box_lo = o + domain.h * cand
+        nearest = np.clip(center, box_lo, box_lo + domain.h)
+        touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2
+        if not (domain.rows_of_indices(cand[touched]) >= 0).all():
+            return False
+    return True
 
 
 def bump(domain: GridDomain, center, radius: float) -> Field:
@@ -333,7 +337,7 @@ def _write_csv(path, domain: GridDomain, columns: np.ndarray, names: list[str]) 
         fh.write(",".join(_lead_names(domain.dim) + names) + "\r\n")
         for blk in row_blocks(domain.n_cells, 1024):
             fh.writelines(",".join(map(repr, k + x + v)) + "\r\n" for k, x, v in zip(
-                domain.cells[blk].tolist(), domain.centers[blk].tolist(), columns[blk].tolist()))
+                domain.cells[blk].tolist(), domain.centers_of(blk).tolist(), columns[blk].tolist()))
 
 
 def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:

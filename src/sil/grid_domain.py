@@ -109,11 +109,13 @@ class GridDomain:
         cells = np.array(self.cells, dtype=np.int64).reshape(-1, self.dim)  # private copy
         if cells.shape[0] == 0:
             raise ValueError("a domain must contain at least one cell")
-        step = np.diff(cells, axis=0)
-        ordered = step[:, -1] > 0
-        for d in range(self.dim - 2, -1, -1):
-            ordered = (step[:, d] > 0) | ((step[:, d] == 0) & ordered)
-        if not ordered.all():  # lexsort and drop repeats (np.unique would import numpy.ma)
+        # each pair's first differing axis must step up (its sign, weighted 2^(dim-1-d),
+        # outweighs the rest); a block of row pairs reads one row past its end
+        ordered, weights = True, 2 ** np.arange(self.dim)[::-1]
+        for blk in row_blocks(cells.shape[0] - 1):
+            step = np.sign(np.diff(cells[blk.start:blk.stop + 1], axis=0))
+            ordered &= bool((step @ weights > 0).all())
+        if not ordered:  # lexsort and drop repeats (np.unique would import numpy.ma)
             cells = cells[np.lexsort(cells.T[::-1])]
             keep = np.ones(cells.shape[0], dtype=bool)
             keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
@@ -148,12 +150,14 @@ class GridDomain:
         """Lebesgue measure of the rasterization, |active| * h^dim."""
         return self.n_cells * self.h**self.dim
 
-    @cached_property
+    @property
     def centers(self) -> np.ndarray:
-        """(n, dim) array of cell centers; these are the field nodes."""
-        pts = np.asarray(self.origin) + self.h * (self.cells + 0.5)
-        pts.setflags(write=False)
-        return pts
+        """(n, dim) array of cell centers, the field nodes; computed, not cached."""
+        return self.centers_of(slice(None))
+
+    def centers_of(self, rows) -> np.ndarray:
+        """Centers of the given rows (a slice, index or index array), as in ``centers``."""
+        return np.asarray(self.origin) + self.h * (self.cells[rows] + 0.5)
 
     @cached_property
     def index_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +294,7 @@ def physical_box(origin, h: float, k_lo, k_hi) -> tuple[np.ndarray, np.ndarray]:
 def box_cells(k_lo, k_hi) -> np.ndarray:
     """Lexsorted (n, dim) integer cells of the index box ``[k_lo, k_hi]``, ends included."""
     axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
 def _covering_cells(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -328,9 +332,10 @@ def make_box(lo, hi, h: float) -> GridDomain:
 
 def _subtract_boxes(domain: GridDomain, boxes: Iterable[tuple]) -> GridDomain:
     keep = np.ones(domain.n_cells, dtype=bool)
+    centers = domain.centers
     for lo, hi in boxes:
         lo, hi = (np.asarray(_as_point(x, domain.dim)) for x in (lo, hi))
-        keep &= ~np.all((domain.centers > lo) & (domain.centers < hi), axis=1)
+        keep &= ~np.all((centers > lo) & (centers < hi), axis=1)
     if not keep.any():
         raise ValueError("subtraction removed every cell of the domain")
     return domain.subset(keep)

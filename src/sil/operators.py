@@ -331,7 +331,7 @@ class RigidFitReport:
 def _component_motion(rec: ReconstructionResult, rows: np.ndarray) -> RigidMotion:
     """The rigid motion nearest, in least squares, to the map on a component's usable cells."""
     rows = rows[~rec.zero_mask[rows]]
-    X, Y = rec.g_hat.domain.centers[rows], rec.xi_hat.values[rows]
+    X, Y = rec.g_hat.domain.centers_of(rows), rec.xi_hat.values[rows]
     if rows.size < X.shape[1] + 1:
         raise ValueError(f"component with {rows.size} usable cells is too small to fit a motion")
     xm, ym = X.mean(axis=0), Y.mean(axis=0)
@@ -395,7 +395,7 @@ def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray
     steps = (-omega2.h / 3.0, 0.0, omega2.h / 3.0)
     offsets = [np.asarray(off) for off in itertools.product(steps, repeat=omega2.dim)]
     for blk in _gd.row_blocks(rows.shape[0]):
-        base = omega2.centers[rows[blk]]
+        base = omega2.centers_of(rows[blk])
         for off in offsets:
             rows1 = omega1.rows_of_points(mapping(base + off))
             hit[rows1] = True

@@ -130,8 +130,8 @@ def disjoint_bump_pairs(domain: GridDomain, rng: np.random.Generator,
             raise ValueError("could not place disjoint bump pairs in the domain")
         r1 = span * rng.uniform(0.08, 0.14)
         r2 = span * rng.uniform(0.08, 0.14)
-        c1 = domain.centers[rng.integers(domain.n_cells)]
-        c2 = domain.centers[rng.integers(domain.n_cells)]
+        c1 = domain.centers_of(rng.integers(domain.n_cells))
+        c2 = domain.centers_of(rng.integers(domain.n_cells))
         if np.linalg.norm(c1 - c2) < r1 + r2 + gap:
             continue
         if not (ball_fits(domain, c1, r1) and ball_fits(domain, c2, r2)):

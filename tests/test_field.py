@@ -404,15 +404,27 @@ def test_blocked_generators_equal_full_array_code(make_domain, block):
 
 
 def test_blocked_generators_peak_memory():
-    # traced peak in n-float arrays on a 400x400 box with its centers and cell
-    # keys built; the full-array code read 3.13 (bump) and 4.00 (hat), and the
-    # output alone is 1.  The bump is small because ball_fits checks the cells
-    # of the ball's bounding box, which scale with the ball, not the domain
+    # traced peak in n-float arrays on a 400x400 box with its cell keys built;
+    # the full-array code read 3.13 (bump) and 4.00 (hat), and the output alone
+    # is 1.  The bump is small because ball_fits checks the cells of the ball's
+    # bounding box a row block at a time
     domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
-    domain.centers, domain.rows_of_indices(domain.cells[:1])
+    domain.rows_of_indices(domain.cells[:1])
     for make in (lambda: bump(domain, (0.5, 0.5), 0.1), lambda: hat(domain, (0.5, 0.5), 0.3)):
         peak, _ = _traced_peak(make)
         assert peak / (8 * domain.n_cells) <= 1.75
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.2, 0.3, 0.45])
+def test_ball_fits_peak_memory(radius):
+    # traced peak in n-float arrays on a 400x400 box with its cell keys built;
+    # testing every cell of the ball's bounding box at once read 3.61 at radius
+    # 0.3 and 7.47 at 0.45
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    domain.rows_of_indices(domain.cells[:1])
+    peak, fits = _traced_peak(ball_fits, domain, (0.5, 0.5), radius)
+    assert fits
+    assert peak / (8 * domain.n_cells) <= 1.5
 
 
 def _reference_gradient(u):
@@ -570,8 +582,9 @@ def test_worst_of_nothing_raises_its_message():
 @pytest.mark.parametrize("n", [1, grid_domain._BLOCK - 1, grid_domain._BLOCK,
                                grid_domain._BLOCK + 1, 2 * grid_domain._BLOCK + 3])
 def test_block_sums_single_block_path_is_exact(n):
-    # up to _BLOCK rows the summands are summed as returned; above it they
-    # fill a buffer block by block; both must equal np.sum over whole arrays
+    # up to _BLOCK rows the summands are summed as returned; above it the rows
+    # split where numpy's pairwise sum splits them, and each leaf is summed as
+    # returned; both must equal np.sum over whole arrays
     rng = np.random.default_rng(n)
     a, b = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 9, size=(2, n))
 
@@ -582,8 +595,31 @@ def test_block_sums_single_block_path_is_exact(n):
     assert _block_sums(n, pair, 2) == expected
     assert _block_sums(n, lambda blk: pair(blk)[1]) == expected[1:]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_BLOCK", 0)  # every n takes the buffered path
+        mp.setattr(field, "_BLOCK", 0)  # every n above 128 rows is split
         assert _block_sums(n, pair, 2) == expected
+
+
+_B = grid_domain._BLOCK
+
+
+@pytest.mark.parametrize("block", [None, 0, 100])
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _B - 1, _B + 1, 2 * _B + 3, 160_000])
+def test_block_sums_equal_np_sum_bit_for_bit(n, block, monkeypatch):
+    # summands over 16 decades, so any change in the order of the additions shows;
+    # compared as hex, so a -0.0 for 0.0 would show too
+    if block is not None:
+        monkeypatch.setattr(field, "_BLOCK", block)
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 9, size=(2, n))
+    leaves = []
+
+    def pair(blk):
+        leaves.append(blk.stop - blk.start)
+        return a[blk] ** 3, a[blk] * b[blk]
+
+    expected = [float(np.sum(a**3)).hex(), float(np.sum(a * b)).hex()]
+    assert [x.hex() for x in _block_sums(n, pair, 2)] == expected
+    assert sum(leaves) == n and max(leaves) <= max(field._BLOCK, 128)
 
 
 @pytest.mark.parametrize("n", [grid_domain._BLOCK, grid_domain._BLOCK + 1])

@@ -592,6 +592,25 @@ class TestCellStorage:
         domain = GridDomain(1, 0.1, (0.0,), np.array(cells))
         assert domain.cells[:, 0].tolist() == sorted(set(cells))
 
+    @pytest.mark.parametrize("fault", [None, "swap", "duplicate"])
+    def test_order_check_reads_across_row_blocks(self, fault, monkeypatch):
+        # 2 * _BLOCK + 3 lexsorted cells; the order is checked a block of row
+        # pairs at a time, and rows _BLOCK - 1 and _BLOCK straddle two blocks
+        b = grid_domain._BLOCK
+        ordered = grid_domain.box_cells((0, 0), (2 * b // 7 + 1, 6))[: 2 * b + 3]
+        cells, expected = ordered.copy(), ordered
+        if fault == "swap":
+            cells[[b - 1, b]] = cells[[b, b - 1]]
+        elif fault == "duplicate":
+            cells[b] = cells[b - 1]
+            expected = np.delete(ordered, b, axis=0)
+        calls = []
+        sort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda *a: calls.append(1) or sort(*a))
+        domain = GridDomain(2, 0.1, (0.0, 0.0), cells)
+        assert np.array_equal(domain.cells, expected)
+        assert len(calls) == (fault is not None)
+
 
 def _reference_neighbor_rows(domain):
     """The neighbour rows as first written: int64 lookups of whole ``cells +/- e``."""
@@ -685,6 +704,18 @@ def test_int32_row_bound(monkeypatch, dim):
     for attr in ("neighbor_rows", "component_rows"):
         with pytest.raises(ValueError, match="too large for int32 rows"):
             getattr(domain, attr)
+
+
+def test_make_box_peak_memory():
+    # traced peak in n-float arrays of rasterizing a 400x400 box, whose cells
+    # alone are 2; copied meshgrid axes and one (n-1, dim) difference read 6.50
+    tracemalloc.start()
+    try:
+        domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * domain.n_cells) <= 5
 
 
 def test_neighbor_rows_peak_memory():

@@ -15,8 +15,12 @@ same inputs at the same paths, so reports that record a path still compare.
 
 It prints the first command whose exit code, stdout, stderr or written file
 (report, ``rigid_fit.json``, CSV) differs and exits 1, or exits 0 when all
-are byte-identical.  Only the standard library is used; the workload
-generator is imported from this repository's ``perfbench``.
+are byte-identical.  After that verdict it lists the commands whose peak
+resident set size (``ru_maxrss`` from ``os.wait4``, one run each, so
+differences of a few tenths of a MB are noise) moved most between OLD and
+NEW.  Only the standard library is used; the workload generator is imported
+from this repository's ``perfbench``.  Reading child resource usage needs a
+POSIX system.
 """
 
 from __future__ import annotations
@@ -36,6 +40,18 @@ import workloads  # noqa: E402
 SUITES = ("norm-calculus", "clarkson", "plaplace", "examples", "reconstruction", "congruence")
 _MARKER = ".compare_outputs"
 _SQUARE = {"dim": 2, "h": 0.01, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}
+_TOP_RSS = 5  # commands listed by peak RSS change
+# A child that subprocess spawns shares its parent's memory until it execs, and Linux
+# then counts the parent's peak in the child's ru_maxrss; this tool's peak grows with
+# the outputs it holds, so each command runs under this small launcher, which writes
+# the command's own peak (KiB) to the file named by argv[1] and exits with its code
+_LAUNCHER = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "sil.cli", *sys.argv[2:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
 
 
 def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
@@ -87,20 +103,24 @@ def _fresh(work: str) -> None:
     open(os.path.join(work, _MARKER), "w").close()
 
 
-def run(checkout: str, work: str, seeds) -> list[tuple[str, list]]:
-    """Per command: its label, and its exit code, stdout, stderr and written files."""
+def run(checkout: str, work: str, seeds) -> list[tuple[str, list, float]]:
+    """Per command: its label; its exit code, stdout, stderr and written files;
+    and its peak RSS in MB."""
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isfile(os.path.join(src, "sil", "__init__.py")):
         raise SystemExit(f"no sil sources under {src}")
     env = dict(os.environ, PYTHONPATH=src)
     _fresh(work)
+    rss_file = os.path.join(work, ".peak_rss_kib")
     results = []
     for label, argv, outputs in commands(work, seeds):
         for path in outputs:
             if os.path.exists(path):
                 os.remove(path)
-        proc = subprocess.run([sys.executable, "-m", "sil.cli", *argv], cwd=work, env=env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, "-c", _LAUNCHER, rss_file, *argv], cwd=work,
+                              env=env, capture_output=True)
+        with open(rss_file) as fh:
+            rss_mb = int(fh.read()) / 1024.0
         items = [("exit code", proc.returncode), ("stdout", proc.stdout),
                  ("stderr", proc.stderr)]
         for path in outputs:
@@ -109,8 +129,8 @@ def run(checkout: str, work: str, seeds) -> list[tuple[str, list]]:
                 with open(path, "rb") as fh:
                     data = fh.read()
             items.append((os.path.relpath(path, work), data))
-        results.append((label, items))
-        print(f"  {label}: exit {proc.returncode}", file=sys.stderr)
+        results.append((label, items, rss_mb))
+        print(f"  {label}: exit {proc.returncode}, peak RSS {rss_mb:.2f} MB", file=sys.stderr)
     return results
 
 
@@ -123,13 +143,21 @@ def _first_line_difference(a: bytes, b: bytes) -> str:
 
 def compare(old, new) -> str | None:
     """The first difference between two runs, described, or None."""
-    for (label, items_old), (_, items_new) in zip(old, new):
+    for (label, items_old, _), (_, items_new, _) in zip(old, new):
         for (what, a), (_, b) in zip(items_old, items_new):
             if a != b:
                 detail = (_first_line_difference(a, b) if isinstance(a, bytes)
                           and isinstance(b, bytes) else f"{a!r:.80} != {b!r:.80}")
                 return f"{label}: {what} differs, {detail}"
     return None
+
+
+def rss_moves(old, new) -> list[str]:
+    """The commands whose peak RSS moved most from ``old`` to ``new``, described."""
+    moves = sorted(((b - a, label, a, b) for (label, _, a), (_, _, b) in zip(old, new)),
+                   key=lambda move: -abs(move[0]))
+    return [f"  {label}: {a:.2f} -> {b:.2f} MB ({d:+.2f} MB, {d / a:+.1%})"
+            for d, label, a, b in moves[:_TOP_RSS]]
 
 
 def main(argv=None) -> int:
@@ -146,13 +174,13 @@ def main(argv=None) -> int:
     for checkout in (args.old, args.new):
         print(f"running {checkout} in {work}", file=sys.stderr)
         runs.append(run(checkout, work, args.seeds))
-    n_files = sum(len(items) - 3 for _, items in runs[0])
+    n_files = sum(len(items) - 3 for _, items, _ in runs[0])
     difference = compare(*runs)
-    if difference:
-        print(f"DIFFERENT {difference}")
-        return 1
-    print(f"identical: {len(runs[0])} commands, {n_files} written files")
-    return 0
+    print(f"DIFFERENT {difference}" if difference
+          else f"identical: {len(runs[0])} commands, {n_files} written files")
+    print("largest moves of peak RSS, OLD -> NEW (one run each):")
+    print("\n".join(rss_moves(*runs)))
+    return 1 if difference else 0
 
 
 if __name__ == "__main__":
