@@ -337,7 +337,8 @@ def _write_csv(path, domain: GridDomain, columns: np.ndarray, names: list[str]) 
         fh.write(",".join(_lead_names(domain.dim) + names) + "\r\n")
         for blk in row_blocks(domain.n_cells, 1024):
             fh.writelines(",".join(map(repr, k + x + v)) + "\r\n" for k, x, v in zip(
-                domain.cells[blk].tolist(), domain.centers_of(blk).tolist(), columns[blk].tolist()))
+                domain.cells_of(blk).tolist(), domain.centers_of(blk).tolist(),
+                columns[blk].tolist()))
 
 
 def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:

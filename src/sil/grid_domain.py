@@ -1,6 +1,7 @@
 """Bounded open sets in R^1 and R^2 rasterized on uniform grids.
 
-A domain is stored as a set of active integer cells on a grid of width ``h``.
+A domain is a set of active integer cells on a grid of width ``h``, stored as
+its runs of consecutive cells along the last axis.
 Cell ``k`` covers ``origin + h*k + [0, h)^dim`` and its node (sample point)
 sits at the cell center.  A cell belongs to the rasterization of an analytic
 set exactly when its center does, which keeps the measure error of smooth
@@ -91,37 +92,67 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     return pt
 
 
-@dataclass(frozen=True)
+def _runs_of(cells, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The run table of integer cells given in any order, repeats allowed: the
+    cells are cut into runs a block of row pairs at a time, and lexsorted first
+    only if they are not sorted."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim)
+    # a pair is in order when its first differing axis steps up (its sign, weighted
+    # 2^(dim-1-d), outweighs the rest), and continues a run when it steps by +1 along
+    # the last axis alone; a block of row pairs reads one row past its end
+    weights, unit = 2 ** np.arange(dim)[::-1], np.eye(dim, dtype=np.int64)[-1]
+    ordered, starts = True, [np.zeros(min(cells.shape[0], 1), np.int64)]
+    for blk in row_blocks(cells.shape[0] - 1):
+        step = np.diff(cells[blk.start:blk.stop + 1], axis=0)
+        ordered &= bool((np.sign(step) @ weights > 0).all())
+        starts.append(np.flatnonzero(np.any(step != unit, axis=1)) + (blk.start + 1))
+    if not ordered:  # lexsort and drop repeats (np.unique would import numpy.ma)
+        cells = cells[np.lexsort(cells.T[::-1])]
+        keep = np.ones(cells.shape[0], dtype=bool)
+        keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+        cells = cells[keep]  # the sorted copy with repeats is freed before the cut
+        return _runs_of(cells, dim)
+    starts = np.concatenate(starts)
+    return cells[starts], np.append(starts, cells.shape[0])
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class GridDomain:
-    """Nonempty finite set of active cells on a uniform grid."""
+    """Nonempty finite set of active cells on a uniform grid, stored as its runs:
+    lexsorted, the cells fall into runs of consecutive cells along the last axis,
+    each a block of rows.  ``run_cells`` (R, dim) int64 holds the first cell of each
+    run, lexsorted, and ``run_rows`` (R + 1,) int64 its first row, then n; the table
+    is unique to the set of cells."""
 
     dim: int
     h: float
     origin: tuple[float, ...]
-    cells: np.ndarray  # (n, dim) int64, sorted lexicographically
+    run_cells: np.ndarray
+    run_rows: np.ndarray
 
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.h > 0):
-            raise ValueError(f"cell width must be positive, got {self.h}")
-        object.__setattr__(self, "origin", _as_point(self.origin, self.dim))
-        cells = np.array(self.cells, dtype=np.int64).reshape(-1, self.dim)  # private copy
-        if cells.shape[0] == 0:
+    def __init__(self, dim: int, h: float, origin, cells):
+        """The domain of the integer ``cells``, (n, dim) in any order; a repeat counts once."""
+        self.__post_init__(dim, h, origin, *_runs_of(cells, dim))
+
+    @classmethod
+    def of_runs(cls, dim: int, h: float, origin, run_cells, run_rows) -> "GridDomain":
+        """The domain of a run table, as described above, with no (n, dim) array."""
+        domain = cls.__new__(cls)
+        domain.__post_init__(dim, h, origin, run_cells, run_rows)
+        return domain
+
+    def __post_init__(self, dim, h, origin, run_cells, run_rows):
+        if dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        if not (h > 0):
+            raise ValueError(f"cell width must be positive, got {h}")
+        if run_cells.shape[0] == 0:
             raise ValueError("a domain must contain at least one cell")
-        # each pair's first differing axis must step up (its sign, weighted 2^(dim-1-d),
-        # outweighs the rest); a block of row pairs reads one row past its end
-        ordered, weights = True, 2 ** np.arange(self.dim)[::-1]
-        for blk in row_blocks(cells.shape[0] - 1):
-            step = np.sign(np.diff(cells[blk.start:blk.stop + 1], axis=0))
-            ordered &= bool((step @ weights > 0).all())
-        if not ordered:  # lexsort and drop repeats (np.unique would import numpy.ma)
-            cells = cells[np.lexsort(cells.T[::-1])]
-            keep = np.ones(cells.shape[0], dtype=bool)
-            keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-            cells = cells[keep]
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
+        for name, value in (("dim", dim), ("h", h), ("origin", _as_point(origin, dim)),
+                            ("run_cells", run_cells), ("run_rows", run_rows)):
+            object.__setattr__(self, name, value)
+        run_cells.setflags(write=False)
+        run_rows.setflags(write=False)
 
     # -- identity ---------------------------------------------------------
 
@@ -132,18 +163,19 @@ class GridDomain:
             self.dim == other.dim
             and self.h == other.h
             and self.origin == other.origin
-            and self.cells.shape == other.cells.shape
-            and bool(np.array_equal(self.cells, other.cells))
+            and bool(np.array_equal(self.run_rows, other.run_rows))
+            and bool(np.array_equal(self.run_cells, other.run_cells))
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.h, self.origin, self.cells.tobytes()))
+        return hash((self.dim, self.h, self.origin, self.run_cells.tobytes(),
+                     self.run_rows.tobytes()))
 
     # -- basic geometry ---------------------------------------------------
 
     @property
     def n_cells(self) -> int:
-        return self.cells.shape[0]
+        return int(self.run_rows[-1])
 
     @property
     def measure(self) -> float:
@@ -151,17 +183,54 @@ class GridDomain:
         return self.n_cells * self.h**self.dim
 
     @property
+    def cells(self) -> np.ndarray:
+        """(n, dim) int64 lexsorted active cells; computed, not cached."""
+        return self.cells_of(slice(None))
+
+    def cells_of(self, rows) -> np.ndarray:
+        """Cells of the given rows (a slice, index, index array or row mask), as in
+        ``cells``: each row's run cell, moved along the last axis by its offset in the run."""
+        starts = self.run_rows
+        if isinstance(rows, slice):
+            lo, hi, step = rows.indices(self.n_cells)
+            if step == 1 and lo < hi:  # the runs of rows lo and hi - 1, and those between
+                first = starts.searchsorted(lo, side="right") - 1
+                last = starts.searchsorted(hi - 1, side="right") - 1
+                bounds = starts[first:last + 2].copy()  # the rows each run gives
+                bounds[0], bounds[-1] = lo, hi
+                heads = self.run_cells[first:last + 1].copy()  # each run's cell at row 0
+                heads[:, -1] -= starts[first:last + 1]
+                out = np.repeat(heads, np.diff(bounds), axis=0)
+                out[:, -1] += np.arange(lo, hi)
+                return out
+            rows = np.arange(lo, hi, step)
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        if rows.size and rows.min() < 0:
+            raise IndexError("cells_of takes rows from 0 to n - 1")
+        run = np.searchsorted(starts, rows, side="right") - 1
+        out = np.take(self.run_cells, run, axis=0)  # a copy, for a 0-d row too
+        out[..., -1] += rows - starts[run]
+        return out
+
+    @property
     def centers(self) -> np.ndarray:
         """(n, dim) array of cell centers, the field nodes; computed, not cached."""
         return self.centers_of(slice(None))
 
     def centers_of(self, rows) -> np.ndarray:
-        """Centers of the given rows (a slice, index or index array), as in ``centers``."""
-        return np.asarray(self.origin) + self.h * (self.cells[rows] + 0.5)
+        """Centers of the given rows, as ``cells_of`` takes them."""
+        return np.asarray(self.origin) + self.h * (self.cells_of(rows) + 0.5)
 
     @cached_property
     def index_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.cells.min(axis=0), self.cells.max(axis=0)
+        """Read-only lowest and highest cell index along each axis."""
+        lo, hi = self.run_cells.min(axis=0), self.run_cells.max(axis=0)
+        hi[-1] = (self.run_cells[:, -1] + np.diff(self.run_rows)).max() - 1
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -169,33 +238,40 @@ class GridDomain:
         return physical_box(self.origin, self.h, *self.index_bounds)
 
     @cached_property
-    def _key_data(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mixed-radix strides and cell keys; lexsorted unique cells give
-        strictly increasing keys, so a key's row is its sorted position."""
+    def _key_data(self) -> tuple[np.ndarray, ...]:
+        """Read-only mixed-radix strides over the index box, then per run its first
+        cell's key, one past its last cell's key, and its first row minus its key.
+        The keys of a run's cells are consecutive, so a key's row is that shift
+        plus the key."""
         lo, hi = self.index_bounds
-        span = hi - lo + 1
-        strides = np.ones(self.dim, dtype=np.int64)
-        for d in range(self.dim - 2, -1, -1):
-            strides[d] = strides[d + 1] * span[d + 1]
-        return strides, self.cells @ strides - lo @ strides
+        span = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]  # Python ints
+        if (size := math.prod(span)) >= 2**63:
+            raise ValueError(f"the index box {lo.tolist()} to {hi.tolist()} holds "
+                             f"{size} cells, too many for int64 cell keys")
+        strides = np.array([math.prod(span[d + 1:]) for d in range(self.dim)], dtype=np.int64)
+        keys = (self.run_cells - lo) @ strides
+        data = strides, keys, keys + np.diff(self.run_rows), self.run_rows[:-1] - keys
+        for arr in data:
+            arr.setflags(write=False)
+        return data
 
     def rows_of_indices(self, idx: np.ndarray) -> np.ndarray:
         """Row positions of the given integer cells, -1 where absent."""
         idx = np.asarray(idx, dtype=np.int64).reshape(-1, self.dim)
         lo, hi = self.index_bounds
-        strides, cell_keys = self._key_data
+        strides, keys, ends, shift = self._key_data
         out = np.empty(idx.shape[0], dtype=np.int64)
         for blk in row_blocks(idx.shape[0]):
             in_box = np.all((idx[blk] >= lo) & (idx[blk] <= hi), axis=1)
-            keys = (idx[blk] - lo) @ strides
-            pos = np.searchsorted(cell_keys, keys)
-            pos[pos >= len(cell_keys)] = 0
-            out[blk] = np.where(in_box & (cell_keys[pos] == keys), pos, -1)
+            key = (idx[blk] - lo) @ strides
+            run = np.searchsorted(keys, key, side="right") - 1  # the last run starting at or before
+            in_box &= (run >= 0) & (key < ends[run])
+            out[blk] = np.where(in_box, key + shift[run], -1)
         return out
 
     def subset(self, rows) -> "GridDomain":
         """The domain of the given rows (or row mask) on the same grid."""
-        return GridDomain(self.dim, self.h, self.origin, self.cells[rows])
+        return GridDomain(self.dim, self.h, self.origin, self.cells_of(rows))
 
     def rows_of_points(self, pts: np.ndarray) -> np.ndarray:
         """Rows of the cells holding the physical points, -1 where absent."""
@@ -211,17 +287,19 @@ class GridDomain:
         run; along the others they are looked up one row block at a time."""
         n = self.n_cells
         _check_int32_rows(n)
-        starts = self.run_starts
         plus = np.arange(1, n + 1, dtype=np.int32)
-        plus[np.roll(starts, -1)] = -1  # a run ends where the next one starts
+        plus[self.run_rows[1:] - 1] = -1
         minus = np.arange(-1, n - 1, dtype=np.int32)
-        minus[starts] = -1
+        minus[self.run_rows[:-1]] = -1
         axes = []
-        for e in np.eye(self.dim, dtype=np.int64)[:-1]:
+        for d in range(self.dim - 1):
             pair = (np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32))
             for blk in row_blocks(n):
-                pair[0][blk] = self.rows_of_indices(self.cells[blk] + e)
-                pair[1][blk] = self.rows_of_indices(self.cells[blk] - e)
+                cells = self.cells_of(blk)
+                cells[:, d] += 1
+                pair[0][blk] = self.rows_of_indices(cells)
+                cells[:, d] -= 2
+                pair[1][blk] = self.rows_of_indices(cells)
             axes.append(pair)
         axes.append((plus, minus))
         for rows in itertools.chain(*axes):
@@ -230,10 +308,9 @@ class GridDomain:
 
     @property
     def run_starts(self) -> np.ndarray:
-        """Mask of the rows that begin a run of consecutive cells along the last
-        axis; cells are lexsorted, so each run is a block of rows."""
-        c, starts = self.cells, np.ones(self.n_cells, dtype=bool)
-        starts[1:] = np.any(c[1:, :-1] != c[:-1, :-1], axis=1) | (c[1:, -1] != c[:-1, -1] + 1)
+        """Mask of the rows that begin a run of consecutive cells along the last axis."""
+        starts = np.zeros(self.n_cells, dtype=bool)
+        starts[self.run_rows[:-1]] = True
         return starts
 
     @cached_property
@@ -241,14 +318,16 @@ class GridDomain:
         """Ascending read-only int32 rows of each face-connected part, parts
         in order of their smallest cell; labelled once per domain."""
         _check_int32_rows(self.n_cells)
-        run = np.cumsum(self.run_starts) - 1  # runs are numbered in cell order
-        root = np.arange(run[-1] + 1)
+        lengths = np.diff(self.run_rows)
+        root = np.arange(lengths.size)
         if self.dim == 2:  # union-find over runs touching across rows
+            run = np.repeat(root, lengths)  # runs are numbered in cell order
             plus = self.neighbor_rows[0][0]
             src = np.nonzero(plus >= 0)[0]
             # both rows of a pair grow with src, so the keys come sorted; drop
             # repeats by comparison, as np.unique would (it also imports numpy.ma)
             key = run[src] * len(root) + run[plus[src]]
+            del run, src
             first = np.ones(key.size, dtype=bool)
             first[1:] = key[1:] != key[:-1]
             pairs = np.divmod(key[first], len(root))
@@ -260,11 +339,15 @@ class GridDomain:
                 root[max(a, b)] = min(a, b)  # each root stays the first run of its part
         while np.any(root[root] != root):
             root = root[root]
-        labels = np.unique(root, return_inverse=True)[1][run]
-        del run  # one n-length array fewer while the order is built
-        order = np.argsort(labels, kind="stable").astype(np.int32)
+        labels = np.unique(root, return_inverse=True)[1]
+        # the rows of a part are its runs' rows, runs in cell order
+        by_part = np.argsort(labels, kind="stable")
+        counts = lengths[by_part]
+        order = np.arange(self.n_cells, dtype=np.int32)
+        order += np.repeat((self.run_rows[by_part] - (np.cumsum(counts) - counts)).astype(np.int32),
+                           counts)
         order.setflags(write=False)  # the parts are views of it
-        return tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
+        return tuple(np.split(order, np.cumsum(np.bincount(labels, lengths).astype(np.int64))[:-1]))
 
     def boundary_layer_mask(self, width: int = 1) -> np.ndarray:
         """Cells within ``width`` face steps of a missing neighbor."""
@@ -326,16 +409,21 @@ def make_box(lo, hi, h: float) -> GridDomain:
             raise ValueError(f"box extent ({a}, {b}) is below one cell at h={h}")
         counts.append(n)
     _check_budget(math.prod(counts), "box rasterization")
-    cells = box_cells((0,) * len(counts), [n - 1 for n in counts])
-    return GridDomain(len(lo), float(h), lo, cells)
+    # one run per line along the last axis, each starting at last index 0
+    run_cells = box_cells((0,) * len(counts), [n - 1 for n in counts[:-1]] + [0])
+    run_rows = np.arange(run_cells.shape[0] + 1, dtype=np.int64) * counts[-1]
+    return GridDomain.of_runs(len(lo), float(h), lo, run_cells, run_rows)
 
 
 def _subtract_boxes(domain: GridDomain, boxes: Iterable[tuple]) -> GridDomain:
+    """The cells of ``domain`` whose centres lie in none of the open ``boxes``,
+    the centres computed a row block at a time."""
+    boxes = [[np.asarray(_as_point(x, domain.dim)) for x in box] for box in boxes]
     keep = np.ones(domain.n_cells, dtype=bool)
-    centers = domain.centers
-    for lo, hi in boxes:
-        lo, hi = (np.asarray(_as_point(x, domain.dim)) for x in (lo, hi))
-        keep &= ~np.all((centers > lo) & (centers < hi), axis=1)
+    for blk in row_blocks(domain.n_cells):
+        centers = domain.centers_of(blk)
+        for lo, hi in boxes:
+            keep[blk] &= ~np.all((centers > lo) & (centers < hi), axis=1)
     if not keep.any():
         raise ValueError("subtraction removed every cell of the domain")
     return domain.subset(keep)
@@ -359,10 +447,11 @@ def is_topologically_regular(domain: GridDomain) -> bool:
     cell that closure would swallow.
     """
     # a surrounded inactive cell is the missing +e_last neighbor of an active
-    # cell, the last of its run, so those boundary-sized candidates are all
-    # that need checking; a run ends where the next one starts
+    # cell, the last of its run, so the cell just past each run's end is all
+    # that needs checking
     steps = np.eye(domain.dim, dtype=np.int64)
-    cand = domain.cells[np.roll(domain.run_starts, -1)] + steps[-1]
+    cand = domain.run_cells.copy()
+    cand[:, -1] += np.diff(domain.run_rows)
     surrounded = np.ones(cand.shape[0], dtype=bool)
     for e in steps:
         surrounded &= domain.rows_of_indices(cand + e) >= 0

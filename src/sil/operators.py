@@ -488,7 +488,7 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
         hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
         coverage += hit
         escaped_pts += n_out
-        cells = T.target.cells[rows]
+        cells = T.target.cells_of(rows)
         box = tuple(tuple(map(float, end)) for end in _gd.physical_box(
             T.target.origin, T.target.h, cells.min(axis=0), cells.max(axis=0)))
         image = tuple(tuple(map(float, end)) for end in motion.image_box(*box))

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -116,8 +116,23 @@ def gateaux_sample_triple(domain: GridDomain, rng: np.random.Generator,
     return u, v, w
 
 
-def disjoint_bump_pairs(domain: GridDomain, rng: np.random.Generator,
-                        n: int) -> list[tuple[Field, Field]]:
+@dataclass(frozen=True)
+class _Battery:
+    """Seeded samples, drawn and accepted when the battery is made, whose fields
+    ``build(*args)`` makes only when iteration reaches them, so one sample at a time
+    is alive.  Unlike a generator it has a length, so a caller can count the samples."""
+
+    build: Callable
+    draws: tuple[tuple, ...]
+
+    def __len__(self) -> int:
+        return len(self.draws)
+
+    def __iter__(self):
+        return (self.build(*args) for args in self.draws)
+
+
+def disjoint_bump_pairs(domain: GridDomain, rng: np.random.Generator, n: int) -> _Battery:
     """Pairs of bumps with disjoint balls 4 cells apart, from at most 2,000 candidates."""
     lo, hi = domain.bounding_box
     span = float(np.min(hi - lo))
@@ -136,28 +151,16 @@ def disjoint_bump_pairs(domain: GridDomain, rng: np.random.Generator,
             continue
         if not (ball_fits(domain, c1, r1) and ball_fits(domain, c2, r2)):
             continue
-        pairs.append((bump(domain, c1, r1), bump(domain, c2, r2)))
-    return pairs
+        pairs.append((c1, r1, c2, r2))
+    return _Battery(lambda c1, r1, c2, r2: (bump(domain, c1, r1), bump(domain, c2, r2)),
+                    tuple(pairs))
 
 
-@dataclass(frozen=True)
-class _TestBumps:
-    """Seeded interior test bumps, each built only when iteration reaches it.
-
-    Unlike a generator it has a length, so a caller can count the tests.
-    """
-
-    domain: GridDomain
-    seed: int
-
-    def __len__(self) -> int:
-        return 20
-
-    def __iter__(self):
-        rng = np.random.default_rng(self.seed)
-        for _ in range(len(self)):
-            c = rng.uniform(0.3, 0.7, size=self.domain.dim)  # c is drawn before r
-            yield bump(self.domain, c, rng.uniform(0.1, 0.25))
+def _test_bumps(domain: GridDomain, seed: int) -> _Battery:
+    """Twenty seeded interior test bumps, each centre drawn before its radius."""
+    rng = np.random.default_rng(seed)
+    return _Battery(lambda c, r: bump(domain, c, r), tuple(
+        (rng.uniform(0.3, 0.7, size=domain.dim), rng.uniform(0.1, 0.25)) for _ in range(20)))
 
 
 _TRIAL_SHAPES = (
@@ -170,8 +173,7 @@ _TRIAL_SHAPES = (
 )
 
 
-def intertwining_trials(T: OperatorSpec, rng: np.random.Generator,
-                        n: int) -> list[tuple[Field, Field]]:
+def intertwining_trials(T: OperatorSpec, rng: np.random.Generator, n: int) -> _Battery:
     """(u, v) trial pairs: cycled smooth u, compact tent v of height 0.1 whose
     half-widths are 0.12 to 0.28 of the source's bounding-box sides.
 
@@ -180,7 +182,7 @@ def intertwining_trials(T: OperatorSpec, rng: np.random.Generator,
     on the target boundary layer.
     The second condition is a genuine restriction, e.g. when the map glues
     several target components onto one source region a tent crossing the
-    seam has a non-compact image.
+    seam has a non-compact image.  Iteration builds each accepted tent again.
     """
     src = T.source
     lo, hi = src.bounding_box
@@ -194,18 +196,22 @@ def intertwining_trials(T: OperatorSpec, rng: np.random.Generator,
             break
         wf = rng.uniform(0.12, 0.28, size=src.dim)
         cf = np.array([rng.uniform(w + margin, 1.0 - w - margin) for w in wf])
-        v = 0.1 * hat(src, lo + scale * cf, scale * wf)
+        center, halfwidth = lo + scale * cf, scale * wf
+        v = 0.1 * hat(src, center, halfwidth)
         if np.any(v.values[src_mask] != 0.0) or not v.values.any():
             continue
         tv = apply(T, v)
         if np.any(tv.values[tgt_mask] != 0.0):
             continue
-        shape = _TRIAL_SHAPES[len(trials) % len(_TRIAL_SHAPES)]
-        u = Field.from_function(src, lambda x: shape((x - lo) / scale))
-        trials.append((u, v))
+        trials.append((_TRIAL_SHAPES[len(trials) % len(_TRIAL_SHAPES)], center, halfwidth))
     if len(trials) < n:
         raise ValueError("could not generate admissible intertwining trials")
-    return trials
+
+    def trial(shape, center, halfwidth):
+        u = Field.from_function(src, lambda x: shape((x - lo) / scale))
+        return u, 0.1 * hat(src, center, halfwidth)
+
+    return _Battery(trial, tuple(trials))
 
 
 def random_rigid_operator(rng: np.random.Generator, h: float) -> OperatorSpec:
@@ -325,7 +331,7 @@ def suite_plaplace(cfg: SuiteConfig) -> list[dict]:
                 h = h0 / 2**k
                 domain = make_box((0.0,) * dim, (1.0,) * dim, h)
                 probe = exponential_probe(domain, 0, 1, p)
-                residuals.append(plap_residual(probe, p, _TestBumps(domain, cfg.seed)))
+                residuals.append(plap_residual(probe, p, _test_bumps(domain, cfg.seed)))
             worst_ratio = float(np.min(np.divide(residuals[:-1], residuals[1:])))
             checks.append(_check(
                 f"probe_residual_decay_{dim}d_p{p:g}",

@@ -293,6 +293,16 @@ class TestInputErrorsExit2:
         code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec])
         self._assert_input_error(code, capsys, "congruence refinement grid")
 
+    def test_index_box_too_large_for_cell_keys(self, tmp_path, capsys):
+        # three 8x8 blocks at h = 2^-30 span 2^31 x 2^33 cell indices; their int64
+        # keys once wrapped, and the identity read 88 cells "mapped outside the source"
+        h = 2.0**-30
+        boxes = [{"lo": [x, y], "hi": [x + 8 * h, y + 8 * h]} for x, y in ((0, 0), (0, 8), (2, 0))]
+        spec = write_json(tmp_path / "op.json", {"builtin": "identity",
+                                                 "target": {"dim": 2, "h": h, "boxes": boxes}})
+        code = main(["verify", "--suite", "congruence", "--spec", spec])
+        self._assert_input_error(code, capsys, "too many for int64 cell keys")
+
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_clarkson_non_finite_p(self, capsys, p):
         # a configuration error, not a NaN slack in every sample

@@ -454,3 +454,13 @@ def test_blocked_samplers_peak_memory():
     assert _peak_excess(n, exponential_probe, domain, 1, -1, 3.0) <= 1.5
     assert _peak_excess(n, Field.from_function, domain,
                         lambda x: np.cos(x[:, 0]) * x[:, 1]) <= 1.5
+
+
+def test_plap_residual_step_peak_memory():
+    # one residual step on a 400x400 box whose stencil rows are built, its test
+    # bump made when the residual reaches it; the bump alone is one array
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    domain.neighbor_rows
+    probe = exponential_probe(domain, 0, 1, 3.0)
+    tests = (bump(domain, (0.5, 0.5), 0.3) for _ in range(1))
+    assert _peak_excess(domain.n_cells, plap_residual, probe, 3.0, tests) <= 2

@@ -496,6 +496,16 @@ def test_regularity_of_boxes_minus_boxes(domain):
     assert is_topologically_regular(domain) == _reference_is_regular(domain)
 
 
+def test_index_box_too_large_for_int64_keys():
+    # the keys of a 2^31 x 2^33 index box wrap in int64; they once gave rows [0, 1, -1]
+    cells = [[0, 0], [0, 2**33], [2**31, 0]]
+    with pytest.raises(ValueError, match=r"index box \[0, 0\] to \[2147483648, 8589934592\]"):
+        GridDomain(2, 1.0, (0.0, 0.0), cells).rows_of_indices(cells)
+    # just below 2^63 cells the keys fit
+    cells = [[0, 0], [0, 2**32 - 1], [2**31 - 2, 0]]
+    assert GridDomain(2, 1.0, (0.0, 0.0), cells).rows_of_indices(cells).tolist() == [0, 1, 2]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_random_cell_sets())
 def test_rows_of_indices_round_trip(domain):
@@ -565,8 +575,10 @@ class TestCellStorage:
     def test_sorted_input_is_copied_not_frozen(self):
         cells = np.argwhere(np.ones((4, 5), dtype=bool)).astype(np.int64)
         domain = GridDomain(2, 0.1, (0.0, 0.0), cells)
-        assert cells.flags.writeable and not domain.cells.flags.writeable
-        assert not np.shares_memory(cells, domain.cells)
+        assert cells.flags.writeable
+        assert not any(arr.flags.writeable for arr in (domain.run_cells, domain.run_rows))
+        assert not any(np.shares_memory(cells, arr)
+                       for arr in (domain.run_cells, domain.run_rows, domain.cells))
         cells[0] = (9, 9)
         assert domain.cells[0].tolist() == [0, 0]
 
@@ -676,8 +688,10 @@ def test_compact_row_index_matches_int64_reference(domain, block):
         for got, want in zip(pair, ref):
             assert got.dtype == np.int32 and not got.flags.writeable
             assert np.array_equal(got, want)
-    strides, keys = domain._key_data  # as the (n, dim) int64 copy computed them
-    assert np.array_equal(keys, (domain.cells - domain.index_bounds[0]) @ strides)
+    # the run keys are the keys of the cells that start runs, as the cells compute them
+    strides, keys = domain._key_data[:2]
+    cell_keys = (domain.cells - domain.index_bounds[0]) @ strides
+    assert np.array_equal(keys, cell_keys[domain.run_starts])
     ref_parts = _reference_component_rows(domain)
     assert len(parts) == len(ref_parts)
     for got, want in zip(parts, ref_parts):
@@ -707,15 +721,17 @@ def test_int32_row_bound(monkeypatch, dim):
 
 
 def test_make_box_peak_memory():
-    # traced peak in n-float arrays of rasterizing a 400x400 box, whose cells
-    # alone are 2; copied meshgrid axes and one (n-1, dim) difference read 6.50
+    # traced peak, and memory held after, in n-float arrays of rasterizing a
+    # 400x400 box: its 400 runs are about 10 KB, where its (n, 2) cells alone
+    # were 2 and the rasterization read 6.50, then 4.26
     tracemalloc.start()
     try:
         domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * domain.n_cells) <= 5
+    assert peak / (8 * domain.n_cells) <= 0.02
+    assert held / (8 * domain.n_cells) < 0.01
 
 
 def test_neighbor_rows_peak_memory():
@@ -732,3 +748,75 @@ def test_neighbor_rows_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak / (8 * domain.n_cells) <= 3
+
+
+@st.composite
+def _raw_cells(draw):
+    """(dim, cells) of a random union of boxes minus holes, often in several
+    components, with a noisy patch for short runs: the (n, dim) cells in a
+    random order, some of them repeated, shifted by up to 2^40."""
+    dim = draw(st.sampled_from([1, 2]))
+    shape = (50,) if dim == 1 else (14, 14)
+    mask = np.zeros(shape, dtype=bool)
+    boxes = draw(st.lists(st.booleans(), min_size=1, max_size=7))
+    for active in [True] + boxes:  # one box first, then boxes and holes
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        size = [draw(st.integers(1, n // 2)) for n in shape]
+        mask[tuple(slice(a, a + m) for a, m in zip(lo, size))] = active
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lo = [draw(st.integers(0, n - 4)) for n in shape]
+        mask[tuple(slice(a, a + 4) for a in lo)] = rng.random((4,) * dim) < 0.5
+    assume(mask.any())
+    cells = np.argwhere(mask) + draw(st.sampled_from([0, -7, 2**40]))
+    cells = np.concatenate([cells, cells[rng.random(len(cells)) < 0.2]])
+    return dim, cells[rng.permutation(len(cells))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_cells(), st.data())
+def test_run_table_matches_a_cells_reference(raw, data):
+    # every reading of the run table against a reference that holds the sorted
+    # cells as tuples, as the (n, dim) storage did
+    dim, raw_cells = raw
+    domain = GridDomain(dim, 0.1, (0.0,) * dim, raw_cells)
+    ref = sorted(set(map(tuple, raw_cells.tolist())))
+    row_of = {c: r for r, c in enumerate(ref)}
+    n = len(ref)
+    assert domain.n_cells == n and domain.cells.tolist() == [list(c) for c in ref]
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a, b = sorted(rng.integers(-2, n + 3, size=2).tolist())
+    rows = rng.integers(n, size=data.draw(st.integers(0, 40)))
+    mask = rng.random(n) < 0.5
+    for got, want in ((domain.cells_of(slice(a, b)), ref[a:b]),
+                      (domain.cells_of(rows), [ref[r] for r in rows]),
+                      (domain.cells_of(mask), [c for c, m in zip(ref, mask) if m]),
+                      (domain.cells_of(slice(None, None, 3)), ref[::3])):
+        assert got.shape == (len(want), dim) and got.tolist() == [list(c) for c in want]
+    r = rng.integers(n)  # one row gives one cell, as indexing an (n, dim) array does
+    assert domain.cells_of(r).tolist() == list(ref[r])
+
+    # lookups over the bounding box grown by one cell
+    ref_cells = np.array(ref)
+    box = grid_domain.box_cells(ref_cells.min(axis=0) - 1, ref_cells.max(axis=0) + 1)
+    assert domain.rows_of_indices(box).tolist() == [row_of.get(tuple(c), -1) for c in box.tolist()]
+
+    for d, pair in enumerate(domain.neighbor_rows):
+        for got, step in zip(pair, (1, -1)):
+            want = [row_of.get(c[:d] + (c[d] + step,) + c[d + 1:], -1) for c in ref]
+            assert got.tolist() == want
+    # a row starts a run unless its cell follows the previous row's along the last axis
+    follows = [r > 0 and ref[r - 1] == c[:-1] + (c[-1] - 1,) for r, c in enumerate(ref)]
+    assert domain.run_starts.tolist() == [not f for f in follows]
+    assert [p.tolist() for p in domain.component_rows] == [
+        [row_of[c] for c in part] for part in _bfs_components(ref)]
+    surrounded = [c for c in map(tuple, box.tolist())
+                  if c not in row_of and all(nb in row_of for nb in _face_neighbours(c))]
+    assert is_topologically_regular(domain) == (not surrounded)
+
+    # the run table is canonical: any order of the same cells, the same domain
+    again = GridDomain(dim, 0.1, (0.0,) * dim, ref_cells[::-1])
+    assert again == domain and hash(again) == hash(domain)
+    if n > 1:
+        assert GridDomain(dim, 0.1, (0.0,) * dim, ref_cells[1:]) != domain

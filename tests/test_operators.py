@@ -537,24 +537,29 @@ def test_lattice_blocks_are_congruent_until_a_hole_is_cut(case, seed):
 @settings(max_examples=20, deadline=None)
 @given(_lattice_block_cases(), st.integers(0, 2**32 - 1))
 def test_frozen_values_hold_read_only_arrays(case, seed):
-    # every array a frozen value holds rejects writes; centres are computed
-    # afresh, so writing to a returned copy leaves the domain's centres as they were
+    # every array a frozen value holds rejects writes, the run table and the cached
+    # lookup data included; cells and centres are computed afresh, so writing to a
+    # returned copy leaves the domain's cells and centres as they were
     source, target, motions, _, _ = case
     rng = np.random.default_rng(seed)
     T = piecewise_rigid_operator(source, target, motions, range(len(motions)))
     u = random_smooth_field(target, rng)
-    held = [T.g_values, T.xi_values, u.values, gradient(u).values, target.cells,
+    held = [T.g_values, T.xi_values, u.values, gradient(u).values,
+            target.run_cells, target.run_rows, *target.index_bounds, *target._key_data,
             *itertools.chain(*target.neighbor_rows), *target.component_rows,
             *itertools.chain.from_iterable((m.Q, m.b) for m in motions)]
     for arr in held:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
-    before = target.centers.copy()
     rows = rng.integers(target.n_cells, size=3)
-    for got in (target.centers, target.centers_of(rows), target.centers_of(slice(1, None))):
-        got += 1.0
-    assert np.array_equal(target.centers, before)
-    assert np.array_equal(target.centers_of(rows), before[rows])
+    for read in (lambda d, r: d.cells if r is None else d.cells_of(r),
+                 lambda d, r: d.centers if r is None else d.centers_of(r)):
+        before = read(target, None).copy()
+        for got in (read(target, None), read(target, rows), read(target, rows[0]),
+                    read(target, slice(1, None))):
+            got += 1
+        assert np.array_equal(read(target, None), before)
+        assert np.array_equal(read(target, rows), before[rows])
 
 
 def _reference_rows(domain, pts):
