@@ -9,7 +9,6 @@ error away from re-entrant boundaries.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_domain import _BLOCK, GridDomain, row_blocks
+from .grid_domain import _BLOCK, GridDomain, box_blocks, row_blocks
 
 
 def _same_domain(a, b) -> None:
@@ -270,9 +269,7 @@ def ball_fits(domain: GridDomain, center, radius: float) -> bool:
     o = np.asarray(domain.origin)
     k_lo = np.floor((center - radius - o) / domain.h).astype(np.int64)
     k_hi = np.floor((center + radius - o) / domain.h).astype(np.int64)
-    shape = np.maximum(k_hi - k_lo + 1, 0).tolist()
-    for blk in row_blocks(n := math.prod(shape)):
-        cand = np.stack(np.unravel_index(np.arange(*blk.indices(n)), shape), axis=1) + k_lo
+    for _, cand in box_blocks(k_lo, k_hi):
         box_lo = o + domain.h * cand
         nearest = np.clip(center, box_lo, box_lo + domain.h)
         touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2
@@ -383,19 +380,23 @@ def _interpolate(domain: GridDomain, columns: np.ndarray,
     out = np.zeros((pts.shape[0], columns.shape[1]))
     covered = np.zeros(pts.shape[0], dtype=bool)
     for blk in row_blocks(pts.shape[0]):
-        t = (pts[blk] - np.asarray(domain.origin)) / domain.h - 0.5
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
+        frac = pts[blk] - np.asarray(domain.origin)  # t, then t - floor(t), in place
+        frac /= domain.h
+        frac -= 0.5
+        base = np.floor(frac).astype(np.int64)
+        frac -= base
         acc = out[blk]  # view: the corner sums accumulate straight into out
         wsum = np.zeros(base.shape[0])
+        gathered = np.empty_like(acc)  # each corner's rows of columns, in turn
         for corner in itertools.product((0, 1), repeat=domain.dim):
-            idx = base + np.asarray(corner, dtype=np.int64)
             w = np.ones(base.shape[0])
             for d, c in enumerate(corner):
                 w *= frac[:, d] if c else 1.0 - frac[:, d]
-            rows = domain.rows_of_indices(idx)
+            rows = domain.rows_of_indices(base + np.asarray(corner, dtype=np.int64))
             w[rows < 0] = 0.0  # an absent corner reads the (finite) last row at weight 0
-            acc += w[:, None] * columns[rows]
+            np.take(columns, rows, axis=0, out=gathered, mode="wrap")
+            gathered *= w[:, None]
+            acc += gathered
             wsum += w
         hit = covered[blk] = wsum > 0  # points without a hit stay exactly 0
         acc[hit] /= wsum[hit, None]

@@ -221,7 +221,10 @@ class GridDomain:
 
     def centers_of(self, rows) -> np.ndarray:
         """Centers of the given rows, as ``cells_of`` takes them."""
-        return np.asarray(self.origin) + self.h * (self.cells_of(rows) + 0.5)
+        out = self.cells_of(rows) + 0.5
+        out *= self.h
+        out += self.origin  # in place, the same sums as origin + h * (cells + 0.5)
+        return out
 
     @cached_property
     def index_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -261,12 +264,17 @@ class GridDomain:
         lo, hi = self.index_bounds
         strides, keys, ends, shift = self._key_data
         out = np.empty(idx.shape[0], dtype=np.int64)
-        for blk in row_blocks(idx.shape[0]):
+        for blk in row_blocks(idx.shape[0]):  # each block's key array becomes its rows
             in_box = np.all((idx[blk] >= lo) & (idx[blk] <= hi), axis=1)
-            key = (idx[blk] - lo) @ strides
-            run = np.searchsorted(keys, key, side="right") - 1  # the last run starting at or before
+            key = np.zeros(in_box.shape[0], dtype=np.int64)  # (idx - lo) @ strides, by column
+            for d in range(self.dim):
+                key += (idx[blk, d] - lo[d]) * strides[d]
+            run = np.searchsorted(keys, key, side="right")
+            run -= 1  # the last run starting at or before
             in_box &= (run >= 0) & (key < ends[run])
-            out[blk] = np.where(in_box, key + shift[run], -1)
+            key += shift[run]
+            key[~in_box] = -1
+            out[blk] = key
         return out
 
     def subset(self, rows) -> "GridDomain":
@@ -319,19 +327,18 @@ class GridDomain:
         in order of their smallest cell; labelled once per domain."""
         _check_int32_rows(self.n_cells)
         lengths = np.diff(self.run_rows)
-        root = np.arange(lengths.size)
-        if self.dim == 2:  # union-find over runs touching across rows
-            run = np.repeat(root, lengths)  # runs are numbered in cell order
-            plus = self.neighbor_rows[0][0]
-            src = np.nonzero(plus >= 0)[0]
-            # both rows of a pair grow with src, so the keys come sorted; drop
-            # repeats by comparison, as np.unique would (it also imports numpy.ma)
-            key = run[src] * len(root) + run[plus[src]]
-            del run, src
-            first = np.ones(key.size, dtype=bool)
-            first[1:] = key[1:] != key[:-1]
-            pairs = np.divmod(key[first], len(root))
-            for a, b in zip(*(side.tolist() for side in pairs)):
+        root = np.arange(lengths.size)  # runs are numbered in cell order
+        if self.dim == 2:  # union-find over the runs that share a face across lines
+            # the line before a run holds its keys less a stride (which cannot wrap), so
+            # the runs there sharing a face with it end after its first key so moved and
+            # start before its end key so moved; the pairs come in any order
+            strides, keys, ends, _ = self._key_data
+            down = keys - strides[0]
+            first = ends.searchsorted(down, side="right")
+            count = keys.searchsorted(down + lengths, side="left") - first
+            later = np.repeat(root, count)
+            earlier = np.arange(later.size) + np.repeat(first - (np.cumsum(count) - count), count)
+            for a, b in zip(earlier.tolist(), later.tolist()):
                 while root[a] != a:  # path halving
                     root[a] = a = root[root[a]]
                 while root[b] != b:
@@ -374,15 +381,36 @@ def physical_box(origin, h: float, k_lo, k_hi) -> tuple[np.ndarray, np.ndarray]:
     return o + h * k_lo, o + h * (k_hi + 1)
 
 
+def box_blocks(k_lo, k_hi):
+    """The lexsorted integer cells of the index box ``[k_lo, k_hi]``, ends included,
+    a row block at a time: ``(slice, cells)``, the slice placing the block in the box."""
+    k_lo = np.asarray(k_lo, dtype=np.int64)
+    shape = np.maximum(np.asarray(k_hi, dtype=np.int64) - k_lo + 1, 0).tolist()
+    n = math.prod(shape)
+    for blk in row_blocks(n):
+        yield blk, np.stack(np.unravel_index(np.arange(*blk.indices(n)), shape), axis=1) + k_lo
+
+
 def box_cells(k_lo, k_hi) -> np.ndarray:
-    """Lexsorted (n, dim) integer cells of the index box ``[k_lo, k_hi]``, ends included."""
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo, k_hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+    """Lexsorted (n, dim) integer cells of the nonempty index box ``[k_lo, k_hi]``."""
+    return np.concatenate([cells for _, cells in box_blocks(k_lo, k_hi)])
 
 
-def _covering_cells(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cells, and their centers, of the width-``h`` grid anchored at ``origin``
-    that cover the physical box ``[lo, hi]`` with one cell of padding per side."""
+def _box_runs(k_lo, k_hi, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The run table of the cells of the index box ``[k_lo, k_hi]`` marked in ``keep``,
+    a mask of its lexsorted cells: a run begins at a marked cell that begins a line of
+    the box or follows an unmarked one, and ends likewise."""
+    shape = (k_hi - k_lo + 1).tolist()
+    lines = np.pad(keep.reshape(-1, shape[-1]), ((0, 0), (1, 1)))  # unmarked past both ends
+    first = np.flatnonzero(lines[:, 1:-1] & ~lines[:, :-2])
+    last = np.flatnonzero(lines[:, 1:-1] & ~lines[:, 2:])
+    run_cells = np.stack(np.unravel_index(first, shape), axis=1) + k_lo
+    return run_cells, np.append(0, np.cumsum(last + 1 - first))
+
+
+def _covering_box(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest cell of the width-``h`` grid anchored at ``origin`` that
+    cover the physical box ``[lo, hi]`` with one cell of padding per side."""
     o = np.asarray(origin)
     k_lo = np.floor((lo - o) / h) - 1
     k_hi = np.floor((hi - o) / h) + 1
@@ -390,8 +418,7 @@ def _covering_cells(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np
         raise ValueError(f"{what} has non-finite or out-of-range bounds")
     k_lo, k_hi = k_lo.astype(np.int64), k_hi.astype(np.int64)
     _check_budget(math.prod((k_hi - k_lo + 1).tolist()), what)
-    cand = box_cells(k_lo, k_hi)
-    return cand, o + h * (cand + 0.5)
+    return k_lo, k_hi
 
 
 def make_box(lo, hi, h: float) -> GridDomain:
@@ -561,11 +588,14 @@ def apply_rigid_motion(domain: GridDomain, motion: RigidMotion) -> GridDomain:
         raise ValueError("motion dimension does not match the domain")
     lo, hi = motion.image_box(*domain.bounding_box)
     origin_out = tuple(motion.transform(np.asarray(domain.origin)[None, :])[0])
-    cand, centers = _covering_cells(lo, hi, origin_out, domain.h, "rigid-motion image")
-    keep = domain.rows_of_points(motion.inverse_transform(centers)) >= 0
+    o, h = np.asarray(origin_out), domain.h
+    k_lo, k_hi = _covering_box(lo, hi, o, h, "rigid-motion image")
+    keep = np.empty(math.prod((k_hi - k_lo + 1).tolist()), dtype=bool)
+    for blk, cand in box_blocks(k_lo, k_hi):  # the covering cells whose centres map back in
+        keep[blk] = domain.rows_of_points(motion.inverse_transform(o + h * (cand + 0.5))) >= 0
     if not keep.any():
         raise ValueError("rigid-motion image contains no cells")
-    return GridDomain(domain.dim, domain.h, origin_out, cand[keep])
+    return GridDomain.of_runs(domain.dim, h, origin_out, *_box_runs(k_lo, k_hi, keep))
 
 
 def congruence_check(omega1: GridDomain, omega2: GridDomain,
@@ -585,11 +615,15 @@ def congruence_check(omega1: GridDomain, omega2: GridDomain,
     h_ref = min(omega1.h, omega2.h)
     lo1, hi1 = omega1.bounding_box
     img_lo, img_hi = motion.image_box(*omega2.bounding_box)
-    _, centers = _covering_cells(np.minimum(lo1, img_lo), np.maximum(hi1, img_hi),
-                                 omega1.origin, h_ref, "congruence refinement grid")
-    in_a = omega1.rows_of_points(centers) >= 0
-    in_b = omega2.rows_of_points(motion.inverse_transform(centers)) >= 0
-    defect = float(np.count_nonzero(in_a != in_b)) * h_ref**omega1.dim
+    o = np.asarray(omega1.origin)
+    differ = 0  # refinement cells in exactly one of the two, counted a row block at a time
+    for _, cand in box_blocks(*_covering_box(np.minimum(lo1, img_lo), np.maximum(hi1, img_hi),
+                                             o, h_ref, "congruence refinement grid")):
+        centers = o + h_ref * (cand + 0.5)
+        in_a = omega1.rows_of_points(centers) >= 0
+        in_b = omega2.rows_of_points(motion.inverse_transform(centers)) >= 0
+        differ += int(np.count_nonzero(in_a != in_b))
+    defect = float(differ) * h_ref**omega1.dim
     return defect <= tol, defect
 
 

@@ -268,41 +268,58 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
     elif omega2 is None or source is None:
         raise ValueError("black-box reconstruction needs omega2 and source domains")
 
-    def image(j, sg):  # formed exactly at the nodes, or sent through the black box
-        if isinstance(op, OperatorSpec):
-            try:  # the Field formed rejects the image where the weight times the probe overflowed
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return apply_to_function(op, lambda x: np.exp(sg * alpha * x[:, j])).values
-            except ValueError:
-                raise ValueError(f"the probe image along axis {j}, the weight times "
-                                 f"exp({sg:+d} * {alpha:.6g} xi_{j}), overflows") from None
-        img = op(exponential_probe(source, j, sg, p))
-        if img.domain != omega2:
-            raise ValueError("operator image does not live on omega2")
-        return img.values
-
     n = omega2.n_cells
+
+    def image_blocks(j):  # (slice, v_+, v_-) per row block, for the probe pair of axis j
+        if isinstance(op, OperatorSpec):
+            for blk in _gd.row_blocks(n):
+                with np.errstate(over="ignore", invalid="ignore"):  # named by the caller
+                    pair = [op.g_values[blk] * np.exp(sg * alpha * op.xi_values[blk, j])
+                            for sg in (1, -1)]
+                yield blk, *pair
+            return
+        whole = []
+        for sg in (1, -1):
+            img = op(exponential_probe(source, j, sg, p))
+            if img.domain != omega2:
+                raise ValueError("operator image does not live on omega2")
+            whole.append(img.values)
+        for blk in _gd.row_blocks(n):
+            yield blk, whole[0][blk], whole[1][blk]
+
     zero = np.zeros(n, dtype=bool)
-    g_axes = []
+    g_hat = np.zeros(n)  # the weight of axis 0; every other axis's is compared with it
+    deviation = [0.0]  # block maxima of |g_j - g_hat| off the zero set, final on the last axis
     xi = np.zeros((n, omega2.dim))
-    for j in range(omega2.dim):  # one axis's pair of probe images alive at a time
-        vp, vm = image(j, 1), image(j, -1)
-        with np.errstate(over="ignore"):  # the images are finite, so only overflow is left
-            prod = vp * vm
-        if not np.isfinite(prod).all():
-            node = tuple(map(float, omega2.centers[np.argmin(np.isfinite(prod))]))
+    for j in range(omega2.dim):
+        # an axis's first overflow of each kind (image +, image -, product), raised once the
+        # axis is read in the order a whole-array pass would meet them
+        bad = {}
+        for blk, vp, vm in image_blocks(j):
+            with np.errstate(over="ignore", invalid="ignore"):
+                prod = vp * vm
+            for kind, values in enumerate((vp, vm, prod)):
+                if kind not in bad and not (finite := np.isfinite(values)).all():
+                    bad[kind] = blk.start + int(np.argmin(finite))
+            if bad:
+                continue
+            ok = prod > 0.0
+            zero[blk] |= ~ok
+            g_j = g_hat[blk] if j == 0 else np.zeros(vp.shape[0])
+            g_j[ok] = np.sign(vp[ok]) * np.sqrt(prod[ok])
+            xi[blk][ok, j] = np.log(vp[ok] / vm[ok]) / (2.0 * alpha)
+            if j and (live := ~zero[blk]).any():  # dim <= 2, so the zero set is final here
+                deviation.append(np.abs(g_j - g_hat[blk])[live].max())
+        if bad and (kind := min(bad)) < 2:
+            raise ValueError(f"the probe image along axis {j}, the weight times "
+                             f"exp({1 - 2 * kind:+d} * {alpha:.6g} xi_{j}), overflows")
+        if bad:
+            node = tuple(map(float, omega2.centers_of(bad[2])))
             raise ValueError(f"the product of the probe images along axis {j}, the squared "
                              f"weight, overflows at the target node {node}")
-        ok = prod > 0.0
-        zero |= ~ok
-        g_j = np.zeros(n)
-        g_j[ok] = np.sign(vp[ok]) * np.sqrt(prod[ok])
-        xi[ok, j] = np.log(vp[ok] / vm[ok]) / (2.0 * alpha)
-        g_axes.append(g_j)
     if zero.all():
         raise ValueError("probe images vanish everywhere; not a composition operator on this grid")
-    g_hat = g_axes[0]
-    deviation = _worst([0.0, *(np.abs(g_j - g_hat)[~zero].max() for g_j in g_axes[1:])])
+    deviation = _worst(deviation)
     g_hat[zero] = 0.0
     xi[zero] = 0.0
     return ReconstructionResult(Field(omega2, g_hat), VectorField(omega2, xi), zero, deviation)
@@ -335,7 +352,9 @@ def _component_motion(rec: ReconstructionResult, rows: np.ndarray) -> RigidMotio
     if rows.size < X.shape[1] + 1:
         raise ValueError(f"component with {rows.size} usable cells is too small to fit a motion")
     xm, ym = X.mean(axis=0), Y.mean(axis=0)
-    U, _, Vt = np.linalg.svd((Y - ym).T @ (X - xm))  # the d x d cross-covariance
+    X -= xm  # centred in place: both are copies
+    Y -= ym
+    U, _, Vt = np.linalg.svd(Y.T @ X)  # the d x d cross-covariance
     Q = U @ Vt
     sign = 1 if float(rec.g_hat.values[rows].mean()) >= 0.0 else -1
     return RigidMotion(Q, ym - Q @ xm, sign)
@@ -364,20 +383,26 @@ def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
     if not fd_ok.any():
         raise ValueError("zero set leaves no cells for defect evaluation")
     # per row block: the Jacobian (b, i, d) = d xi_i / d y_d, and block extremes of
-    # |grad xi_0| and of both defects over fd_ok (exact, and numpy keeps NaN)
+    # |grad xi_0|, of both defects over fd_ok and of the weight's off the zero set
+    # (exact, and numpy keeps NaN)
     xi_fields = [Field(omega2, xi[:, i]) for i in range(dim)]
-    c_min, c_max, ortho_max, grad_g_max = [], [], [], []
+    c_min, c_max, ortho_max, grad_g_max, weight_max = [], [], [], [], []
     for blk in _gd.row_blocks(omega2.n_cells):
         jac = np.stack([gradient_rows(f, blk) for f in xi_fields], axis=1)
         c = np.linalg.norm(jac[:, 0, :], axis=1)
         c_min.append(c.min())
         c_max.append(c.max())
         if (ok := fd_ok[blk]).any():
-            jtj = np.einsum("nid,nie->nde", jac, jac)
-            ortho_max.append(np.abs(jtj - np.eye(dim)).max(axis=(1, 2))[ok].max())
+            jac = np.einsum("nid,nie->nde", jac, jac)
+            jac -= np.eye(dim)  # J^T J - I, in place
+            ortho_max.append(np.abs(jac, out=jac).max(axis=(1, 2))[ok].max())
+        del jac, c  # freed before the weight's gradient and the next block's Jacobian
+        if ok.any():
             grad_g_max.append(np.linalg.norm(gradient_rows(rec.g_hat, blk), axis=1)[ok].max())
+        if (live := ~rec.zero_mask[blk]).any():
+            weight_max.append(np.abs(np.abs(rec.g_hat.values[blk][live]) - 1.0).max())
     ortho = _worst(ortho_max)
-    weight = float(np.abs(np.abs(rec.g_hat.values[~rec.zero_mask]) - 1.0).max())
+    weight = _worst(weight_max)
     return RigidFitReport(tuple(motions), ortho, _worst(grad_g_max), weight,
                           rigid=ortho <= _RIGID_ORTHO_TOL,
                           c_range=(float(np.min(c_min)), _worst(c_max)))
@@ -425,7 +450,10 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
     if not inside.any():
         raise ValueError("no target cell maps into the source domain")
     n2 = omega2.n_cells - int(np.count_nonzero(inside))
-    hit = _supersampled_image(omega1, omega2, np.flatnonzero(inside), rec.xi_hat.at)[0]
+    _gd._check_int32_rows(omega2.n_cells)  # the kept rows are int32, like a component's
+    rows = np.flatnonzero(inside).astype(np.int32)
+    del inside
+    hit = _supersampled_image(omega1, omega2, rows, rec.xi_hat.at)[0]
     if not hit.any():  # an empty image is an empty domain
         raise ValueError("a domain must contain at least one cell")
     n1 = omega1.measure - int(np.count_nonzero(hit)) * omega1.h**omega1.dim
@@ -437,7 +465,7 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Outcome of reconstruct -> rigid fit -> defect sets -> tiling check.
+    """Outcome of reconstruct -> defect sets -> rigid fit -> tiling check.
 
     The verdict ``reason`` is the first gate whose value is not ``<= tol``, so a
     NaN value or tolerance fails it.  The regularity pair is the paper's
@@ -467,14 +495,17 @@ class PipelineReport:
 def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport:
     """Decide congruence of source and target through the fitted motions.
 
-    The verdict is positive when the reconstructed map is rigid per
+    The stages run in the order reconstruct, defect sets, rigid fit, then the
+    topology and tiling checks.  The verdict is positive when the reconstructed map is rigid per
     component (orthogonality, weight constancy and unimodularity within
     ``tol``), no mass is mapped outside the source or left uncovered
     beyond ``tol``, and the component images tile the source up to ``tol``.
     """
     rec = reconstruct(T, p=p)
-    fit = rigid_motion_fit(rec)
+    # the defect sets first, so the target rows the fit caches are not yet built
+    # while the subsamples are rasterized
     ds = defect_sets(rec, T.source)
+    fit = rigid_motion_fit(rec)
     valid = ~rec.zero_mask
     # the fit and the defect sets hold motions and scalars only; the
     # reconstruction's n-sized arrays go before the topology checks allocate

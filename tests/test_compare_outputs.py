@@ -1,0 +1,70 @@
+"""Unit tests of the verdicts of ``tools/compare_outputs.py`` on synthetic run
+lists: no command is run."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "compare_outputs.py")
+_spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _command(label, code=0, stdout=b"ok\n", stderr=b"", files=(), rss=40.0):
+    """One command's entry of a run, as ``compare_outputs.run`` lists it."""
+    items = [("exit code", code), ("stdout", stdout), ("stderr", stderr), *files]
+    return label, items, rss
+
+
+def _runs(**changes):
+    """Two runs of three commands, identical but for the keyword changes to the
+    second run's ``verify.congruence`` command."""
+    def run(**kw):
+        kw = {"files": [("report.json", b'{"a": 1}\n')], **kw}
+        return [_command("verify.plaplace"), _command("verify.congruence", **kw),
+                _command("reconstruct.identity")]
+    return run(), run(**changes)
+
+
+def test_identical_runs_compare_equal():
+    assert compare_outputs.compare(*_runs()) is None
+
+
+@pytest.mark.parametrize("change, verdict", [
+    (dict(code=1), "verify.congruence: exit code differs, 0 != 1"),
+    (dict(stdout=b"ok\nnot congruent\n"),
+     "verify.congruence: stdout differs, lengths 3 and 17 bytes"),
+    (dict(stderr=b"verify error: x\n"),
+     "verify.congruence: stderr differs, lengths 0 and 16 bytes"),
+    (dict(files=[("report.json", b'{"a": 2}\n')]),
+     "verify.congruence: report.json differs, line 1:\n    b'{\"a\": 1}'\n    b'{\"a\": 2}'"),
+    (dict(files=[("report.json", None)]),
+     "verify.congruence: report.json differs, b'{\"a\": 1}\\n' != None"),
+])
+def test_the_first_difference_is_described(change, verdict):
+    assert compare_outputs.compare(*_runs(**change)) == verdict
+
+
+def test_compare_names_the_earliest_command_and_item():
+    old = [_command("a"), _command("b", stdout=b"1\n"), _command("c", code=0)]
+    new = [_command("a"), _command("b", stdout=b"2\n"), _command("c", code=2)]
+    assert compare_outputs.compare(old, new) == "b: stdout differs, line 1:\n    b'1'\n    b'2'"
+    new[1] = _command("b", stdout=b"1\n", stderr=b"warning\n")
+    assert compare_outputs.compare(old, new).startswith("b: stderr differs")
+
+
+def test_rss_moves_are_the_largest_changes_either_way():
+    peaks = [(40.0, 40.1), (50.0, 45.0), (40.0, 42.0), (30.0, 30.0), (40.0, 39.0),
+             (40.0, 41.0), (40.0, 40.5)]
+    old = [_command(f"c{k}", rss=a) for k, (a, _) in enumerate(peaks)]
+    new = [_command(f"c{k}", rss=b) for k, (_, b) in enumerate(peaks)]
+    moves = compare_outputs.rss_moves(old, new)
+    assert moves == ["  c1: 50.00 -> 45.00 MB (-5.00 MB, -10.0%)",
+                     "  c2: 40.00 -> 42.00 MB (+2.00 MB, +5.0%)",
+                     "  c4: 40.00 -> 39.00 MB (-1.00 MB, -2.5%)",
+                     "  c5: 40.00 -> 41.00 MB (+1.00 MB, +2.5%)",
+                     "  c6: 40.00 -> 40.50 MB (+0.50 MB, +1.2%)"]
+    assert len(moves) == compare_outputs._TOP_RSS

@@ -820,3 +820,117 @@ def test_run_table_matches_a_cells_reference(raw, data):
     assert again == domain and hash(again) == hash(domain)
     if n > 1:
         assert GridDomain(dim, 0.1, (0.0,) * dim, ref_cells[1:]) != domain
+
+
+@st.composite
+def _touching_runs(draw):
+    """A 2D mask drawn a run at a time: each run lies anywhere on its line, or
+    just past a corner of a run on the line before (touching it at a corner
+    only), or over one end cell of such a run (sharing one face with it)."""
+    width = 16
+    mask = np.zeros((draw(st.integers(1, 8)), width), dtype=bool)
+    for k, line in enumerate(mask):
+        before = mask[k - 1] if k else np.zeros(width, dtype=bool)
+        edges = np.flatnonzero(np.diff(np.concatenate([[False], before, [False]])))
+        runs = list(zip(edges[::2].tolist(), edges[1::2].tolist()))  # [a, b) on the line before
+        for _ in range(draw(st.integers(0, 3))):
+            length = draw(st.integers(1, 5))
+            kind = draw(st.sampled_from(["free", "corner", "one cell"] if runs else ["free"]))
+            if kind == "free":
+                start = draw(st.integers(0, width - 1))
+            else:
+                a, b = draw(st.sampled_from(runs))
+                after = draw(st.booleans())
+                reach = 0 if kind == "corner" else 1
+                start = b - reach if after else a - length + reach
+            line[max(start, 0):max(start + length, 0)] = True
+    assume(mask.any())
+    return mask
+
+
+@pytest.mark.parametrize("lines, n_parts", [
+    (["##..", "..##"], 2),   # runs touching at a corner only are separate parts
+    (["..##", "##.."], 2),
+    (["###.", "..##"], 1),   # one shared face joins them
+    (["..##", "#.#."], 2),
+    (["#.#", ".#.", "#.#"], 5),
+    (["####", "#..#", "#.##"], 1),
+])
+def test_component_rows_of_touching_runs(lines, n_parts):
+    mask = np.array([[c == "#" for c in line] for line in lines])
+    domain = GridDomain(2, 0.1, (0.0, 0.0), np.argwhere(mask))
+    assert len(domain.component_rows) == n_parts
+    _assert_components(domain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_touching_runs(), st.integers(-3, 3))
+def test_component_rows_match_a_flood_fill(mask, offset):
+    domain = GridDomain(2, 0.1, (0.0, 0.0), np.argwhere(mask) + offset)
+    cells = list(map(tuple, domain.cells.tolist()))
+    row_of = {c: r for r, c in enumerate(cells)}
+    assert [p.tolist() for p in domain.component_rows] == [
+        [row_of[c] for c in part] for part in _bfs_components(cells)]
+
+
+def _whole_box_centers(lo, hi, origin, h):
+    """Cells and centres of the padded covering box, all at once, as first written."""
+    o = np.asarray(origin)
+    k_lo = (np.floor((lo - o) / h) - 1).astype(np.int64)
+    k_hi = (np.floor((hi - o) / h) + 1).astype(np.int64)
+    cells = grid_domain.box_cells(k_lo, k_hi)
+    return cells, o + h * (cells + 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxes_minus_boxes(), st.integers(0, 2**32 - 1))
+def test_box_walks_match_the_whole_box_reference(domain, seed):
+    # the image and the congruence defect from the whole covering box at once, as
+    # first written, against the box walked at the default blocks and at 7 rows
+    motion = random_rigid_motion(domain.dim, np.random.default_rng(seed))
+    lo, hi = motion.image_box(*domain.bounding_box)
+    origin = tuple(motion.transform(np.asarray(domain.origin)[None, :])[0])
+    cells, centers = _whole_box_centers(lo, hi, origin, domain.h)
+    image_cells = cells[domain.rows_of_points(motion.inverse_transform(centers)) >= 0]
+    other = make_box((-0.3,) * domain.dim, (0.2,) * domain.dim, 0.03)
+    h_ref = min(other.h, domain.h)
+    lo1, hi1 = other.bounding_box
+    _, centers = _whole_box_centers(np.minimum(lo1, lo), np.maximum(hi1, hi), other.origin, h_ref)
+    differ = ((other.rows_of_points(centers) >= 0)
+              != (domain.rows_of_points(motion.inverse_transform(centers)) >= 0))
+    defect = float(np.count_nonzero(differ)) * h_ref**domain.dim
+    for block in (grid_domain._BLOCK, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+            if image_cells.size:
+                image = apply_rigid_motion(domain, motion)
+                assert image == GridDomain(domain.dim, domain.h, origin, image_cells)
+                assert image.origin == origin
+            else:
+                with pytest.raises(ValueError, match="contains no cells"):
+                    apply_rigid_motion(domain, motion)
+            assert congruence_check(other, domain, motion, 0.1) == (defect <= 0.1, defect)
+
+
+def test_box_walks_peak_memory():
+    # traced peaks in n-float arrays of imaging a 400x400 box rotated by pi/6
+    # (about 300k covering cells) and comparing it with the box, the cell keys
+    # built; the whole covering box at once read 18.84 and 19.09
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    motion = RigidMotion.rotation(math.pi / 6)
+    domain.rows_of_indices(domain.run_cells)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        image = apply_rigid_motion(domain, motion)
+        peak_image = tracemalloc.get_traced_memory()[1] - live
+        image.rows_of_indices(image.run_cells)
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        ok, _ = congruence_check(image, domain, motion, 0.0)
+        peak_check = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert ok and image.n_cells == domain.n_cells
+    assert peak_image / (8 * domain.n_cells) <= 2
+    assert peak_check / (8 * domain.n_cells) <= 2
