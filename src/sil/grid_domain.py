@@ -64,6 +64,12 @@ _JSON_TYPES = {"a finite number": (int, float), "a finite number or null": (int,
                "a number": (int, float), "an integer": int, "an integer or null": (int, type(None)),
                "a string": str, "an array": list, "an object": dict}
 
+# each JSON object, by the name its messages print -> the keys it reads, in message order
+_SPEC_KEYS = {"domain spec": ("dim", "h", "boxes", "subtract"), "box": ("lo", "hi"),
+              "builtin domain spec": ("builtin", "h"), "motion": ("Q", "b", "sign"),
+              "rigid entry": ("Q", "b", "sign", "component"), "tabulated": ("g", "xi"),
+              "operator spec": ("source", "target", "h")}
+
 
 def _json_value(value, kind: str, key: str):
     """``value`` if it has the JSON type ``kind``, a key of ``_JSON_TYPES``; otherwise
@@ -75,10 +81,11 @@ def _json_value(value, kind: str, key: str):
     return value
 
 
-def _json_object(value, what: str, keys: tuple[str, ...]) -> dict:
-    """``value`` if it is a JSON object with no key but the ``keys`` its form reads;
-    a misspelt key is a parse error naming ``what``, never a key left unread."""
+def _json_object(value, what: str, form: Iterable[str] = ()) -> dict:
+    """``value`` if it is a JSON object with no key but its named ``form`` and those of
+    ``what`` in ``_SPEC_KEYS``: a misspelt key is a parse error, never left unread."""
     value = _json_value(value, "an object", what)
+    keys = (*form, *_SPEC_KEYS[what])
     if unknown := [key for key in value if key not in keys]:
         raise ValueError(f"{what!r} has an unknown key {unknown[0]!r}; "
                          f"it reads only {', '.join(keys)}")
@@ -314,13 +321,6 @@ class GridDomain:
             rows.setflags(write=False)
         return tuple(axes)
 
-    @property
-    def run_starts(self) -> np.ndarray:
-        """Mask of the rows that begin a run of consecutive cells along the last axis."""
-        starts = np.zeros(self.n_cells, dtype=bool)
-        starts[self.run_rows[:-1]] = True
-        return starts
-
     @cached_property
     def component_rows(self) -> tuple[np.ndarray, ...]:
         """Ascending read-only int32 rows of each face-connected part, parts
@@ -553,9 +553,8 @@ class RigidMotion:
         return {"Q": self.Q.tolist(), "b": self.b.tolist(), "sign": self.sign}
 
     @staticmethod
-    def from_json_dict(d: dict, what: str = "motion",
-                       keys: tuple[str, ...] = ("Q", "b", "sign")) -> "RigidMotion":
-        d = _json_object(d, what, keys)
+    def from_json_dict(d: dict, what: str = "motion") -> "RigidMotion":
+        d = _json_object(d, what)
         Q, b = (_json_value(d.get(k), "an array", k) for k in ("Q", "b"))
         sign = d.get("sign", 1)  # a number other than -1 or 1 fails the sign check
         # numpy and `in` read true and "1" as 1, so every entry must be a JSON
@@ -720,7 +719,7 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
     if "builtin" in spec:
         if mixed := [key for key in ("boxes", "subtract") if key in spec]:
             raise ValueError(f"a domain spec names one form: 'builtin' cannot go with {mixed}")
-        _json_object(spec, "builtin domain spec", ("builtin", "h"))
+        _json_object(spec, "builtin domain spec")
         name = _json_value(spec["builtin"], "a string", "builtin")
         h = _json_value(spec.get("h", default_h), "a finite number or null", "h")
         if m := _FAT_CANTOR_RE.match(name):
@@ -728,7 +727,7 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
         if name not in _DOMAIN_BUILTINS:
             raise ValueError(f"unknown builtin domain {name!r}")
         return _builtin_domain(name, h)
-    _json_object(spec, "domain spec", ("dim", "h", "boxes", "subtract"))
+    _json_object(spec, "domain spec")
     h = float(_json_value(spec.get("h"), "a finite number", "h"))
     boxes = [_spec_box(b) for b in _json_value(spec.get("boxes"), "an array", "boxes")]
     holes = [_spec_box(b) for b in _json_value(spec.get("subtract", []), "an array", "subtract")]
@@ -736,6 +735,7 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
         raise ValueError("domain spec needs at least one box")
     dim = _json_value(spec.get("dim", len(boxes[0][0])), "an integer", "dim")
     parts = [make_box(_as_point(lo, dim), _as_point(hi, dim), h) for lo, hi in boxes]
+    _check_budget(sum(p.n_cells for p in parts), "domain spec")  # the merge copies them all
     origin = parts[0].origin
     merged = []
     for part in parts:
@@ -745,7 +745,6 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
             raise ValueError("boxes must sit on a common grid (origins differ by non-multiples of h)")
         merged.append(part.cells + shift_int)
     domain = GridDomain(dim, h, origin, np.concatenate(merged, axis=0))
-    _check_budget(domain.n_cells, "domain spec")
     if holes:
         domain = _subtract_boxes(domain, holes)
     return domain
@@ -753,7 +752,7 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
 
 def _spec_box(box) -> tuple[list, list]:
     """The ``lo`` and ``hi`` corners of a JSON box, each an array of numbers."""
-    box = _json_object(box, "box", ("lo", "hi"))
+    box = _json_object(box, "box")
     return tuple([_json_value(x, "a finite number", k)
-                  for x in _json_value(box.get(k), "an array", k)] for k in ("lo", "hi"))
+                  for x in _json_value(box.get(k), "an array", k)] for k in _SPEC_KEYS["box"])
 

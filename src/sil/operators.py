@@ -54,6 +54,7 @@ _BUILTIN_OPERATORS: dict[str, tuple[tuple, Callable]] = {
     "example_5_4": (("example_5_4_omega1", "example_5_4_omega2"),
                     lambda y: (np.ones(y.shape[0]), y - np.sign(y) * (0.0, 1.0))),
 }
+_OPERATOR_FORMS = ("builtin", "rigid", "tabulated")  # an operator spec names exactly one
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,10 +584,10 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
     is its target), else the rigid image or the tabulated map's bounding box.
     """
     spec = _gd._json_value(spec, "an object", "operator spec")
-    forms = [key for key in ("builtin", "rigid", "tabulated") if key in spec]
+    forms = [key for key in _OPERATOR_FORMS if key in spec]
     if len(forms) != 1:
-        raise ValueError(f"an operator spec needs one of builtin/rigid/tabulated, got {forms}")
-    _gd._json_object(spec, "operator spec", (*forms, "source", "target", "h"))
+        raise ValueError(f"an operator spec needs one of {'/'.join(_OPERATOR_FORMS)}, got {forms}")
+    _gd._json_object(spec, "operator spec", forms)
     h = _gd._json_value(spec.get("h"), "a finite number or null", "h")
     named = (None, None)  # the builtin's own (source, target) domain names
     if "builtin" in spec:
@@ -606,8 +607,7 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
 
     if "rigid" in spec:
         entries = _gd._json_value(spec["rigid"], "an array", "rigid")
-        motions = tuple(RigidMotion.from_json_dict(entry, "rigid entry", (
-            "Q", "b", "sign", "component")) for entry in entries)
+        motions = tuple(RigidMotion.from_json_dict(entry, "rigid entry") for entry in entries)
         components = tuple(_gd._json_value(entry.get("component"), "an integer or null",
                                            "component") for entry in entries)
         if len(motions) == 1 and components[0] is None:
@@ -616,9 +616,9 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
             raise ValueError("per-component rigid specs need an explicit source domain")
         return piecewise_rigid_operator(source, target, motions, components)
 
-    tab = _gd._json_object(spec["tabulated"], "tabulated", ("g", "xi"))
+    tab = _gd._json_object(spec["tabulated"], "tabulated")
     g_path, xi_path = (os.path.join(base_dir or "", _gd._json_value(tab.get(k), "a string", k))
-                       for k in ("g", "xi"))
+                       for k in _gd._SPEC_KEYS["tabulated"])
     g = Field.from_csv(g_path, target)
     xi = VectorField.from_csv(xi_path, target)
     if source is None:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 import sil
 from sil import Field, VectorField, make_box
 from sil.cli import build_parser, main
+from sil.grid_domain import _DOMAIN_BUILTINS, _SPEC_KEYS, domain_from_spec
+from sil.operators import _BUILTIN_OPERATORS, _OPERATOR_FORMS
 from sil.suites import SuiteConfig
 
 
@@ -285,6 +288,24 @@ class TestInputErrorsExit2:
         code = main(["congruence", "--domain1", square_spec,
                      "--domain2", square_spec, "--motion", motion])
         self._assert_input_error(code, capsys, "motion dimension")
+
+    def test_overlapping_boxes_over_budget(self, tmp_path, monkeypatch, capsys):
+        # the budget bounds the cells the merge copies, repeats included: three
+        # copies of one 400-cell box once passed as their 400-cell union, so
+        # overlapping boxes allocated without bound
+        monkeypatch.setenv("SIL_CELL_BUDGET", "1000")
+        halves = [{"lo": [0, 0], "hi": [0.5, 1]}, {"lo": [0.5, 0], "hi": [1, 1]}]
+        apart = [{"lo": [2 * k, 0], "hi": [2 * k + 1, 1]} for k in range(3)]
+        specs = {name: write_json(tmp_path / f"{name}.json", {"dim": 2, "h": 0.05, "boxes": boxes})
+                 for name, boxes in (("square", [_UNIT_BOX]), ("copies", [_UNIT_BOX] * 3),
+                                     ("halves", halves), ("apart", apart))}
+        for name in ("copies", "apart"):
+            code = main(["congruence", "--domain1", specs[name], "--domain2", specs["square"]])
+            self._assert_input_error(
+                code, capsys, "domain spec needs 1200 cells, exceeding the budget of 1000")
+        # disjoint boxes within the budget read as before
+        assert main(["congruence", "--domain1", specs["halves"],
+                     "--domain2", specs["square"]]) == 0
 
     def test_congruence_refinement_grid_over_budget(self, square_spec, monkeypatch,
                                                     capsys):
@@ -717,8 +738,7 @@ def test_one_malformed_node_keeps_the_exit_code_contract(base, data):
         assert code == 2
 
 
-_READ_KEYS = {"builtin", "rigid", "tabulated", "source", "target", "h", "dim", "boxes",
-              "subtract", "lo", "hi", "Q", "b", "sign", "component", "g", "xi"}
+_READ_KEYS = {*_OPERATOR_FORMS, *itertools.chain(*_SPEC_KEYS.values())}
 
 
 @pytest.mark.parametrize("base", list(_FUZZ_BASES))
@@ -794,3 +814,42 @@ def test_one_changed_csv_token_or_line_keeps_the_exit_code_contract(name, data):
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
     if kind in ("drop", "repeat") or kind == "token" and not _finite_in_column(token, column):
         assert code == 2 and f"{name}: " in err.getvalue()
+
+
+# -- README's tables against the code ---------------------------------------------
+
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(header):
+    """The rows under the README table line ``header``, each a list of its cells."""
+    lines = _README.read_text().splitlines()
+    body = itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index(header) + 2:])
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in body]
+
+
+def _quoted(text):
+    return tuple(re.findall(r"`([^`]+)`", text))
+
+
+def test_readme_key_table_is_the_spec_key_table():
+    # row by row, the object its messages name and the keys it reads, in order;
+    # the operator spec's row also lists the forms, one of which it names
+    rows = [(_quoted(name)[0], *map(_quoted, keys.rpartition(", and ")[::2]))
+            for name, keys in _readme_table("| object | keys |")]
+    assert rows == [(name, _OPERATOR_FORMS if name == "operator spec" else (), keys)
+                    for name, keys in _SPEC_KEYS.items()]
+
+
+def test_readme_builtin_table_is_the_builtin_registries():
+    # each row's kind and default cell width, and a row for every builtin: an
+    # operator's default is its domains', and fat_cantor(m)'s is read as it is used
+    table = _readme_table("| builtin | kind | default `h` | definition |")
+    rows = {name.strip("`"): (kind, None if h == "none" else float(h)) for name, kind, h, _ in table}
+    want = {name: ("domain", h) for name, (h, _) in _DOMAIN_BUILTINS.items()}
+    want["fat_cantor(m)"] = ("domain", domain_from_spec("fat_cantor(0.5)").h)
+    for name, (domains, _) in _BUILTIN_OPERATORS.items():
+        widths = {_DOMAIN_BUILTINS[d][0] for d in domains if d is not None}
+        assert len(widths) <= 1
+        want[name] = ("operator", widths.pop() if widths else None)
+    assert len(rows) == len(table) and rows == want

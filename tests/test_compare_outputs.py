@@ -68,3 +68,23 @@ def test_rss_moves_are_the_largest_changes_either_way():
                      "  c5: 40.00 -> 41.00 MB (+1.00 MB, +2.5%)",
                      "  c6: 40.00 -> 40.50 MB (+0.50 MB, +1.2%)"]
     assert len(moves) == compare_outputs._TOP_RSS
+
+
+def test_src_line_counts_of_two_trees(tmp_path):
+    # a module on one side only counts 0 on the other; a file that is not a
+    # module, or lies outside src, is not counted; a last line without its
+    # newline is not counted, as `wc -l` counts
+    trees = {"old": {"src/sil/a.py": "1\n2\n3\n", "src/sil/b.py": "1\n2\n",
+                     "src/sil/data.txt": "1\n", "tools/t.py": "1\n"},
+             "new": {"src/sil/a.py": "1\n", "src/sil/sub/c.py": "1\n2\n3\n4",
+                     "src/sil/__pycache__/a.cpython-310.pyc": "1\n"}}
+    for tree, files in trees.items():
+        for name, text in files.items():
+            path = tmp_path / tree / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    old, new = (compare_outputs.src_lines(str(tmp_path / tree)) for tree in trees)
+    assert old == {"sil/a.py": 3, "sil/b.py": 2}
+    assert compare_outputs.line_moves(old, new) == [
+        "  sil/a.py: 3 -> 1 (-2)", "  sil/b.py: 2 -> 0 (-2)", "  sil/sub/c.py: 0 -> 3 (+3)",
+        "  total: 5 -> 4 (-1)"]

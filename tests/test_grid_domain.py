@@ -633,7 +633,7 @@ def _reference_neighbor_rows(domain):
 def _reference_component_rows(domain):
     """``component_rows`` as first written: run pairs from ``np.unique``, an
     int64 ``argsort`` order."""
-    run = np.cumsum(domain.run_starts) - 1
+    run = np.searchsorted(domain.run_rows[:-1], np.arange(domain.n_cells), side="right") - 1
     root = np.arange(run[-1] + 1)
     if domain.dim == 2:
         plus = _reference_neighbor_rows(domain)[0][0]
@@ -691,7 +691,7 @@ def test_compact_row_index_matches_int64_reference(domain, block):
     # the run keys are the keys of the cells that start runs, as the cells compute them
     strides, keys = domain._key_data[:2]
     cell_keys = (domain.cells - domain.index_bounds[0]) @ strides
-    assert np.array_equal(keys, cell_keys[domain.run_starts])
+    assert np.array_equal(keys, cell_keys[domain.run_rows[:-1]])
     ref_parts = _reference_component_rows(domain)
     assert len(parts) == len(ref_parts)
     for got, want in zip(parts, ref_parts):
@@ -808,7 +808,7 @@ def test_run_table_matches_a_cells_reference(raw, data):
             assert got.tolist() == want
     # a row starts a run unless its cell follows the previous row's along the last axis
     follows = [r > 0 and ref[r - 1] == c[:-1] + (c[-1] - 1,) for r, c in enumerate(ref)]
-    assert domain.run_starts.tolist() == [not f for f in follows]
+    assert domain.run_rows[:-1].tolist() == [r for r, f in enumerate(follows) if not f]
     assert [p.tolist() for p in domain.component_rows] == [
         [row_of[c] for c in part] for part in _bfs_components(ref)]
     surrounded = [c for c in map(tuple, box.tolist())

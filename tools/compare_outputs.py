@@ -15,12 +15,13 @@ same inputs at the same paths, so reports that record a path still compare.
 
 It prints the first command whose exit code, stdout, stderr or written file
 (report, ``rigid_fit.json``, CSV) differs and exits 1, or exits 0 when all
-are byte-identical.  After that verdict it lists the commands whose peak
-resident set size (``ru_maxrss`` from ``os.wait4``, one run each, so
-differences of a few tenths of a MB are noise) moved most between OLD and
-NEW.  Only the standard library is used; the workload generator is imported
-from this repository's ``perfbench``.  Reading child resource usage needs a
-POSIX system.
+are byte-identical.  After that verdict it prints the line count of each
+module under ``src``, OLD -> NEW, and their total, as ``wc -l`` counts them,
+then lists the commands whose peak resident set size (``ru_maxrss`` from
+``os.wait4``, one run each, so differences of a few tenths of a MB are noise)
+moved most between OLD and NEW.  Only the standard library is used; the
+workload generator is imported from this repository's ``perfbench``.  Reading
+child resource usage needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -160,6 +161,26 @@ def rss_moves(old, new) -> list[str]:
             for d, label, a, b in moves[:_TOP_RSS]]
 
 
+def src_lines(checkout: str) -> dict[str, int]:
+    """The line count of each ``.py`` module under ``checkout``'s ``src``, keyed by
+    its path there."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    counts = {}
+    for root, _, names in os.walk(src):
+        for path in (os.path.join(root, n) for n in names if n.endswith(".py")):
+            with open(path, "rb") as fh:
+                counts[os.path.relpath(path, src)] = fh.read().count(b"\n")
+    return counts
+
+
+def line_moves(old: dict[str, int], new: dict[str, int]) -> list[str]:
+    """Each module's line count from ``old`` to ``new``, a module one side lacks
+    counting 0, then the total, described."""
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    return [f"  {name}: {a} -> {b} ({b - a:+d})" for name, a, b in rows]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="root of the first checkout")
@@ -178,6 +199,8 @@ def main(argv=None) -> int:
     difference = compare(*runs)
     print(f"DIFFERENT {difference}" if difference
           else f"identical: {len(runs[0])} commands, {n_files} written files")
+    print("lines of each src/ module, OLD -> NEW:")
+    print("\n".join(line_moves(src_lines(args.old), src_lines(args.new))))
     print("largest moves of peak RSS, OLD -> NEW (one run each):")
     print("\n".join(rss_moves(*runs)))
     return 1 if difference else 0
