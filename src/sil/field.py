@@ -141,36 +141,29 @@ def gradient(u: Field) -> VectorField:
     """
     out = np.empty((u.domain.n_cells, u.domain.dim))
     for blk in row_blocks(u.domain.n_cells):
-        out[blk] = gradient_rows(u, blk)
+        out[blk] = gradient_rows([u], blk)[0]
     return VectorField(u.domain, out)
 
 
-def gradient_rows(u: Field, blk: slice) -> np.ndarray:
-    """Rows ``blk`` of ``gradient(u).values``; temporaries scale with the block."""
-    v, h = u.values, u.domain.h
-    vb = v[blk]
-    out = np.zeros((vb.shape[0], u.domain.dim))
-    for d, (plus_all, minus_all) in enumerate(u.domain.neighbor_rows):
-        # numpy gathers fastest with intp indices: cast the block's rows once
-        plus, minus = plus_all[blk].astype(np.intp), minus_all[blk].astype(np.intp)
-        g = out[:, d]  # view: the stencils below write straight into out
-        has_p, has_m = plus >= 0, minus >= 0
-        central = has_p & has_m
-        g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
-
-        # one-sided stencils forward (s = 1) and backward (s = -1), with negated coefficients
-        # so that an exact +0.0 stays +0.0; the second neighbor is the first one's neighbor,
-        # r counts rows within the block, a is a row of the whole domain
-        for s, near, near_all, one_sided in ((1.0, plus, plus_all, has_p & ~has_m),
-                                             (-1.0, minus, minus_all, has_m & ~has_p)):
-            side = np.flatnonzero(one_sided)
-            n1 = near[side]
-            two = near_all[n1] >= 0
-            r, a = side[two], n1[two]
-            g[r] = (-3.0 * s * vb[r] + 4.0 * s * v[a] - s * v[near_all[a]]) / (2.0 * h)
-            r, a = side[~two], n1[~two]
-            g[r] = (s * v[a] - s * vb[r]) / h
-    return out
+def gradient_rows(fields, blk: slice) -> list[np.ndarray]:
+    """Rows ``blk`` of ``gradient(f).values`` for each of the ``fields``, which share a
+    domain and its stencils; temporaries scale with the block."""
+    domain, h = fields[0].domain, fields[0].domain.h
+    n = domain.n_cells
+    whole = n <= _BLOCK and blk.indices(n)[:2] == (0, n)  # a domain of one block keeps it
+    stencil = domain._stencil if whole else domain.stencil_rows(blk)
+    outs = [np.empty((stencil[0][0].shape[0], domain.dim)) for _ in fields]
+    for d, (central, plus, minus, sides) in enumerate(stencil):
+        for f, out in zip(fields, outs):
+            v, vb = f.values, f.values[blk]
+            g = np.zeros(central.shape[0])  # contiguous, then copied to the column of out
+            np.subtract(v[plus], v[minus], out=g, where=central)
+            g /= 2.0 * h
+            for s, r, a, a2, r1, a1 in sides:  # negated coefficients keep an exact +0.0
+                g[r] = (-3.0 * s * vb[r] + 4.0 * s * v[a] - s * v[a2]) / (2.0 * h)
+                g[r1] = (s * v[a1] - s * vb[r1]) / h
+            out[:, d] = g
+    return outs
 
 
 def _block_sums(n: int, summands, k: int = 1, start: int = 0) -> list[float]:
@@ -217,7 +210,7 @@ def lp_norm(u, p: float) -> float:
 
 
 def w1p_pow_sum(u: Field, p: float) -> float:
-    return lp_pow_sum(u, p) + _pow_sum(u.domain, p, lambda blk: gradient_rows(u, blk))
+    return lp_pow_sum(u, p) + _pow_sum(u.domain, p, lambda blk: gradient_rows([u], blk)[0])
 
 
 def w1p_norm(u: Field, p: float) -> float:

@@ -44,7 +44,7 @@ def form_a(u: Field, v: Field, p: float) -> float:
     _same_domain(u, v)
 
     def grad_term(blk):
-        du, dv = gradient_rows(u, blk), gradient_rows(v, blk)
+        du, dv = gradient_rows([u, v], blk)
         return _grad_weight(np.linalg.norm(du, axis=1), p - 2.0) * np.einsum("nd,nd->n", du, dv)
 
     n = u.domain.n_cells
@@ -65,7 +65,7 @@ def form_b(u: Field, v: Field, w: Field, p: float) -> float:
     _same_domain(u, w)
 
     def grad_terms(blk):  # both share the three gradients of the block
-        du, dv, dw = (gradient_rows(f, blk) for f in (u, v, w))
+        du, dv, dw = gradient_rows([u, v, w], blk)
         mag = np.linalg.norm(du, axis=1)
         inner = np.einsum("nd,nd->n", du, dv) * np.einsum("nd,nd->n", du, dw)
         return (_grad_weight(mag, p - 4.0) * inner,

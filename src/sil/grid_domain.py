@@ -285,8 +285,16 @@ class GridDomain:
         return out
 
     def subset(self, rows) -> "GridDomain":
-        """The domain of the given rows (or row mask) on the same grid."""
-        return GridDomain(self.dim, self.h, self.origin, self.cells_of(rows))
+        """The domain of the given ascending rows (or row mask) on the same grid, cut into
+        runs where a kept row starts a run here or does not follow the kept row before."""
+        rows = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else np.asarray(rows)
+        if not np.all(rows[1:] > rows[:-1]):
+            raise ValueError("subset takes ascending distinct rows")
+        new = self.run_rows[self.run_rows.searchsorted(rows, side="right") - 1] == rows
+        new[1:] |= rows[1:] != rows[:-1] + 1
+        new[:1] = True
+        return GridDomain.of_runs(self.dim, self.h, self.origin, self.cells_of(rows[new]),
+                                  np.append(np.flatnonzero(new), rows.size))
 
     def rows_of_points(self, pts: np.ndarray) -> np.ndarray:
         """Rows of the cells holding the physical points, -1 where absent."""
@@ -296,30 +304,103 @@ class GridDomain:
     # -- neighborhood structure --------------------------------------------
 
     @cached_property
-    def neighbor_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per axis, read-only int32 rows of the +/- face neighbors of every
-        cell (-1 absent).  Along the last axis they are the adjacent rows of a
-        run; along the others they are looked up one row block at a time."""
-        n = self.n_cells
-        _check_int32_rows(n)
-        plus = np.arange(1, n + 1, dtype=np.int32)
-        plus[self.run_rows[1:] - 1] = -1
-        minus = np.arange(-1, n - 1, dtype=np.int32)
-        minus[self.run_rows[:-1]] = -1
+    def _run_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only numbers ``(earlier, later)`` of the pairs of runs sharing a face across
+        lines, by later run, then earlier; none in 1D.  The line before a run holds its
+        keys less a stride (which cannot wrap), so the runs there sharing a face with it
+        end after its first key so moved and start before its end key so moved."""
+        earlier = later = np.zeros(0, dtype=np.int64)
+        if self.dim == 2:
+            strides, keys, ends, _ = self._key_data
+            down = keys - strides[0]
+            first = ends.searchsorted(down, side="right")
+            count = keys.searchsorted(down + np.diff(self.run_rows), side="left") - first
+            later = np.repeat(np.arange(keys.size), count)
+            earlier = np.arange(later.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        earlier.setflags(write=False)
+        later.setflags(write=False)
+        return earlier, later
+
+    @cached_property
+    def neighbor_rows(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
+        """Per axis, the + and - face-neighbour tables that ``neighbors_of`` expands:
+        read-only int32 ``(first, end, shift)`` segments in row order, led by ``(0, 0, 0)``.
+        A row in ``[first, end)`` has the neighbour ``row + shift``, a row in no segment
+        none.  Along the last axis each run gives a segment per side, along axis 0 each
+        pair of runs sharing a face does; touching segments of one shift merge."""
+        _check_int32_rows(self.n_cells)
+        starts, ends = self.run_rows[:-1], self.run_rows[1:]
+        axes = [(starts, ends - 1, 1), (starts + 1, ends, -1)]
+        if self.dim == 2:  # the faces two runs share, as rows of the earlier run
+            strides, keys, key_ends, offset = self._key_data  # offset: a run's rows less keys
+            a, b = self._run_pairs
+            lo = np.maximum(keys[a], keys[b] - strides[0]) + offset[a]
+            hi = np.minimum(key_ends[a], key_ends[b] - strides[0]) + offset[a]
+            shift = strides[0] + offset[b] - offset[a]
+            by_a = np.argsort(a, kind="stable")
+            axes[:0] = (lo[by_a], hi[by_a], shift[by_a]), (lo + shift, hi + shift, -shift)
+        tables = []
+        for side in axes:
+            first, end, shift = (np.append(0, x).astype(np.int32)
+                                 for x in np.broadcast_arrays(*side))
+            new = np.append(True, (first[1:] != end[:-1]) | (shift[1:] != shift[:-1]))
+            tables.append((first[new], end[np.roll(new, -1)], shift[new]))
+        for x in itertools.chain(*tables):
+            x.setflags(write=False)
+        return tuple(zip(tables[::2], tables[1::2]))
+
+    def neighbors_of(self, table, rows) -> np.ndarray:
+        """The ``intp`` neighbour rows, -1 for none, of the given rows under one table of
+        ``neighbor_rows``: a slice, in O(rows + segments), or an index array."""
+        first, end, shift = table
+        if isinstance(rows, slice):  # the pieces of the segments meeting the rows, and gaps
+            lo, hi, _ = rows.indices(self.n_cells)
+            i = end.searchsorted(lo, side="right")
+            j = max(i, first.searchsorted(hi))
+            cuts = np.empty(2 * (j - i) + 2, dtype=np.intp)  # lo, then each piece's ends, hi
+            cuts[0], cuts[-1] = lo, hi
+            np.maximum(first[i:j], lo, out=cuts[1:-1:2])
+            np.minimum(end[i:j], hi, out=cuts[2:-1:2])
+            steps = np.full(cuts.size - 1, -2**62, dtype=np.intp)  # a gap's row less -1 or below
+            steps[1::2] = shift[i:j]
+            out = np.repeat(steps, cuts[1:] - cuts[:-1])
+            out += np.arange(lo, hi)
+            return np.maximum(out, -1, out=out)
+        rows = np.asarray(rows, dtype=np.intp)
+        k = first.searchsorted(rows, side="right") - 1  # the empty first segment gives k >= 0
+        out = rows + shift[k]
+        out[rows >= end[k]] = -1
+        return out
+
+    def stencil_rows(self, blk: slice) -> list[tuple]:
+        """Per axis, the gradient stencils of the rows ``blk`` from the neighbour tables:
+        the central rows' mask, every row's + and - neighbour, and per one-sided direction
+        the rows with a second neighbour and those without."""
         axes = []
-        for d in range(self.dim - 1):
-            pair = (np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32))
-            for blk in row_blocks(n):
-                cells = self.cells_of(blk)
-                cells[:, d] += 1
-                pair[0][blk] = self.rows_of_indices(cells)
-                cells[:, d] -= 2
-                pair[1][blk] = self.rows_of_indices(cells)
-            axes.append(pair)
-        axes.append((plus, minus))
-        for rows in itertools.chain(*axes):
-            rows.setflags(write=False)
-        return tuple(axes)
+        for tables in self.neighbor_rows:
+            plus, minus = (self.neighbors_of(table, blk) for table in tables)
+            central = (plus >= 0) & (minus >= 0)
+            # one-sided stencils forward (s = 1) and backward (s = -1); the second neighbour
+            # is the first one's neighbour, r counts rows within the block, a is a row of
+            # the whole domain
+            sides = []
+            for s, near, far, table in ((1.0, plus, minus, tables[0]),
+                                        (-1.0, minus, plus, tables[1])):
+                r = np.flatnonzero((near >= 0) & (far < 0))
+                a = near[r]
+                two = (a2 := self.neighbors_of(table, a)) >= 0
+                sides.append((s, r[two], a[two], a2[two], r[~two], a[~two]))
+            axes.append((central, plus, minus, sides))
+        return axes
+
+    @cached_property
+    def _stencil(self) -> list[tuple]:
+        """Read-only ``stencil_rows`` of every row, kept by a domain of one block."""
+        axes = self.stencil_rows(slice(None))
+        for central, plus, minus, sides in axes:
+            for x in (central, plus, minus, *itertools.chain(*(side[1:] for side in sides))):
+                x.setflags(write=False)
+        return axes
 
     @cached_property
     def component_rows(self) -> tuple[np.ndarray, ...]:
@@ -328,22 +409,12 @@ class GridDomain:
         _check_int32_rows(self.n_cells)
         lengths = np.diff(self.run_rows)
         root = np.arange(lengths.size)  # runs are numbered in cell order
-        if self.dim == 2:  # union-find over the runs that share a face across lines
-            # the line before a run holds its keys less a stride (which cannot wrap), so
-            # the runs there sharing a face with it end after its first key so moved and
-            # start before its end key so moved; the pairs come in any order
-            strides, keys, ends, _ = self._key_data
-            down = keys - strides[0]
-            first = ends.searchsorted(down, side="right")
-            count = keys.searchsorted(down + lengths, side="left") - first
-            later = np.repeat(root, count)
-            earlier = np.arange(later.size) + np.repeat(first - (np.cumsum(count) - count), count)
-            for a, b in zip(earlier.tolist(), later.tolist()):
-                while root[a] != a:  # path halving
-                    root[a] = a = root[root[a]]
-                while root[b] != b:
-                    root[b] = b = root[root[b]]
-                root[max(a, b)] = min(a, b)  # each root stays the first run of its part
+        for a, b in zip(*(side.tolist() for side in self._run_pairs)):  # union-find
+            while root[a] != a:  # path halving
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            root[max(a, b)] = min(a, b)  # each root stays the first run of its part
         while np.any(root[root] != root):
             root = root[root]
         labels = np.unique(root, return_inverse=True)[1]
@@ -361,8 +432,9 @@ class GridDomain:
         if width < 1:
             raise ValueError("width must be at least 1")
         mask = np.zeros(self.n_cells, dtype=bool)
-        for plus, minus in self.neighbor_rows:
-            mask |= (plus < 0) | (minus < 0)
+        for blk in row_blocks(self.n_cells):
+            for table in itertools.chain(*self.neighbor_rows):
+                mask[blk] |= self.neighbors_of(table, blk) < 0
         return dilate_mask(self, mask, width - 1)
 
 
@@ -370,8 +442,10 @@ def dilate_mask(domain: GridDomain, mask: np.ndarray, steps: int) -> np.ndarray:
     """Cells of ``domain`` within ``steps`` face steps of a cell in ``mask``."""
     for _ in range(steps):
         padded = np.append(mask, False)  # an absent neighbour, row -1, reads False
-        for rows in itertools.chain(*domain.neighbor_rows):  # +/- neighbours per axis
-            mask = mask | padded[rows]
+        mask = mask.copy()
+        for blk in row_blocks(domain.n_cells):
+            for table in itertools.chain(*domain.neighbor_rows):  # +/- neighbours per axis
+                mask[blk] |= padded[domain.neighbors_of(table, blk)]
     return mask
 
 
@@ -735,16 +809,30 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
         raise ValueError("domain spec needs at least one box")
     dim = _json_value(spec.get("dim", len(boxes[0][0])), "an integer", "dim")
     parts = [make_box(_as_point(lo, dim), _as_point(hi, dim), h) for lo, hi in boxes]
-    _check_budget(sum(p.n_cells for p in parts), "domain spec")  # the merge copies them all
+    _check_budget(sum(p.n_cells for p in parts), "domain spec")
     origin = parts[0].origin
-    merged = []
+    runs, lengths = [], []
     for part in parts:
         shift = (np.asarray(part.origin) - np.asarray(origin)) / h
         shift_int = np.round(shift).astype(np.int64)
         if np.abs(shift - shift_int).max() > 1e-9:
             raise ValueError("boxes must sit on a common grid (origins differ by non-multiples of h)")
-        merged.append(part.cells + shift_int)
-    domain = GridDomain(dim, h, origin, np.concatenate(merged, axis=0))
+        runs.append(part.run_cells + shift_int)
+        lengths.append(np.diff(part.run_rows))
+    # the union of the runs, line by line: in order of line, then cell, then starts before
+    # ends, a run of the union starts where the count of runs covering a cell rises from 0
+    # and ends where it falls back to 0, so touching runs join
+    starts = np.concatenate(runs)
+    ends = starts.copy()
+    ends[:, -1] += np.concatenate(lengths)
+    cells = np.concatenate((starts, ends))
+    step = np.repeat([1, -1], starts.shape[0])
+    order = np.lexsort((step < 0, *cells.T[::-1]))
+    cells, step = cells[order], step[order]
+    depth = np.cumsum(step)
+    first, last = cells[(step > 0) & (depth == 1)], cells[(step < 0) & (depth == 0)]
+    domain = GridDomain.of_runs(dim, h, origin, first,
+                                np.append(0, np.cumsum(last[:, -1] - first[:, -1])))
     if holes:
         domain = _subtract_boxes(domain, holes)
     return domain

@@ -389,7 +389,7 @@ def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
     xi_fields = [Field(omega2, xi[:, i]) for i in range(dim)]
     c_min, c_max, ortho_max, grad_g_max, weight_max = [], [], [], [], []
     for blk in _gd.row_blocks(omega2.n_cells):
-        jac = np.stack([gradient_rows(f, blk) for f in xi_fields], axis=1)
+        jac = np.stack(gradient_rows(xi_fields, blk), axis=1)
         c = np.linalg.norm(jac[:, 0, :], axis=1)
         c_min.append(c.min())
         c_max.append(c.max())
@@ -399,7 +399,7 @@ def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
             ortho_max.append(np.abs(jac, out=jac).max(axis=(1, 2))[ok].max())
         del jac, c  # freed before the weight's gradient and the next block's Jacobian
         if ok.any():
-            grad_g_max.append(np.linalg.norm(gradient_rows(rec.g_hat, blk), axis=1)[ok].max())
+            grad_g_max.append(np.linalg.norm(gradient_rows([rec.g_hat], blk)[0], axis=1)[ok].max())
         if (live := ~rec.zero_mask[blk]).any():
             weight_max.append(np.abs(np.abs(rec.g_hat.values[blk][live]) - 1.0).max())
     ortho = _worst(ortho_max)

@@ -74,6 +74,8 @@ class SuiteConfig:
                 raise ValueError(f"p must lie in {lo}, inf), got {self.p}")
         if self.h is not None and not (self.h > 0):
             raise ValueError("h must be positive")
+        if self.seed < 0:  # numpy's seeding would reject it, in every suite that draws
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.tol is not None and not (0 < self.tol < np.inf):
             raise ValueError("tol must lie in (0, inf)")
         if self.suite != "congruence" and (self.tol is not None or self.spec_path is not None):

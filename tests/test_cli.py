@@ -378,6 +378,10 @@ class TestInputErrorsExit2:
                      "tol and spec apply only to the congruence suite", id="tol"),
         pytest.param(["congruence", "--h", "0.02", "--spec", "missing.json"],
                      "h cannot be given with a spec", id="h-with-spec"),
+        # the congruence suite never draws, so a negative seed once exited 0; every
+        # other suite exited 2 with numpy's "expected non-negative integer"
+        *[pytest.param([suite, "--seed", "-1"], "seed must be a nonnegative integer, got -1",
+                       id=f"negative-seed-{suite}") for suite in ("congruence", "plaplace")],
     ])
     def test_verify_flag_the_suite_ignores(self, monkeypatch, capsys, argv, needle):
         # each once ran without the flag, and the report's config recorded it as applied

@@ -88,3 +88,30 @@ def test_src_line_counts_of_two_trees(tmp_path):
     assert compare_outputs.line_moves(old, new) == [
         "  sil/a.py: 3 -> 1 (-2)", "  sil/b.py: 2 -> 0 (-2)", "  sil/sub/c.py: 0 -> 3 (+3)",
         "  total: 5 -> 4 (-1)"]
+
+
+def test_each_command_runs_on_both_checkouts_back_to_back(tmp_path, monkeypatch):
+    # OLD first for commands 0 and 2, NEW first for command 1, each side's run
+    # in command order; no command is run, the execution is recorded
+    checkouts = []
+    for name in ("old", "new"):
+        (tmp_path / name / "src" / "sil").mkdir(parents=True)
+        (tmp_path / name / "src" / "sil" / "__init__.py").write_text("")
+        checkouts.append(str(tmp_path / name))
+    monkeypatch.setattr(compare_outputs, "commands", lambda work, seeds: [
+        (f"c{k}", ["verify", f"--seed={k}"], ()) for k in range(3)])
+    calls = []
+
+    def execute(env, work, argv, outputs):
+        side = os.path.basename(os.path.dirname(env["PYTHONPATH"]))
+        calls.append((side, argv[-1]))
+        return [("exit code", 0), ("stdout", side.encode()), ("stderr", b"")], 40.0
+
+    monkeypatch.setattr(compare_outputs, "_execute", execute)
+    old, new = compare_outputs.run(*checkouts, str(tmp_path / "work"), [1])
+    assert calls == [("old", "--seed=0"), ("new", "--seed=0"), ("new", "--seed=1"),
+                     ("old", "--seed=1"), ("old", "--seed=2"), ("new", "--seed=2")]
+    assert [label for label, _, _ in old] == [label for label, _, _ in new] == ["c0", "c1", "c2"]
+    assert {items[1] for _, items, _ in old} == {("stdout", b"old")}
+    assert {items[1] for _, items, _ in new} == {("stdout", b"new")}
+    assert compare_outputs.compare(old, new).startswith("c0: stdout differs")

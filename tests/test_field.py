@@ -27,7 +27,7 @@ from sil import (
     w1p_pow_sum,
 )
 from sil import field, grid_domain
-from sil.field import _block_sums, _worst
+from sil.field import _block_sums, _worst, gradient_rows
 
 
 class TestGradient:
@@ -434,11 +434,11 @@ def _reference_gradient(u):
     h = dom.h
     out = np.zeros((dom.n_cells, dom.dim))
     for d in range(dom.dim):
-        plus, minus = dom.neighbor_rows[d]
         step = np.zeros(dom.dim, dtype=np.int64)
-        step[d] = 2
-        plus2 = dom.rows_of_indices(dom.cells + step)
-        minus2 = dom.rows_of_indices(dom.cells - step)
+        step[d] = 1
+        plus, minus = dom.rows_of_indices(dom.cells + step), dom.rows_of_indices(dom.cells - step)
+        plus2 = dom.rows_of_indices(dom.cells + 2 * step)
+        minus2 = dom.rows_of_indices(dom.cells - 2 * step)
         has_p, has_m = plus >= 0, minus >= 0
         g = np.zeros(dom.n_cells)
 
@@ -491,6 +491,22 @@ def test_gradient_matches_cell_lookup_reference(domain, seed):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_gapped_domains(), st.integers(0, 2**32 - 1), st.data())
+def test_gradient_rows_of_several_fields_at_any_rows(domain, seed, data):
+    # the stencils of a block are read once for every field given; blocks start
+    # and end anywhere, and the one block of the whole domain is kept with it
+    fields = [Field(domain, x) for x in np.random.default_rng(seed).normal(
+        size=(3, domain.n_cells))]
+    want = [_reference_gradient(f) for f in fields]
+    n = domain.n_cells
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    for blk in (slice(lo, hi), slice(0, n), slice(0, n), slice(lo, None)):
+        for got, ref in zip(gradient_rows(fields[:data.draw(st.integers(1, 3))], blk), want):
+            assert np.array_equal(got, ref[blk])
+    assert "_stencil" in vars(domain)
+
+
+@settings(max_examples=100, deadline=None)
 @given(_gapped_domains(),
        st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
 def test_gradient_exact_on_affine_fields(domain, coef):
@@ -499,7 +515,8 @@ def test_gradient_exact_on_affine_fields(domain, coef):
     for d, (plus, minus) in enumerate(domain.neighbor_rows):
         # central, three-point and two-point stencils are all exact on affine
         # fields; only a cell with no neighbour along the axis gets zero
-        stencil = (plus >= 0) | (minus >= 0)
+        stencil = (domain.neighbors_of(plus, slice(None)) >= 0) | (
+            domain.neighbors_of(minus, slice(None)) >= 0)
         assert np.abs(g[stencil, d] - slope[d]).max(initial=0.0) <= 1e-9
         assert not g[~stencil, d].any()
 

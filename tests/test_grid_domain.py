@@ -24,6 +24,7 @@ from sil import (
     random_rigid_motion,
 )
 from sil import grid_domain
+from sil.field import Field, gradient, gradient_rows
 
 
 class TestMakeBox:
@@ -408,8 +409,8 @@ def _masked_blocks(draw, dim):
 
 def _perimeter(domain):
     """Boundary faces of the active cells, times the face size h^(dim - 1)."""
-    faces = sum(int(np.count_nonzero(rows < 0))
-                for rows in itertools.chain(*domain.neighbor_rows))
+    faces = sum(int(np.count_nonzero(domain.neighbors_of(table, slice(None)) < 0))
+                for table in itertools.chain(*domain.neighbor_rows))
     return faces * domain.h ** (domain.dim - 1)
 
 
@@ -554,7 +555,7 @@ def _reference_dilate_mask(domain, mask, steps):
     """``dilate_mask`` as first written: a masked gather of the present neighbours."""
     for _ in range(steps):
         grown = mask.copy()
-        for rows in itertools.chain(*domain.neighbor_rows):
+        for rows in itertools.chain(*_reference_neighbor_rows(domain)):
             grown[rows >= 0] |= mask[rows[rows >= 0]]
         mask = grown
     return mask
@@ -675,19 +676,46 @@ def _row_index_domains(draw):
     return GridDomain(dim, 0.01, (0.0,) * dim, np.argwhere(mask) + draw(st.integers(-9, 9)))
 
 
+def _assert_tables_expand_to(domain, ref, data):
+    """Each neighbour table, expanded whole, by random row blocks (the ends of a row
+    block among their edges) and at random rows, gives the reference rows."""
+    n, b = domain.n_cells, grid_domain._BLOCK
+    edges = sorted({0, n, *(e for e in (b - 1, b, b + 1, 2 * b) if e < n),
+                    *data.draw(st.lists(st.integers(0, n), max_size=4))})
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=30)), dtype=np.int64)
+    for table, want in zip(itertools.chain(*domain.neighbor_rows), itertools.chain(*ref)):
+        assert all(not side.flags.writeable for side in table)
+        got = domain.neighbors_of(table, slice(None))
+        assert got.dtype == np.intp and np.array_equal(got, want)
+        blocks = [domain.neighbors_of(table, slice(a, c)) for a, c in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(blocks), want)
+        assert np.array_equal(domain.neighbors_of(table, rows), want[rows])
+
+
+def _assert_tables_are_canonical(domain):
+    """Every table is led by (0, 0, 0), then holds segments in row order that
+    neither overlap nor touch with one shift (a one-cell run's last-axis segments
+    are empty), and is O(runs) long."""
+    runs = domain.run_cells.shape[0]
+    for table in itertools.chain(*domain.neighbor_rows):
+        first, end, shift = table
+        assert [first[0], end[0], shift[0]] == [0, 0, 0]
+        assert first.size <= 2 * runs + 1
+        assert np.all(end[1:] >= first[1:]) and np.all(first[2:] >= end[1:-1])
+        assert not np.any((first[2:] == end[1:-1]) & (shift[2:] == shift[1:-1]))
+
+
 @settings(max_examples=80, deadline=None)
-@given(_row_index_domains(), st.sampled_from([None, 7]))
-def test_compact_row_index_matches_int64_reference(domain, block):
+@given(_row_index_domains(), st.sampled_from([None, 7]), st.data())
+def test_compact_row_index_matches_int64_reference(domain, block, data):
     with pytest.MonkeyPatch.context() as mp:
         if block and domain.n_cells < 2_000:  # many blocks, but not thousands
             mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
         rows = domain.neighbor_rows
         parts = domain.component_rows
     assert len(rows) == domain.dim
-    for pair, ref in zip(rows, _reference_neighbor_rows(domain)):
-        for got, want in zip(pair, ref):
-            assert got.dtype == np.int32 and not got.flags.writeable
-            assert np.array_equal(got, want)
+    _assert_tables_expand_to(domain, _reference_neighbor_rows(domain), data)
+    _assert_tables_are_canonical(domain)
     # the run keys are the keys of the cells that start runs, as the cells compute them
     strides, keys = domain._key_data[:2]
     cell_keys = (domain.cells - domain.index_bounds[0]) @ strides
@@ -699,13 +727,15 @@ def test_compact_row_index_matches_int64_reference(domain, block):
         assert np.array_equal(got, want)
 
 
-def test_compact_row_index_spans_blocks():
-    # a run crossing a block edge along the last axis, and looked-up rows on
-    # both sides of it along the first
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_compact_row_index_spans_blocks(data):
+    # a run crossing a block edge along the last axis, and neighbours on both
+    # sides of it along the first; the box's axis-0 tables are one segment each
     domain = make_box((0.0, 0.0), (1.0, 0.6), 1.0 / 256)  # 154-cell runs
     assert domain.n_cells > 2 * grid_domain._BLOCK
-    for pair, ref in zip(domain.neighbor_rows, _reference_neighbor_rows(domain)):
-        assert all(np.array_equal(got, want) for got, want in zip(pair, ref))
+    _assert_tables_expand_to(domain, _reference_neighbor_rows(domain), data)
+    assert [table[0].size for table in domain.neighbor_rows[0]] == [2, 2]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -735,19 +765,46 @@ def test_make_box_peak_memory():
 
 
 def test_neighbor_rows_peak_memory():
-    # traced peak above the memory live at entry, in n-float arrays, on a
-    # 400x400 box whose cell keys are built; the int64 lookups of whole
-    # cells +/- e read 6.53, and their output alone is 4
+    # in n-float arrays, on a 400x400 box whose cell keys are built: the int64
+    # lookups of whole cells +/- e peaked at 6.53, and the int32 rows looked up
+    # a block at a time held 2; the segment tables hold 0.0075, and with the run
+    # pairs they are built from, 0.013 is held above the memory live at entry
     domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
     domain.rows_of_indices(domain.cells[:1])
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        domain.neighbor_rows
-        peak = tracemalloc.get_traced_memory()[1] - live
+        tables = domain.neighbor_rows
+        held, peak = (x - live for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak / (8 * domain.n_cells) <= 3
+    n_floats = 8 * domain.n_cells
+    sides = itertools.chain.from_iterable(itertools.chain(*tables))
+    assert sum(side.nbytes for side in sides) / n_floats <= 0.01
+    assert held / n_floats <= 0.02
+    assert peak / n_floats <= 0.1
+
+
+def test_stencil_work_holds_no_n_length_array():
+    # after every reader of the neighbour tables has run on a 400x400 box, the
+    # domain holds arrays of O(runs) or at most a row block; the one exception is
+    # the labelling's output, the n int32 rows of its parts
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    u = Field.from_function(domain, lambda x: x[:, 0] * x[:, 1])
+    gradient(u)
+    gradient_rows([u], slice(None))  # a whole domain of many blocks keeps no stencil
+    domain.boundary_layer_mask(2)
+    grid_domain.dilate_mask(domain, domain.boundary_layer_mask(), 2)
+    parts = domain.component_rows
+    bound = 4 * domain.run_cells.shape[0] + grid_domain._BLOCK
+    held, stack = [], list(vars(domain).values())
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif isinstance(x, np.ndarray) and not any(x is p for p in parts):
+            held.append(x.size)
+    assert held and max(held) <= bound < domain.n_cells // 8
 
 
 @st.composite
@@ -803,9 +860,10 @@ def test_run_table_matches_a_cells_reference(raw, data):
     assert domain.rows_of_indices(box).tolist() == [row_of.get(tuple(c), -1) for c in box.tolist()]
 
     for d, pair in enumerate(domain.neighbor_rows):
-        for got, step in zip(pair, (1, -1)):
+        for table, step in zip(pair, (1, -1)):
             want = [row_of.get(c[:d] + (c[d] + step,) + c[d + 1:], -1) for c in ref]
-            assert got.tolist() == want
+            assert domain.neighbors_of(table, slice(None)).tolist() == want
+            assert domain.neighbors_of(table, rows).tolist() == [want[r] for r in rows]
     # a row starts a run unless its cell follows the previous row's along the last axis
     follows = [r > 0 and ref[r - 1] == c[:-1] + (c[-1] - 1,) for r, c in enumerate(ref)]
     assert domain.run_rows[:-1].tolist() == [r for r, f in enumerate(follows) if not f]
@@ -820,6 +878,80 @@ def test_run_table_matches_a_cells_reference(raw, data):
     assert again == domain and hash(again) == hash(domain)
     if n > 1:
         assert GridDomain(dim, 0.1, (0.0,) * dim, ref_cells[1:]) != domain
+
+
+@st.composite
+def _box_specs(draw):
+    """An explicit domain spec of one to four boxes, overlapping, touching or apart,
+    minus up to two holes, on a grid of width 0.05, and its cells as integer tuples
+    counted from the first box's low corner."""
+    dim = draw(st.sampled_from([1, 2]))
+    box = st.tuples(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim),
+                    st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+    boxes, holes = draw(st.lists(box, min_size=1, max_size=4)), draw(st.lists(box, max_size=2))
+
+    def as_spec(lo, size):
+        return {"lo": [0.05 * a for a in lo], "hi": [0.05 * (a + n) for a, n in zip(lo, size)]}
+
+    def cells(lo, size):
+        return set(itertools.product(*(range(a - b, a - b + n)
+                                       for a, b, n in zip(lo, boxes[0][0], size))))
+
+    want = set().union(*(cells(*b) for b in boxes)).difference(*(cells(*b) for b in holes))
+    assume(want)
+    return ({"dim": dim, "h": 0.05, "boxes": [as_spec(*b) for b in boxes],
+             "subtract": [as_spec(*b) for b in holes]}, sorted(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_specs(), st.data())
+def test_spec_union_and_subsets_match_a_cells_reference(case, data):
+    # the boxes merge as run tables, and a subset cuts its run table from the kept
+    # rows; both against the domain of the (n, dim) cells they hold
+    spec, want = case
+    domain = domain_from_spec(spec)
+    origin = tuple(spec["boxes"][0]["lo"])
+    assert domain == GridDomain(spec["dim"], 0.05, origin, np.array(want))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.3, 0.7, 1.0]))
+    assume(keep.any())
+    ref = GridDomain(spec["dim"], 0.05, origin, domain.cells[keep])
+    for rows in (keep, np.flatnonzero(keep), np.flatnonzero(keep).astype(np.int32)):
+        assert domain.subset(rows) == ref
+    if (rows := np.flatnonzero(keep)).size > 1:  # the run cut needs ascending distinct rows
+        for bad in (rows[::-1], np.sort(np.append(rows, rows[rows.size // 2]))):
+            with pytest.raises(ValueError, match="ascending distinct rows"):
+                domain.subset(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_row_index_domains(), st.data())
+def test_subset_of_holed_domains_matches_a_cells_reference(domain, data):
+    # multi-box and holed domains, about half of them over one row block, keeping
+    # sparse rows, dense rows or whole runs of parts
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.05, 0.5, 0.95]))
+    parts = domain.component_rows
+    for rows in (np.flatnonzero(keep), parts[rng.integers(len(parts))]):
+        if rows.size:
+            assert domain.subset(rows) == GridDomain(domain.dim, domain.h, domain.origin,
+                                                     domain.cells[rows])
+
+
+def test_overlapping_boxes_merge_peak_memory(monkeypatch):
+    # four identical 500x500 boxes at h = 1e-3, 1M summed cells within the default
+    # budget: merged through their (n, dim) cells and shifted copies, their
+    # 250k-cell union peaked at 53.5 MiB traced; merged as run tables, at 0.37 MiB
+    monkeypatch.delenv("SIL_CELL_BUDGET", raising=False)
+    box = {"lo": [0, 0], "hi": [0.5, 0.5]}
+    tracemalloc.start()
+    try:
+        domain = domain_from_spec({"dim": 2, "h": 1e-3, "boxes": [box] * 4})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert domain == make_box((0.0, 0.0), (0.5, 0.5), 1e-3)
+    assert peak / 2**20 <= 1
 
 
 @st.composite

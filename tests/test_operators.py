@@ -546,8 +546,12 @@ def test_frozen_values_hold_read_only_arrays(case, seed):
     u = random_smooth_field(target, rng)
     held = [T.g_values, T.xi_values, u.values, gradient(u).values,
             target.run_cells, target.run_rows, *target.index_bounds, *target._key_data,
-            *itertools.chain(*target.neighbor_rows), *target.component_rows,
+            *itertools.chain.from_iterable(itertools.chain(*target.neighbor_rows)),
+            *target._run_pairs, *target.component_rows,
             *itertools.chain.from_iterable((m.Q, m.b) for m in motions)]
+    assert target.n_cells <= grid_domain._BLOCK  # so gradient keeps its whole stencil
+    for central, plus, minus, sides in target._stencil:
+        held += [central, plus, minus, *itertools.chain(*(side[1:] for side in sides))]
     for arr in held:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0

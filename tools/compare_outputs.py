@@ -2,14 +2,16 @@
 
     python3 tools/compare_outputs.py OLD NEW [--seeds 1 2] [--work DIR]
 
-For each checkout in turn, from one fixed work directory, this runs the six
-``sil verify`` suites at their defaults with ``--report``, and every command
-that ``perfbench/workloads.generate`` writes for the three workloads at the
-given seeds, and three fixed commands no workload generates: ``sil
-reconstruct`` of the identity on a 0.01 unit square given as ``--domain``,
-``sil reconstruct`` of ``example_4_8`` at h = 1e-3, and ``sil congruence``
-of two builtin domains with no ``--motion``, so the identity default runs.
-Each command runs as ``python -m sil.cli`` in a fresh
+From one fixed work directory, this runs the six ``sil verify`` suites at
+their defaults with ``--report``, and every command that
+``perfbench/workloads.generate`` writes for the three workloads at the given
+seeds, and three fixed commands no workload generates: ``sil reconstruct`` of
+the identity on a 0.01 unit square given as ``--domain``, ``sil
+reconstruct`` of ``example_4_8`` at h = 1e-3, and ``sil congruence`` of two
+builtin domains with no ``--motion``, so the identity default runs.  Each
+command runs on both checkouts back to back, OLD first for every other
+command and NEW first for the rest, so drift over the run moves both sides
+alike.  Each command runs as ``python -m sil.cli`` in a fresh
 interpreter that imports the checkout's ``src``.  Both checkouts see the
 same inputs at the same paths, so reports that record a path still compare.
 
@@ -104,35 +106,49 @@ def _fresh(work: str) -> None:
     open(os.path.join(work, _MARKER), "w").close()
 
 
-def run(checkout: str, work: str, seeds) -> list[tuple[str, list, float]]:
-    """Per command: its label; its exit code, stdout, stderr and written files;
-    and its peak RSS in MB."""
+def _env(checkout: str) -> dict:
+    """The environment that runs ``sil`` from ``checkout``'s ``src``."""
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isfile(os.path.join(src, "sil", "__init__.py")):
         raise SystemExit(f"no sil sources under {src}")
-    env = dict(os.environ, PYTHONPATH=src)
-    _fresh(work)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def _execute(env: dict, work: str, argv: list, outputs) -> tuple[list, float]:
+    """One command's exit code, stdout, stderr and written files, and its peak RSS in MB."""
+    for path in outputs:
+        if os.path.exists(path):
+            os.remove(path)
     rss_file = os.path.join(work, ".peak_rss_kib")
-    results = []
-    for label, argv, outputs in commands(work, seeds):
-        for path in outputs:
-            if os.path.exists(path):
-                os.remove(path)
-        proc = subprocess.run([sys.executable, "-c", _LAUNCHER, rss_file, *argv], cwd=work,
-                              env=env, capture_output=True)
-        with open(rss_file) as fh:
-            rss_mb = int(fh.read()) / 1024.0
-        items = [("exit code", proc.returncode), ("stdout", proc.stdout),
-                 ("stderr", proc.stderr)]
-        for path in outputs:
-            data = None  # a file the command did not write
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            items.append((os.path.relpath(path, work), data))
-        results.append((label, items, rss_mb))
-        print(f"  {label}: exit {proc.returncode}, peak RSS {rss_mb:.2f} MB", file=sys.stderr)
-    return results
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, rss_file, *argv], cwd=work,
+                          env=env, capture_output=True)
+    with open(rss_file) as fh:
+        rss_mb = int(fh.read()) / 1024.0
+    items = [("exit code", proc.returncode), ("stdout", proc.stdout), ("stderr", proc.stderr)]
+    for path in outputs:
+        data = None  # a file the command did not write
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+        items.append((os.path.relpath(path, work), data))
+    return items, rss_mb
+
+
+def run(old: str, new: str, work: str, seeds) -> tuple[list, list]:
+    """The runs of ``old`` and ``new``: per command, its label; its exit code, stdout,
+    stderr and written files; and its peak RSS in MB.  Each command runs on both
+    checkouts back to back, ``old`` first for the even-numbered commands and ``new``
+    first for the odd ones, so drift over the whole run moves both sides alike."""
+    envs = [_env(old), _env(new)]
+    _fresh(work)
+    runs = ([], [])
+    for k, (label, argv, outputs) in enumerate(commands(work, seeds)):
+        for side in ((0, 1), (1, 0))[k % 2]:
+            items, rss_mb = _execute(envs[side], work, argv, outputs)
+            runs[side].append((label, items, rss_mb))
+            print(f"  {('OLD', 'NEW')[side]} {label}: exit {items[0][1]}, "
+                  f"peak RSS {rss_mb:.2f} MB", file=sys.stderr)
+    return runs
 
 
 def _first_line_difference(a: bytes, b: bytes) -> str:
@@ -191,10 +207,8 @@ def main(argv=None) -> int:
                         help="the one work directory both checkouts run in; emptied first")
     args = parser.parse_args(argv)
     work = os.path.abspath(args.work)
-    runs = []
-    for checkout in (args.old, args.new):
-        print(f"running {checkout} in {work}", file=sys.stderr)
-        runs.append(run(checkout, work, args.seeds))
+    print(f"running {args.old} and {args.new} in {work}", file=sys.stderr)
+    runs = run(args.old, args.new, work, args.seeds)
     n_files = sum(len(items) - 3 for _, items, _ in runs[0])
     difference = compare(*runs)
     print(f"DIFFERENT {difference}" if difference
