@@ -367,8 +367,13 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
                                                str(exc))) from None
 
 
-def _interpolate(domain: GridDomain, columns: np.ndarray,
-                 pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _interpolate(domain: GridDomain, columns: np.ndarray, pts: np.ndarray,
+                 corner_rows: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear interpolation, and the mask of points with an active corner; the rows of
+    the corners of the points ``blk`` come from ``corner_rows(blk, floors)``, else a lookup."""
+    corners = list(itertools.product((0, 1), repeat=domain.dim))
+    corner_rows = corner_rows or (lambda blk, base: (domain.rows_of_indices(base + corner)
+                                                     for corner in corners))
     pts = np.asarray(pts, dtype=float).reshape(-1, domain.dim)
     out = np.zeros((pts.shape[0], columns.shape[1]))
     covered = np.zeros(pts.shape[0], dtype=bool)
@@ -381,16 +386,44 @@ def _interpolate(domain: GridDomain, columns: np.ndarray,
         acc = out[blk]  # view: the corner sums accumulate straight into out
         wsum = np.zeros(base.shape[0])
         gathered = np.empty_like(acc)  # each corner's rows of columns, in turn
-        for corner in itertools.product((0, 1), repeat=domain.dim):
+        for corner, rows in zip(corners, corner_rows(blk, base)):
             w = np.ones(base.shape[0])
             for d, c in enumerate(corner):
                 w *= frac[:, d] if c else 1.0 - frac[:, d]
-            rows = domain.rows_of_indices(base + np.asarray(corner, dtype=np.int64))
             w[rows < 0] = 0.0  # an absent corner reads the (finite) last row at weight 0
             np.take(columns, rows, axis=0, out=gathered, mode="wrap")
             gathered *= w[:, None]
             acc += gathered
             wsum += w
         hit = covered[blk] = wsum > 0  # points without a hit stay exactly 0
-        acc[hit] /= wsum[hit, None]
+        np.divide(acc, wsum[:, None], out=acc, where=hit[:, None])
     return out, covered
+
+
+def _subsample_map(u: VectorField, rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``u.at`` for points within a third of a cell of the nodes of ``rows``, in their order;
+    their corners are read from the neighbour tables once, a diagonal one either way round."""
+    domain, dim = u.domain, u.domain.dim
+    near = np.full((3,) * dim + rows.shape, -1, dtype=np.int32)  # by step + 1 along each axis
+    near[(1,) * dim] = rows
+    for d in (*range(dim), 0):  # axis 0 again: diagonal cells the other way round
+        for s, table in zip((2, 0), domain.neighbor_rows[d]):
+            side = near[(slice(None),) * d + (s,)]  # a view
+            np.maximum(side, domain.neighbors_of(table, near[(slice(None),) * d + (1,)]), out=side)
+    cells, flat = domain.cells_of(rows), near.reshape(-1)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    for i, j in itertools.product((0, 2), repeat=2) if dim == 2 else ():
+        pinch = (near[i, 1] < 0) & (near[1, j] < 0)  # blocked both ways: looked up
+        near[i, j][pinch] = domain.rows_of_indices(cells[pinch] + (i - 1, j - 1))
+    radix = 3 ** np.arange(dim)[::-1] * rows.size  # the flat position of a step + 1
+
+    def corner_rows(blk, base):
+        step = base - cells[blk]  # the floor less the node's cell, -1 or 0 per axis, plus 1
+        step += 1
+        if step.min() < 0 or step.max() > 1:  # not for points within a third of a cell
+            return (domain.rows_of_indices(base + corner) for corner in corners)
+        at = step @ radix
+        at += np.arange(rows.size)[blk]
+        return (flat[at + np.dot(corner, radix)] for corner in corners)
+
+    return lambda pts: _interpolate(domain, u.values, pts, corner_rows)[0]

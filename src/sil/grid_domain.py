@@ -27,9 +27,10 @@ _ORTHO_TOL = 1e-12
 _BLOCK = 16_384
 
 
-def row_blocks(n: int, size: int = _BLOCK):
-    """Slices of at most ``size`` consecutive rows covering ``range(n)``;
-    per-point work runs one slice at a time, so temporaries do not scale with n."""
+def row_blocks(n: int, size: int = _BLOCK, *, half: bool = False):
+    """Slices of at most ``size`` (or half that, rounded up) consecutive rows covering
+    ``range(n)``; per-point work runs one slice at a time, so temporaries do not scale with n."""
+    size = (size + 1) // 2 if half else size
     return (slice(s, s + size) for s in range(0, n, size))
 
 
@@ -351,7 +352,7 @@ class GridDomain:
 
     def neighbors_of(self, table, rows) -> np.ndarray:
         """The ``intp`` neighbour rows, -1 for none, of the given rows under one table of
-        ``neighbor_rows``: a slice, in O(rows + segments), or an index array."""
+        ``neighbor_rows``: a slice, in O(rows + segments), or an index array, -1 giving -1."""
         first, end, shift = table
         if isinstance(rows, slice):  # the pieces of the segments meeting the rows, and gaps
             lo, hi, _ = rows.indices(self.n_cells)
@@ -367,7 +368,7 @@ class GridDomain:
             out += np.arange(lo, hi)
             return np.maximum(out, -1, out=out)
         rows = np.asarray(rows, dtype=np.intp)
-        k = first.searchsorted(rows, side="right") - 1  # the empty first segment gives k >= 0
+        k = np.maximum(first.searchsorted(rows, side="right") - 1, 0)  # -1 reads (0, 0, 0)
         out = rows + shift[k]
         out[rows >= end[k]] = -1
         return out

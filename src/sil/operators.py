@@ -23,12 +23,13 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .field import (Field, VectorField, _worst, exponential_probe, gradient_rows, lp_norm,
-                    probe_rate, w1p_norm)
+from .field import (Field, VectorField, _interpolate, _subsample_map, _worst, exponential_probe,
+                    gradient_rows, lp_norm, probe_rate, w1p_norm)
 from .forms import form_a
 from .grid_domain import (
     GridDomain,
@@ -87,6 +88,22 @@ class OperatorSpec:
         for name, values in (("g_values", g), ("xi_values", xi)):
             values.setflags(write=False)
             object.__setattr__(self, name, values)
+
+    @cached_property
+    def corner_rows(self) -> np.ndarray:
+        """Read-only int32 (n, 2^dim) plan of ``apply``: the source rows, -1 where absent, of
+        each node's interpolation corners, recorded as one interpolation at ``xi`` looks them
+        up (of no columns), so they come from the same floors in the same order."""
+        _gd._check_int32_rows(self.source.n_cells)
+        plan = np.empty((self.target.n_cells, 2**self.target.dim), dtype=np.int32)
+
+        def looked_up(blk, base):
+            for k, corner in enumerate(itertools.product((0, 1), repeat=self.target.dim)):
+                plan[blk, k] = self.source.rows_of_indices(base + corner)
+            return plan[blk].T
+        _interpolate(self.source, np.empty((self.source.n_cells, 0)), self.xi_values, looked_up)
+        plan.setflags(write=False)
+        return plan
 
 
 def _closed_form(name: str, domains: tuple | None = None, h: float | None = None
@@ -172,8 +189,9 @@ def apply_with_flags(T: OperatorSpec, u: Field) -> tuple[Field, np.ndarray]:
     """
     if u.domain != T.source:
         raise ValueError("field does not live on the operator source domain")
-    vals, covered = u.at_with_coverage(T.xi_values)
-    return Field(T.target, T.g_values * vals), ~covered
+    vals, covered = _interpolate(T.source, u.values[:, None], T.xi_values,
+                                 lambda blk, base: T.corner_rows[blk].T)
+    return Field(T.target, T.g_values * vals[:, 0]), ~covered
 
 
 def apply(T: OperatorSpec, u: Field) -> Field:
@@ -412,20 +430,22 @@ def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
 # -- defect sets -------------------------------------------------------------------
 
 
-def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray,
-                        mapping: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
-    """Mask of ``omega1`` cells hit by ``mapping`` at three subsamples per axis
-    of each given ``omega2`` row, and the count of subsamples landing outside."""
+def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray, mapping:
+                        Callable[[np.ndarray], Callable]) -> tuple[np.ndarray, int]:
+    """Mask of ``omega1`` cells hit by the map ``mapping(rows)`` of three subsamples per axis
+    of each batch of ``omega2`` rows, half a row block, and the count landing outside."""
     hit = np.zeros(omega1.n_cells + 1, dtype=bool)  # an escaped subsample, row -1, marks the last
     escaped = 0
     steps = (-omega2.h / 3.0, 0.0, omega2.h / 3.0)
     offsets = [np.asarray(off) for off in itertools.product(steps, repeat=omega2.dim)]
-    for blk in _gd.row_blocks(rows.shape[0]):
+    for blk in _gd.row_blocks(rows.shape[0], half=True):
+        image = mapping(rows[blk])  # set up before the centres are made
         base = omega2.centers_of(rows[blk])
         for off in offsets:
-            rows1 = omega1.rows_of_points(mapping(base + off))
+            rows1 = omega1.rows_of_points(image(base + off))
             hit[rows1] = True
             escaped += int(np.count_nonzero(rows1 < 0))
+        del image  # and what it holds, before the next batch's map is set up
     return hit[:-1], escaped
 
 
@@ -454,7 +474,7 @@ def defect_sets(rec: ReconstructionResult, omega1: GridDomain) -> DefectSets:
     _gd._check_int32_rows(omega2.n_cells)  # the kept rows are int32, like a component's
     rows = np.flatnonzero(inside).astype(np.int32)
     del inside
-    hit = _supersampled_image(omega1, omega2, rows, rec.xi_hat.at)[0]
+    hit = _supersampled_image(omega1, omega2, rows, lambda r: _subsample_map(rec.xi_hat, r))[0]
     if not hit.any():  # an empty image is an empty domain
         raise ValueError("a domain must contain at least one cell")
     n1 = omega1.measure - int(np.count_nonzero(hit)) * omega1.h**omega1.dim
@@ -517,7 +537,8 @@ def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport
     escaped_pts = 0
     pairing = []
     for rows, motion in zip(T.target.component_rows, fit.motions):
-        hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]], motion.transform)
+        hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]],
+                                         lambda _: motion.transform)
         coverage += hit
         escaped_pts += n_out
         cells = T.target.cells_of(rows)

@@ -1,0 +1,49 @@
+"""Reference kernels shared by the test modules: the full-array code that the
+blocked kernels of ``sil`` replaced, kept lookup-based so that they check the
+neighbour tables rather than reuse them."""
+
+import functools
+
+import numpy as np
+
+
+@functools.lru_cache(maxsize=4)
+def _looked_up_neighbours(domain):
+    """Per axis ``e``, the rows of every cell + e and - e, and of cell + 2e and - 2e where
+    the cell has only the neighbour on that side, -1 where absent or not looked up; all
+    found by cell lookup, once per domain for all its fields."""
+    cells, out = domain.cells, []
+    for e in np.eye(domain.dim, dtype=np.int64):
+        plus, minus = domain.rows_of_indices(cells + e), domain.rows_of_indices(cells - e)
+        second = []
+        for near, far, step in ((plus, minus, 2 * e), (minus, plus, -2 * e)):
+            rows = np.full(domain.n_cells, -1, dtype=np.int64)
+            one_sided = (near >= 0) & (far < 0)
+            rows[one_sided] = domain.rows_of_indices(cells[one_sided] + step)
+            second.append(rows)
+        out.append((plus, minus, *second))
+    return out
+
+
+def reference_gradient(u):
+    """``gradient`` as one full-array stencil pass over looked-up neighbour rows:
+    central differences where both face neighbours are active, else the three-point
+    one-sided stencil where the second neighbour is active, else the two-point one."""
+    v, h = u.values, u.domain.h
+    out = np.zeros((u.domain.n_cells, u.domain.dim))
+    for d, (plus, minus, plus2, minus2) in enumerate(_looked_up_neighbours(u.domain)):
+        g = out[:, d]
+        has_p, has_m = plus >= 0, minus >= 0
+        central = has_p & has_m
+        g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
+
+        fwd = has_p & ~has_m
+        fwd2, fwd1 = fwd & (plus2 >= 0), fwd & (plus2 < 0)
+        g[fwd2] = (-3.0 * v[fwd2] + 4.0 * v[plus[fwd2]] - v[plus2[fwd2]]) / (2.0 * h)
+        g[fwd1] = (v[plus[fwd1]] - v[fwd1]) / h
+
+        bwd = has_m & ~has_p
+        bwd2, bwd1 = bwd & (minus2 >= 0), bwd & (minus2 < 0)
+        g[bwd2] = (3.0 * v[bwd2] - 4.0 * v[minus[bwd2]] + v[minus2[bwd2]]) / (2.0 * h)
+        g[bwd1] = (v[bwd1] - v[minus[bwd1]]) / h
+    return out

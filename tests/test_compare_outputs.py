@@ -115,3 +115,26 @@ def test_each_command_runs_on_both_checkouts_back_to_back(tmp_path, monkeypatch)
     assert {items[1] for _, items, _ in old} == {("stdout", b"old")}
     assert {items[1] for _, items, _ in new} == {("stdout", b"new")}
     assert compare_outputs.compare(old, new).startswith("c0: stdout differs")
+
+
+def test_src_paths_of_unequal_length_are_warned_about(tmp_path, monkeypatch, capsys):
+    # paths of equal length, however spelled, give no warning; the warning names both
+    # lengths and is printed above the peak RSS listing
+    for name in ("old", "new", "newer"):
+        (tmp_path / name / "src" / "sil").mkdir(parents=True)
+    old, new, newer = (str(tmp_path / name) for name in ("old", "new", "newer"))
+    assert compare_outputs.src_path_warning(old, new) is None
+    monkeypatch.chdir(tmp_path)
+    assert compare_outputs.src_path_warning("old", new) is None
+    n = len(os.path.join(old, "src"))
+    warning = compare_outputs.src_path_warning(old, newer)
+    assert warning.startswith("warning: the src paths of OLD and NEW differ in length")
+    assert f"({n} and {n + 2} characters)" in warning
+    monkeypatch.setattr(compare_outputs, "run", lambda *args: (
+        [_command("c0")], [_command("c0")]))
+    assert compare_outputs.main([old, newer, "--work", str(tmp_path / "work")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out.index(warning) == out.index(
+        "largest moves of peak RSS, OLD -> NEW (one run each):") - 1
+    compare_outputs.main([old, new, "--work", str(tmp_path / "work")])
+    assert not any(line.startswith("warning:") for line in capsys.readouterr().out.splitlines())

@@ -29,6 +29,8 @@ from sil import (
 from sil import field, grid_domain
 from sil.field import _block_sums, _worst, gradient_rows
 
+from _references import reference_gradient
+
 
 class TestGradient:
     def test_constant_field(self, interval):
@@ -427,40 +429,6 @@ def test_ball_fits_peak_memory(radius):
     assert peak / (8 * domain.n_cells) <= 1.5
 
 
-def _reference_gradient(u):
-    """The gradient as first written: second neighbours found by cell lookup."""
-    dom = u.domain
-    v = u.values
-    h = dom.h
-    out = np.zeros((dom.n_cells, dom.dim))
-    for d in range(dom.dim):
-        step = np.zeros(dom.dim, dtype=np.int64)
-        step[d] = 1
-        plus, minus = dom.rows_of_indices(dom.cells + step), dom.rows_of_indices(dom.cells - step)
-        plus2 = dom.rows_of_indices(dom.cells + 2 * step)
-        minus2 = dom.rows_of_indices(dom.cells - 2 * step)
-        has_p, has_m = plus >= 0, minus >= 0
-        g = np.zeros(dom.n_cells)
-
-        central = has_p & has_m
-        g[central] = (v[plus[central]] - v[minus[central]]) / (2.0 * h)
-
-        fwd = has_p & ~has_m
-        fwd2 = fwd & (plus2 >= 0)
-        fwd1 = fwd & ~fwd2
-        g[fwd2] = (-3.0 * v[fwd2] + 4.0 * v[plus[fwd2]] - v[plus2[fwd2]]) / (2.0 * h)
-        g[fwd1] = (v[plus[fwd1]] - v[fwd1]) / h
-
-        bwd = has_m & ~has_p
-        bwd2 = bwd & (minus2 >= 0)
-        bwd1 = bwd & ~bwd2
-        g[bwd2] = (3.0 * v[bwd2] - 4.0 * v[minus[bwd2]] + v[minus2[bwd2]]) / (2.0 * h)
-        g[bwd1] = (v[bwd1] - v[minus[bwd1]]) / h
-
-        out[:, d] = g
-    return out
-
-
 @st.composite
 def _gapped_domains(draw):
     """Random 1D/2D masks with a planted one-cell gap.
@@ -487,7 +455,7 @@ def _gapped_domains(draw):
 @given(_gapped_domains(), st.integers(0, 2**32 - 1))
 def test_gradient_matches_cell_lookup_reference(domain, seed):
     u = Field(domain, np.random.default_rng(seed).normal(size=domain.n_cells))
-    assert np.array_equal(gradient(u).values, _reference_gradient(u))
+    assert np.array_equal(gradient(u).values, reference_gradient(u))
 
 
 @settings(max_examples=100, deadline=None)
@@ -497,7 +465,7 @@ def test_gradient_rows_of_several_fields_at_any_rows(domain, seed, data):
     # and end anywhere, and the one block of the whole domain is kept with it
     fields = [Field(domain, x) for x in np.random.default_rng(seed).normal(
         size=(3, domain.n_cells))]
-    want = [_reference_gradient(f) for f in fields]
+    want = [reference_gradient(f) for f in fields]
     n = domain.n_cells
     lo, hi = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
     for blk in (slice(lo, hi), slice(0, n), slice(0, n), slice(lo, None)):

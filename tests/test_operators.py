@@ -44,7 +44,7 @@ from sil import (
     rigid_operator,
     w1p_norm,
 )
-from sil import grid_domain, operators, suites
+from sil import field, grid_domain, operators, suites
 from sil.operators import _supersampled_image
 from sil.suites import (
     _check,
@@ -544,7 +544,7 @@ def test_frozen_values_hold_read_only_arrays(case, seed):
     rng = np.random.default_rng(seed)
     T = piecewise_rigid_operator(source, target, motions, range(len(motions)))
     u = random_smooth_field(target, rng)
-    held = [T.g_values, T.xi_values, u.values, gradient(u).values,
+    held = [T.g_values, T.xi_values, T.corner_rows, u.values, gradient(u).values,
             target.run_cells, target.run_rows, *target.index_bounds, *target._key_data,
             *itertools.chain.from_iterable(itertools.chain(*target.neighbor_rows)),
             *target._run_pairs, *target.component_rows,
@@ -634,11 +634,151 @@ def test_supersampled_image_matches_old_loops(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
             hit, _ = _supersampled_image(T.source, T.target, np.flatnonzero(inside),
-                                         rec.xi_hat.at)
+                                         lambda _: rec.xi_hat.at)
             assert np.array_equal(hit, references[0][0])
             for rows, (ref_hit, ref_escaped) in zip(comps, references[1]):
-                hit, escaped = _supersampled_image(T.source, T.target, rows, moved.transform)
+                hit, escaped = _supersampled_image(T.source, T.target, rows,
+                                                   lambda _: moved.transform)
                 assert np.array_equal(hit, ref_hit) and escaped == ref_escaped
+
+
+@st.composite
+def _holed_domains(draw):
+    """A random 1D/2D mask, so holed and of several parts, with a planted pinch in 2D:
+    two cells meeting only at a corner, whose common face neighbours are both absent."""
+    shape = draw(st.sampled_from([(60,), (9, 9), (14, 23), (3, 40), (30, 2)]))
+    density = draw(st.floats(0.3, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < density
+    if len(shape) == 2:
+        i, j = (draw(st.integers(0, n - 2)) for n in shape)
+        mask[i:i + 2, j:j + 2] = draw(st.sampled_from([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]))
+    assume(mask.sum() >= 2)
+    dim = len(shape)
+    origin = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    return GridDomain(dim, 0.05, origin, np.argwhere(mask) + draw(st.integers(-5, 5)))
+
+
+def _pinched_squares():
+    """Boxes [0, .5]^2 and [.5, 1]^2 at h = 0.05, which meet only at a corner."""
+    return grid_domain.domain_from_spec({"dim": 2, "h": 0.05, "boxes": [
+        {"lo": [0, 0], "hi": [0.5, 0.5]}, {"lo": [0.5, 0.5], "hi": [1, 1]}]})
+
+
+def _holed_domain_cases():
+    return st.one_of(_holed_domains(), st.just(_pinched_squares()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_holed_domain_cases(), st.integers(0, 2**32 - 1))
+def test_apply_plan_matches_the_per_call_lookup(source, seed):
+    # images anywhere in the source's box widened by a cell, and at nodes, where a
+    # corner weight is exactly 0: the plan's rows give the values and the flags of
+    # the lookup that interpolation makes without one, and a second apply looks
+    # nothing up
+    rng = np.random.default_rng(seed)
+    lo, hi = source.bounding_box
+    n = int(rng.integers(1, 300))
+    xi = rng.uniform(lo - source.h, hi + source.h, (n, source.dim))
+    xi[: n // 4] = source.centers[rng.integers(source.n_cells, size=n // 4)]
+    target = make_box(0.0, float(n), 1.0) if source.dim == 1 else GridDomain(
+        2, 1.0, (0.0, 0.0), np.stack([np.arange(n), np.zeros(n, np.int64)], axis=1))
+    T = OperatorSpec(source, target, rng.choice([-1.0, 2.5], size=n), xi)
+    u = Field(source, rng.normal(size=source.n_cells))
+    vals, covered = u.at_with_coverage(T.xi_values)
+    image, flags = apply_with_flags(T, u)
+    assert image.values.tobytes() == (T.g_values * vals).tobytes()
+    assert np.array_equal(flags, ~covered)
+    plan = T.corner_rows
+    assert plan.dtype == np.int32 and plan.shape == (n, 2**source.dim)
+    assert not plan.flags.writeable
+    calls, lookup = [], GridDomain.rows_of_indices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GridDomain, "rows_of_indices",
+                   lambda domain, idx: calls.append(idx) or lookup(domain, idx))
+        again, flags_again = apply_with_flags(T, u)
+    assert T.corner_rows is plan and calls == []
+    assert again.values.tobytes() == image.values.tobytes()
+    assert np.array_equal(flags_again, flags)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_holed_domain_cases(), st.integers(0, 2**32 - 1))
+def test_subsample_corners_match_the_lookup_at_every_offset(domain, seed):
+    # the table corners of the subsamples of any rows give the values of VectorField.at
+    # bit for bit, 0 where no corner is active, at each of the 3^dim offsets; a
+    # diagonal corner behind a pinch is looked up, not taken as absent
+    rng = np.random.default_rng(seed)
+    u = VectorField(domain, rng.normal(size=(domain.n_cells, domain.dim)))
+    rows = np.flatnonzero(rng.random(domain.n_cells) < rng.uniform(0.2, 1.0)).astype(np.int32)
+    image = field._subsample_map(u, rows)
+    centers = domain.centers_of(rows)
+    for off in _reference_offsets(domain.h, domain.dim):
+        assert image(centers + off).tobytes() == u.at(centers + off).tobytes()
+
+
+def test_subsample_corners_read_a_pinched_diagonal():
+    # the cells (9, 9) and (10, 10) meet only at a corner; the subsample a third of a
+    # cell up and right of (9, 9)'s node has (10, 10) as a corner of positive weight
+    domain = _pinched_squares()
+    u = VectorField(domain, np.arange(2.0 * domain.n_cells).reshape(-1, 2))
+    rows = domain.rows_of_indices([[9, 9]]).astype(np.int32)
+    pts = domain.centers_of(rows) + domain.h / 3.0
+    got = field._subsample_map(u, rows)(pts)
+    assert got.tobytes() == u.at(pts).tobytes()
+    assert not np.array_equal(got[0], u.values[rows[0]])  # not (9, 9)'s value alone
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_subsample_corners_far_from_the_origin_are_looked_up(dim):
+    # cells near 1e16 at h = 1, where a float's spacing is 2: nodes and their subsamples
+    # round to whole cells, so a point can floor a cell above its node, outside the
+    # steps the tables hold, and its block's corners are looked up instead
+    line = np.arange(10**16 + 1, 10**16 + 13)
+    cells = line[:, None] if dim == 1 else np.stack([np.repeat(line, 2), np.tile([0, 1], 12)], 1)
+    domain = GridDomain(dim, 1.0, (0.0,) * dim, cells)
+    u = VectorField(domain, np.random.default_rng(0).normal(size=(domain.n_cells, dim)))
+    rows = np.arange(domain.n_cells, dtype=np.int32)
+    centers = domain.centers_of(rows)
+    for off in _reference_offsets(domain.h, dim):
+        floors = np.floor((centers + off) / domain.h - 0.5).astype(np.int64)
+        assert (floors - domain.cells_of(rows)).max() == 1  # a step the tables do not hold
+        assert field._subsample_map(u, rows)(centers + off).tobytes() == u.at(
+            centers + off).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_holed_domain_cases(), st.integers(0, 2**32 - 1))
+def test_defect_sets_on_random_domains_match_the_eager_reference(omega2, seed):
+    # a reconstruction of omega2 whose map is its centres moved up to two cells, with
+    # a random zero set, against a random holed omega1 on another grid over its box;
+    # at the default blocks and at 150-row ones, whose halves make many batches
+    rng = np.random.default_rng(seed)
+    dim, (lo, hi) = omega2.dim, omega2.bounding_box
+    h1 = omega2.h * rng.uniform(0.6, 1.6)
+    mask = rng.random(tuple(np.ceil((hi - lo) / h1).astype(int) + 4)) < rng.uniform(0.5, 1.0)
+    assume(mask.any())
+    omega1 = GridDomain(dim, h1, tuple(lo - 2 * h1 + rng.uniform(0, h1, dim)), np.argwhere(mask))
+    xi = omega2.centers + rng.uniform(-2, 2, (omega2.n_cells, dim)) * omega2.h
+    zero = rng.random(omega2.n_cells) < 0.1
+    xi[zero] = 0.0
+    g = np.where(zero, 0.0, 1.0)
+    rec = operators.ReconstructionResult(Field(omega2, g), VectorField(omega2, xi), zero, 0.0)
+    inside = ~zero
+    inside[inside] = _reference_rows(omega1, xi[inside]) >= 0
+    assume(inside.any())
+    hit = _reference_defect_hit(rec, omega1, omega2, inside)
+    assume(hit.any())
+    for size in _BLOCK_SIZES:
+        batches = []  # the rows of each batch, which is half a row block
+        with _blocks_of(size), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_subsample_map",
+                       lambda u, rows: batches.append(rows.size) or field._subsample_map(u, rows))
+            ds = defect_sets(rec, omega1)
+        assert ds.n2_cells == omega2.n_cells - int(np.count_nonzero(inside))
+        assert ds.n1_measure == omega1.measure - int(np.count_nonzero(hit)) * omega1.h**dim
+        assert sum(batches) == np.count_nonzero(inside)
+        assert max(batches) == min((size + 1) // 2, sum(batches))
 
 
 def _dead_patch(T):
@@ -792,28 +932,41 @@ def test_rigid_fit_defects_match_the_whole_domain_reference(name):
 
 def _pipeline_peak(h, block):
     """The two-block pipeline's report at cell width ``h`` and ``block``-row blocks,
-    its traced peak and what is live when the topology checks start, both in
-    n-float arrays above the live operator."""
+    its traced peak, what is live when the topology checks start, and the traced
+    peaks within the defect sets and within the rigid fit, all in n-float arrays
+    above the live operator."""
     congruence_pipeline(example_5_4_operator(0.1), p=3.0, tol=0.4)  # first-use imports
     T = example_5_4_operator(h)
-    live_at_checks = []
+    live_at_checks, peaks, stage_peaks = [], [], {}
     regular = operators.is_topologically_regular
 
     def traced_regular(domain):
         live_at_checks.append(tracemalloc.get_traced_memory()[0])
         return regular(domain)
 
+    def traced(stage):  # the peak so far is kept, and the stage's own read at its end
+        def run(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            result = stage(*args)
+            stage_peaks[stage.__name__] = tracemalloc.get_traced_memory()[1]
+            return result
+        return run
+
     with _blocks_of(block), pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "is_topologically_regular", traced_regular)
+        for name in ("defect_sets", "rigid_motion_fit"):
+            mp.setattr(operators, name, traced(getattr(operators, name)))
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
             report = congruence_pipeline(T, p=3.0, tol=4 * T.target.h)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = max(tracemalloc.get_traced_memory()[1], *peaks)
         finally:
             tracemalloc.stop()
     assert report.congruent and report.source_regular and report.target_regular
-    return [(size - live) / (8 * T.target.n_cells) for size in (peak, live_at_checks[0])]
+    return [(size - live) / (8 * T.target.n_cells) for size in (
+        peak, live_at_checks[0], stage_peaks["defect_sets"], stage_peaks["rigid_motion_fit"])]
 
 
 def test_congruence_pipeline_peak_memory():
@@ -822,17 +975,22 @@ def test_congruence_pipeline_peak_memory():
     # read 25.8 and 19.4, a fit that kept its |grad xi_0| samples gave a peak of
     # 14.5, and whole-array probe images, per-row component pairs and the fit's
     # rows cached during the defect sets a peak of 10.36, where 7.75 is reached
-    peak, live_at_checks = _pipeline_peak(0.01, 1024)
+    peak, live_at_checks, _, _ = _pipeline_peak(0.01, 1024)
     assert peak <= 8.5
     assert live_at_checks <= 3
 
 
 def test_congruence_pipeline_peak_memory_at_default_blocks():
     # n = 80,000 cells a side at the default blocks, as in the benchmark's
-    # two-block spec: the changes named above took the peak from 11.68 to 8.39
-    peak, live_at_checks = _pipeline_peak(5e-3, grid_domain._BLOCK)
-    assert peak <= 9
+    # two-block spec: the changes named above took the peak from 11.68 to 8.39,
+    # set by the defect sets' subsamples; half-block batches whose corners come
+    # from the neighbour tables took it to 6.54, where the rigid fit sets it. The
+    # defect sets peak at 6.34, and read 6.47 when a batch's corner rows stayed
+    # alive while the next batch's were read
+    peak, live_at_checks, defect_sets_peak, fit_peak = _pipeline_peak(5e-3, grid_domain._BLOCK)
+    assert peak <= 7
     assert live_at_checks <= 3
+    assert defect_sets_peak <= min(fit_peak, 6.4)
 
 
 def test_reconstruct_peak_memory():

@@ -21,7 +21,9 @@ are byte-identical.  After that verdict it prints the line count of each
 module under ``src``, OLD -> NEW, and their total, as ``wc -l`` counts them,
 then lists the commands whose peak resident set size (``ru_maxrss`` from
 ``os.wait4``, one run each, so differences of a few tenths of a MB are noise)
-moved most between OLD and NEW.  Only the standard library is used; the
+moved most between OLD and NEW.  Above that list it warns when the two
+checkouts' ``src`` paths differ in length, since the path length alone moves
+a command's peak RSS (by about 0.1 MB).  Only the standard library is used; the
 workload generator is imported from this repository's ``perfbench``.  Reading
 child resource usage needs a POSIX system.
 """
@@ -197,6 +199,15 @@ def line_moves(old: dict[str, int], new: dict[str, int]) -> list[str]:
     return [f"  {name}: {a} -> {b} ({b - a:+d})" for name, a, b in rows]
 
 
+def src_path_warning(old: str, new: str) -> str | None:
+    """A warning when the ``src`` paths of the two checkouts differ in length, else None."""
+    old_len, new_len = (len(os.path.join(os.path.abspath(c), "src")) for c in (old, new))
+    if old_len == new_len:
+        return None
+    return (f"warning: the src paths of OLD and NEW differ in length ({old_len} and {new_len} "
+            "characters), which alone moves peak RSS; run checkouts at paths of equal length")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="root of the first checkout")
@@ -215,6 +226,8 @@ def main(argv=None) -> int:
           else f"identical: {len(runs[0])} commands, {n_files} written files")
     print("lines of each src/ module, OLD -> NEW:")
     print("\n".join(line_moves(src_lines(args.old), src_lines(args.new))))
+    if warning := src_path_warning(args.old, args.new):
+        print(warning)
     print("largest moves of peak RSS, OLD -> NEW (one run each):")
     print("\n".join(rss_moves(*runs)))
     return 1 if difference else 0
