@@ -10,6 +10,7 @@ regions at one boundary layer, ``O(h * perimeter)``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -285,18 +286,6 @@ class GridDomain:
             out[blk] = key
         return out
 
-    def subset(self, rows) -> "GridDomain":
-        """The domain of the given ascending rows (or row mask) on the same grid, cut into
-        runs where a kept row starts a run here or does not follow the kept row before."""
-        rows = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else np.asarray(rows)
-        if not np.all(rows[1:] > rows[:-1]):
-            raise ValueError("subset takes ascending distinct rows")
-        new = self.run_rows[self.run_rows.searchsorted(rows, side="right") - 1] == rows
-        new[1:] |= rows[1:] != rows[:-1] + 1
-        new[:1] = True
-        return GridDomain.of_runs(self.dim, self.h, self.origin, self.cells_of(rows[new]),
-                                  np.append(np.flatnonzero(new), rows.size))
-
     def rows_of_points(self, pts: np.ndarray) -> np.ndarray:
         """Rows of the cells holding the physical points, -1 where absent."""
         pts = np.asarray(pts, dtype=float).reshape(-1, self.dim)
@@ -517,18 +506,51 @@ def make_box(lo, hi, h: float) -> GridDomain:
     return GridDomain.of_runs(len(lo), float(h), lo, run_cells, run_rows)
 
 
-def _subtract_boxes(domain: GridDomain, boxes: Iterable[tuple]) -> GridDomain:
-    """The cells of ``domain`` whose centres lie in none of the open ``boxes``,
-    the centres computed a row block at a time."""
-    boxes = [[np.asarray(_as_point(x, domain.dim)) for x in box] for box in boxes]
-    keep = np.ones(domain.n_cells, dtype=bool)
-    for blk in row_blocks(domain.n_cells):
-        centers = domain.centers_of(blk)
-        for lo, hi in boxes:
-            keep[blk] &= ~np.all((centers > lo) & (centers < hi), axis=1)
-    if not keep.any():
+def _boxes_minus_holes(boxes: list[GridDomain], holes: Iterable[tuple]) -> GridDomain:
+    """The union of the rasterized ``boxes``, on the grid of the first, less the cells
+    whose centres lie in one of the open ``holes``, each a pair of corners: one sweep
+    over the boxes' R runs line by line, where a run adds 1 from its first cell to its
+    last and a hole W = R + 1 on the line of each run it meets, so a cell is in where
+    the depth lies in (0, W).  A hole's cells along an axis come by bisection under the
+    expression ``centers_of`` evaluates, so its cells are those whose centres lie in it."""
+    dim, h, origin = boxes[0].dim, boxes[0].h, boxes[0].origin
+    runs, lengths = [], []
+    for k, box in enumerate(boxes):
+        shift = (np.asarray(box.origin) - np.asarray(origin)) / h
+        # its far corner lies at most n cells further, so the union's index box spans < 2**63
+        if not (np.abs(shift) + box.n_cells < 2.0**62).all():
+            raise ValueError(f"box {k} lies 2**62 or more cells from the first box's low corner")
+        shift_int = np.round(shift).astype(np.int64)
+        if np.abs(shift - shift_int).max() > 1e-9:
+            raise ValueError("boxes must sit on a common grid (origins differ by non-multiples of h)")
+        runs.append(box.run_cells + shift_int)
+        lengths.append(np.diff(box.run_rows))
+    starts = np.concatenate(runs)
+    ends = starts.copy()
+    ends[:, -1] += np.concatenate(lengths)
+    lo, hi = starts.min(axis=0).tolist(), (ends.max(axis=0) + 1).tolist()  # an index box
+    weight, ones = starts.shape[0] + 1, np.ones(starts.shape[0], np.int64)
+    pos, step = [starts, ends], [ones, -ones]
+    for hole in holes:
+        cut = []  # per axis, the cells [a, b) of the index box with centres in the hole
+        for k_lo, k_hi, o, x_lo, x_hi in zip(lo, hi, origin, *(_as_point(x, dim) for x in hole)):
+            ks, centre = range(k_lo, k_hi), lambda k: (k + 0.5) * h + o
+            cut.append((k_lo + bisect.bisect_right(ks, x_lo, key=centre),
+                        k_lo + bisect.bisect_left(ks, x_hi, key=centre)))
+        a, b = np.array(cut).T  # a hole with cells adds events on the line of each run it meets
+        met = (a[-1] < b[-1]) & np.all((starts[:, :-1] >= a[:-1]) & (starts[:, :-1] < b[:-1]), 1)
+        pos += [np.column_stack((starts[met, :-1], np.full(met.sum(), k))) for k in (a[-1], b[-1])]
+        step += [np.full(met.sum(), weight), np.full(met.sum(), -weight)]
+    pos, step = np.concatenate(pos), np.concatenate(step)
+    # by cell, and at a cell by falling step, so the depth crosses (0, W) at most once there
+    order = np.lexsort((-step, *pos.T[::-1]))
+    pos, depth = pos[order], np.cumsum(step[order])
+    inside = np.append(False, (depth > 0) & (depth < weight))  # led by the depth before all
+    first, end = pos[inside[1:] & ~inside[:-1]], pos[inside[:-1] & ~inside[1:]]
+    if first.shape[0] == 0:
         raise ValueError("subtraction removed every cell of the domain")
-    return domain.subset(keep)
+    return GridDomain.of_runs(dim, h, origin, first,
+                              np.append(0, np.cumsum(end[:, -1] - first[:, -1])))
 
 
 def connected_components(domain: GridDomain) -> list[GridDomain]:
@@ -538,7 +560,8 @@ def connected_components(domain: GridDomain) -> list[GridDomain]:
     share ``dim``/``h``/``origin`` with the input, and split the active
     cells exactly (no cell lost or duplicated).
     """
-    return [domain.subset(rows) for rows in domain.component_rows]
+    return [GridDomain(domain.dim, domain.h, domain.origin, domain.cells_of(rows))
+            for rows in domain.component_rows]
 
 
 def is_topologically_regular(domain: GridDomain) -> bool:
@@ -735,7 +758,7 @@ def make_fat_cantor_complement(total_removed: float, h: float) -> GridDomain:
     """Open subset of (0, 1) with closure [0, 1] and measure 1 - total_removed."""
     base = make_box(0.0, 1.0, h)
     intervals = fat_cantor_intervals(total_removed, min_length=h)
-    return _subtract_boxes(base, [((a,), (b,)) for a, b in intervals])
+    return _boxes_minus_holes([base], [((a,), (b,)) for a, b in intervals])
 
 
 def example_4_8_interval() -> tuple[float, float]:
@@ -752,8 +775,8 @@ _DOMAIN_BUILTINS = {
     "example_4_8_omega2": (1e-3, lambda h: make_box(1.0, 2.0, h)),
     "example_5_4_omega1": (0.01, lambda h: make_box((0.0, -1.0), (1.0, 1.0), h)),
     # two congruent blocks, (0,1) x ((-2,-1) union (1,2))
-    "example_5_4_omega2": (0.01, lambda h: _subtract_boxes(
-        make_box((0.0, -2.0), (1.0, 2.0), h), [((0.0, -1.0), (1.0, 1.0))])),
+    "example_5_4_omega2": (0.01, lambda h: _boxes_minus_holes(
+        [make_box((0.0, -2.0), (1.0, 2.0), h)], [((0.0, -1.0), (1.0, 1.0))])),
 }
 
 
@@ -811,32 +834,7 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
     dim = _json_value(spec.get("dim", len(boxes[0][0])), "an integer", "dim")
     parts = [make_box(_as_point(lo, dim), _as_point(hi, dim), h) for lo, hi in boxes]
     _check_budget(sum(p.n_cells for p in parts), "domain spec")
-    origin = parts[0].origin
-    runs, lengths = [], []
-    for part in parts:
-        shift = (np.asarray(part.origin) - np.asarray(origin)) / h
-        shift_int = np.round(shift).astype(np.int64)
-        if np.abs(shift - shift_int).max() > 1e-9:
-            raise ValueError("boxes must sit on a common grid (origins differ by non-multiples of h)")
-        runs.append(part.run_cells + shift_int)
-        lengths.append(np.diff(part.run_rows))
-    # the union of the runs, line by line: in order of line, then cell, then starts before
-    # ends, a run of the union starts where the count of runs covering a cell rises from 0
-    # and ends where it falls back to 0, so touching runs join
-    starts = np.concatenate(runs)
-    ends = starts.copy()
-    ends[:, -1] += np.concatenate(lengths)
-    cells = np.concatenate((starts, ends))
-    step = np.repeat([1, -1], starts.shape[0])
-    order = np.lexsort((step < 0, *cells.T[::-1]))
-    cells, step = cells[order], step[order]
-    depth = np.cumsum(step)
-    first, last = cells[(step > 0) & (depth == 1)], cells[(step < 0) & (depth == 0)]
-    domain = GridDomain.of_runs(dim, h, origin, first,
-                                np.append(0, np.cumsum(last[:, -1] - first[:, -1])))
-    if holes:
-        domain = _subtract_boxes(domain, holes)
-    return domain
+    return _boxes_minus_holes(parts, holes)
 
 
 def _spec_box(box) -> tuple[list, list]:

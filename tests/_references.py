@@ -6,6 +6,8 @@ import functools
 
 import numpy as np
 
+from sil.grid_domain import GridDomain, _as_point, row_blocks
+
 
 @functools.lru_cache(maxsize=4)
 def _looked_up_neighbours(domain):
@@ -47,3 +49,17 @@ def reference_gradient(u):
         g[bwd2] = (3.0 * v[bwd2] - 4.0 * v[minus[bwd2]] + v[minus2[bwd2]]) / (2.0 * h)
         g[bwd1] = (v[bwd1] - v[minus[bwd1]]) / h
     return out
+
+
+def subtract_boxes(domain, boxes):
+    """The cells of ``domain`` whose centres lie in none of the open ``boxes``,
+    the centres computed a row block at a time."""
+    boxes = [[np.asarray(_as_point(x, domain.dim)) for x in box] for box in boxes]
+    keep = np.ones(domain.n_cells, dtype=bool)
+    for blk in row_blocks(domain.n_cells):
+        centers = domain.centers_of(blk)
+        for lo, hi in boxes:
+            keep[blk] &= ~np.all((centers > lo) & (centers < hi), axis=1)
+    if not keep.any():
+        raise ValueError("subtraction removed every cell of the domain")
+    return GridDomain(domain.dim, domain.h, domain.origin, domain.cells[keep])

@@ -324,6 +324,15 @@ class TestInputErrorsExit2:
         code = main(["verify", "--suite", "congruence", "--spec", spec])
         self._assert_input_error(code, capsys, "too many for int64 cell keys")
 
+    def test_box_offset_out_of_int64_range(self, tmp_path, capsys):
+        # a box 1e19 cells from the first once exited 2 with numpy's "invalid value
+        # encountered in cast" from the shift's int64 cast
+        boxes = [{"lo": [0], "hi": [1]}, {"lo": [1e17], "hi": [1e17 + 32]}]
+        spec = write_json(tmp_path / "far.json", {"dim": 1, "h": 0.01, "boxes": boxes})
+        code = main(["congruence", "--domain1", spec, "--domain2", spec])
+        self._assert_input_error(
+            code, capsys, "congruence error: box 1 lies 2**62 or more cells from the first box")
+
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_clarkson_non_finite_p(self, capsys, p):
         # a configuration error, not a NaN slack in every sample

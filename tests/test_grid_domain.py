@@ -26,6 +26,8 @@ from sil import (
 from sil import grid_domain
 from sil.field import Field, gradient, gradient_rows
 
+from _references import subtract_boxes
+
 
 class TestMakeBox:
     def test_unit_interval_measure(self):
@@ -241,6 +243,33 @@ class TestDomainSpec:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError):
             domain_from_spec({"dim": 2})
+
+    @pytest.mark.parametrize("far", [
+        pytest.param({"lo": [1e17], "hi": [1e17 + 32]}, id="above"),
+        pytest.param({"lo": [-1e17], "hi": [-1e17 + 32]}, id="below"),
+        # its low corner lies within 2**62 cells, its far corner does not
+        pytest.param({"lo": [2.0**62 / 100 - 10.24], "hi": [2.0**62 / 100 + 10.24]}, id="reach"),
+    ])
+    def test_box_offset_out_of_int64_range(self, far):
+        # the shift of a box 1e19 cells from the first once overflowed its int64 cast
+        # and read as "boxes must sit on a common grid"
+        spec = {"dim": 1, "h": 0.01, "boxes": [{"lo": [0], "hi": [1]}, far]}
+        with pytest.raises(ValueError, match=r"^box 1 lies 2\*\*62 or more cells from the "
+                                             r"first box's low corner$"):
+            domain_from_spec(spec)
+
+    def test_error_precedence(self, monkeypatch):
+        # the budget, then each hole's dimension, then an empty result
+        square, hole = {"lo": [0, 0], "hi": [1, 1]}, {"lo": [0.5], "hi": [0.6]}
+        spec = {"dim": 2, "h": 0.05, "boxes": [square], "subtract": [hole]}
+        with pytest.raises(ValueError, match=r"^expected a point of dimension 2, got \(0\.5,\)$"):
+            domain_from_spec(spec)
+        monkeypatch.setenv("SIL_CELL_BUDGET", "100")
+        with pytest.raises(ValueError, match="needs 400 cells, exceeding the budget of 100"):
+            domain_from_spec(spec)
+        monkeypatch.delenv("SIL_CELL_BUDGET")
+        with pytest.raises(ValueError, match="^subtraction removed every cell of the domain$"):
+            domain_from_spec(dict(spec, subtract=[{"lo": [-1, -1], "hi": [2, 2]}]))
 
 
 class TestGridDomainBasics:
@@ -904,54 +933,97 @@ def _box_specs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_box_specs(), st.data())
-def test_spec_union_and_subsets_match_a_cells_reference(case, data):
-    # the boxes merge as run tables, and a subset cuts its run table from the kept
-    # rows; both against the domain of the (n, dim) cells they hold
+@given(_box_specs())
+def test_spec_union_matches_a_cells_reference(case):
+    # the boxes merge as run tables, against the domain of the (n, dim) cells they hold
     spec, want = case
     domain = domain_from_spec(spec)
-    origin = tuple(spec["boxes"][0]["lo"])
-    assert domain == GridDomain(spec["dim"], 0.05, origin, np.array(want))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    keep = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.3, 0.7, 1.0]))
-    assume(keep.any())
-    ref = GridDomain(spec["dim"], 0.05, origin, domain.cells[keep])
-    for rows in (keep, np.flatnonzero(keep), np.flatnonzero(keep).astype(np.int32)):
-        assert domain.subset(rows) == ref
-    if (rows := np.flatnonzero(keep)).size > 1:  # the run cut needs ascending distinct rows
-        for bad in (rows[::-1], np.sort(np.append(rows, rows[rows.size // 2]))):
-            with pytest.raises(ValueError, match="ascending distinct rows"):
-                domain.subset(bad)
+    assert domain == GridDomain(spec["dim"], 0.05, tuple(spec["boxes"][0]["lo"]), np.array(want))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_row_index_domains(), st.data())
-def test_subset_of_holed_domains_matches_a_cells_reference(domain, data):
-    # multi-box and holed domains, about half of them over one row block, keeping
-    # sparse rows, dense rows or whole runs of parts
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    keep = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.05, 0.5, 0.95]))
-    parts = domain.component_rows
-    for rows in (np.flatnonzero(keep), parts[rng.integers(len(parts))]):
-        if rows.size:
-            assert domain.subset(rows) == GridDomain(domain.dim, domain.h, domain.origin,
-                                                     domain.cells[rows])
+@st.composite
+def _holed_specs(draw):
+    """A spec of one to four boxes in 1D or 2D, overlapping, touching or apart, some
+    2**54 cells from the first along an axis, where neighbouring centres coincide,
+    minus up to four holes.  Each hole edge lies on a cell's centre or face, or one ulp
+    off either, so some holes have zero or negative extent or meet no line; a hole
+    may also remove everything or have the wrong dimension."""
+    dim = draw(st.sampled_from([1, 2]))
+    far = [draw(st.sampled_from([0, 0, 2**54])) for _ in range(dim)]
+    h = 1.0 if any(far) else draw(st.sampled_from([0.05, 0.1, 0.3]))
+    unit = 4 if any(far) else 1  # far corners are whole numbers of cells in floats
+    cell = st.integers(-8, 8)
+
+    def box(offset):  # the low cell and size of a box, counted in cells of width h
+        return ([unit * draw(cell) + k for k in offset],
+                [unit * draw(st.integers(1, 7)) for _ in offset])
+
+    cells = [box([0] * dim)] + [box(draw(st.sampled_from([[0] * dim, far])))
+                                for _ in range(draw(st.integers(0, 3)))]
+    boxes = [{"lo": [h * k for k in lo], "hi": [h * (k + n) for k, n in zip(lo, size)]}
+             for lo, size in cells]
+    origin = boxes[0]["lo"]
+
+    def edges(d):  # on or next to a box's faces or centres along axis d
+        lo, size = draw(st.sampled_from(cells))
+        k = lo[d] - cells[0][0][d] + draw(st.integers(-2, size[d] + 1))  # a cell from origin
+        ends = ((j + draw(st.sampled_from([0.0, 0.5]))) * h + origin[d]  # a face or a centre
+                for j in (k, k + draw(st.integers(-2, size[d] + 2))))
+        return [draw(st.sampled_from([x, math.nextafter(x, -math.inf),
+                                      math.nextafter(x, math.inf)])) for x in ends]
+
+    holes = []
+    for _ in range(draw(st.integers(0, 4))):
+        hole = dict(zip(("lo", "hi"), map(list, zip(*(edges(d) for d in range(dim))))))
+        kind = draw(st.sampled_from(["edges"] * 8 + ["everything", "wrong dimension"]))
+        if kind == "everything":
+            hole = {"lo": [-1e300] * dim, "hi": [1e300] * dim}
+        elif kind == "wrong dimension":
+            hole["hi"].append(0.0)
+        holes.append(hole)
+    return {"dim": dim, "h": h, "boxes": boxes, "subtract": holes}
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_holed_specs())
+def test_holes_cut_in_the_union_sweep_match_a_centres_reference(spec):
+    # the sweep cuts the cells whose centres, as centers_of computes them, lie strictly
+    # inside a hole, bit for bit, and raises what the reference raises
+    union = domain_from_spec({key: spec[key] for key in ("dim", "h", "boxes")})
+    holes = [(hole["lo"], hole["hi"]) for hole in spec["subtract"]]
+    assert _outcome(lambda: domain_from_spec(spec)) == _outcome(
+        lambda: subtract_boxes(union, holes))
 
 
 def test_overlapping_boxes_merge_peak_memory(monkeypatch):
     # four identical 500x500 boxes at h = 1e-3, 1M summed cells within the default
     # budget: merged through their (n, dim) cells and shifted copies, their
-    # 250k-cell union peaked at 53.5 MiB traced; merged as run tables, at 0.37 MiB
+    # 250k-cell union peaked at 53.5 MiB traced; merged as run tables, at 0.37 MiB.
+    # Less one hole or nine, cut through a 250k-cell mask and the rows it kept, it
+    # peaked at 4.3 MiB; cut inside the sweep, at 0.57 and 0.86 MiB
     monkeypatch.delenv("SIL_CELL_BUDGET", raising=False)
     box = {"lo": [0, 0], "hi": [0.5, 0.5]}
-    tracemalloc.start()
-    try:
-        domain = domain_from_spec({"dim": 2, "h": 1e-3, "boxes": [box] * 4})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert domain == make_box((0.0, 0.0), (0.5, 0.5), 1e-3)
-    assert peak / 2**20 <= 1
+    one = [{"lo": [0.1, 0.1], "hi": [0.4, 0.4]}]
+    nine = [{"lo": [0.05 + 0.15 * i, 0.05 + 0.15 * j], "hi": [0.15 + 0.15 * i, 0.15 + 0.15 * j]}
+            for i in range(3) for j in range(3)]
+    for holes in ([], one, nine):
+        tracemalloc.start()
+        try:
+            domain = domain_from_spec({"dim": 2, "h": 1e-3, "boxes": [box] * 4, "subtract": holes})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert domain == subtract_boxes(make_box((0.0, 0.0), (0.5, 0.5), 1e-3),
+                                        [(hole["lo"], hole["hi"]) for hole in holes])
+        assert peak / 2**20 <= 1
 
 
 @st.composite

@@ -5,10 +5,14 @@
 From one fixed work directory, this runs the six ``sil verify`` suites at
 their defaults with ``--report``, and every command that
 ``perfbench/workloads.generate`` writes for the three workloads at the given
-seeds, and three fixed commands no workload generates: ``sil reconstruct`` of
+seeds, and four fixed commands no workload generates: ``sil reconstruct`` of
 the identity on a 0.01 unit square given as ``--domain``, ``sil
-reconstruct`` of ``example_4_8`` at h = 1e-3, and ``sil congruence`` of two
-builtin domains with no ``--motion``, so the identity default runs.  Each
+reconstruct`` of ``example_4_8`` at h = 1e-3, ``sil congruence`` of two
+builtin domains with no ``--motion``, so the identity default runs, and
+``sil congruence`` of that square less a hole whose edges lie on cell centres
+against the same with the edges 1e-12 h further out, so that a cell whose
+centre lies on a hole's edge, kept by the first and cut by the second, is
+compared end to end.  Each
 command runs on both checkouts back to back, OLD first for every other
 command and NEW first for the rest, so drift over the run moves both sides
 alike.  Each command runs as ``python -m sil.cli`` in a fresh
@@ -60,7 +64,7 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
-    """The three commands no workload generates; writes their JSON inputs under ``work``."""
+    """The four commands no workload generates; writes their JSON inputs under ``work``."""
     def write(name, payload):
         path = os.path.join(work, name)
         with open(path, "w") as fh:
@@ -79,6 +83,12 @@ def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
     domains = [write(f"{name}.json", name) for name in ("example_5_4_omega1", "example_5_4_omega2")]
     out.append(("congruence.default_motion",
                 ["congruence", "--domain1", domains[0], "--domain2", domains[1]], ()))
+    h = _SQUARE["h"]
+    lo, hi = ((k + 0.5) * h + 0.0 for k in (20, 69))  # centres as centers_of gives them
+    holed = [write(f"centred_holes_{n}.json", dict(_SQUARE, subtract=[
+        {"lo": [lo - off] * 2, "hi": [hi + off] * 2}])) for n, off in enumerate((0.0, 1e-12 * h))]
+    out.append(("congruence.centred_holes",
+                ["congruence", "--domain1", holed[0], "--domain2", holed[1]], ()))
     return out
 
 
