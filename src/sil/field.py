@@ -149,19 +149,19 @@ def gradient_rows(fields, blk: slice) -> list[np.ndarray]:
     """Rows ``blk`` of ``gradient(f).values`` for each of the ``fields``, which share a
     domain and its stencils; temporaries scale with the block."""
     domain, h = fields[0].domain, fields[0].domain.h
-    n = domain.n_cells
-    whole = n <= _BLOCK and blk.indices(n)[:2] == (0, n)  # a domain of one block keeps it
-    stencil = domain._stencil if whole else domain.stencil_rows(blk)
-    outs = [np.empty((stencil[0][0].shape[0], domain.dim)) for _ in fields]
-    for d, (central, plus, minus, sides) in enumerate(stencil):
-        for f, out in zip(fields, outs):
-            v, vb = f.values, f.values[blk]
-            g = np.zeros(central.shape[0])  # contiguous, then copied to the column of out
-            np.subtract(v[plus], v[minus], out=g, where=central)
-            g /= 2.0 * h
-            for s, r, a, a2, r1, a1 in sides:  # negated coefficients keep an exact +0.0
-                g[r] = (-3.0 * s * vb[r] + 4.0 * s * v[a] - s * v[a2]) / (2.0 * h)
-                g[r1] = (s * v[a1] - s * vb[r1]) / h
+    lo, hi, _ = blk.indices(domain.n_cells)
+    outs = [np.empty((hi - lo, domain.dim)) for _ in fields]
+    for d, (three, two) in enumerate(domain._one_sided):
+        spans = domain._spans(d, (0, 1), blk)  # then the block's one-sided rows, by bisection
+        (r, a, a2, s), (r1, a1, s1) = (rows[:, slice(*rows[0].searchsorted((lo, hi)))]
+                                       for rows in (three, two))
+        for v, out in zip((f.values for f in fields), outs):
+            g = np.zeros(hi - lo)  # contiguous, then copied to the column of out
+            for i, j, (p, m), where in spans:  # central differences of shifted views
+                np.subtract(v[i + p:j + p], v[i + m:j + m], out=g[i - lo:j - lo], where=where)
+            g /= 2.0 * h  # one-sided stencils next: negated coefficients keep an exact +0.0
+            g[r - lo] = (-3.0 * s * v[r] + 4.0 * s * v[a] - s * v[a2]) / (2.0 * h)
+            g[r1 - lo] = (s1 * v[a1] - s1 * v[r1]) / h
             out[:, d] = g
     return outs
 
@@ -335,6 +335,10 @@ def _read_csv(path, domain: GridDomain, n_values: int) -> np.ndarray:
     dim, n = domain.dim, domain.n_cells
     line = itertools.count(2)  # compress() below draws the next file line per body line
     try:
+        with open(path, "rb") as raw:  # numpy reads \x1c-\x1f as spaces; int() and float() do not
+            if any(sep in chunk for chunk in iter(lambda: raw.read(1 << 16), b"")
+                   for sep in range(0x1c, 0x20)):
+                raise ValueError("CSV holds an ASCII separator character (\\x1c to \\x1f)")
         with open(path, encoding="ascii") as fh:  # numpy's int parser can crash on non-ASCII
             header = fh.readline().rstrip("\n").split(",")
             if header[: 2 * dim] != _lead_names(dim) or len(header) != 2 * dim + n_values:

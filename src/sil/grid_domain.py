@@ -56,6 +56,13 @@ def _check_int32_rows(n: int) -> None:
         raise ValueError(f"a domain of {n} cells is too large for int32 rows (at most 2**31 - 1)")
 
 
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """The ``arrays``, each made read-only."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
 def _check_budget(n: int, what: str) -> None:
     budget = cell_budget()
     if n > budget:
@@ -160,8 +167,7 @@ class GridDomain:
         for name, value in (("dim", dim), ("h", h), ("origin", _as_point(origin, dim)),
                             ("run_cells", run_cells), ("run_rows", run_rows)):
             object.__setattr__(self, name, value)
-        run_cells.setflags(write=False)
-        run_rows.setflags(write=False)
+        _read_only(run_cells, run_rows)
 
     # -- identity ---------------------------------------------------------
 
@@ -240,9 +246,7 @@ class GridDomain:
         """Read-only lowest and highest cell index along each axis."""
         lo, hi = self.run_cells.min(axis=0), self.run_cells.max(axis=0)
         hi[-1] = (self.run_cells[:, -1] + np.diff(self.run_rows)).max() - 1
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return lo, hi
+        return _read_only(lo, hi)
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +266,7 @@ class GridDomain:
                              f"{size} cells, too many for int64 cell keys")
         strides = np.array([math.prod(span[d + 1:]) for d in range(self.dim)], dtype=np.int64)
         keys = (self.run_cells - lo) @ strides
-        data = strides, keys, keys + np.diff(self.run_rows), self.run_rows[:-1] - keys
-        for arr in data:
-            arr.setflags(write=False)
-        return data
+        return _read_only(strides, keys, keys + np.diff(self.run_rows), self.run_rows[:-1] - keys)
 
     def rows_of_indices(self, idx: np.ndarray) -> np.ndarray:
         """Row positions of the given integer cells, -1 where absent."""
@@ -307,9 +308,7 @@ class GridDomain:
             count = keys.searchsorted(down + np.diff(self.run_rows), side="left") - first
             later = np.repeat(np.arange(keys.size), count)
             earlier = np.arange(later.size) + np.repeat(first - (np.cumsum(count) - count), count)
-        earlier.setflags(write=False)
-        later.setflags(write=False)
-        return earlier, later
+        return _read_only(earlier, later)
 
     @cached_property
     def neighbor_rows(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
@@ -334,62 +333,60 @@ class GridDomain:
             first, end, shift = (np.append(0, x).astype(np.int32)
                                  for x in np.broadcast_arrays(*side))
             new = np.append(True, (first[1:] != end[:-1]) | (shift[1:] != shift[:-1]))
-            tables.append((first[new], end[np.roll(new, -1)], shift[new]))
-        for x in itertools.chain(*tables):
-            x.setflags(write=False)
+            tables.append(_read_only(first[new], end[np.roll(new, -1)], shift[new]))
         return tuple(zip(tables[::2], tables[1::2]))
 
     def neighbors_of(self, table, rows) -> np.ndarray:
-        """The ``intp`` neighbour rows, -1 for none, of the given rows under one table of
-        ``neighbor_rows``: a slice, in O(rows + segments), or an index array, -1 giving -1."""
+        """The ``intp`` neighbour rows, -1 for none, of the index array ``rows`` under one
+        table of ``neighbor_rows``; a row -1 gives -1."""
         first, end, shift = table
-        if isinstance(rows, slice):  # the pieces of the segments meeting the rows, and gaps
-            lo, hi, _ = rows.indices(self.n_cells)
-            i = end.searchsorted(lo, side="right")
-            j = max(i, first.searchsorted(hi))
-            cuts = np.empty(2 * (j - i) + 2, dtype=np.intp)  # lo, then each piece's ends, hi
-            cuts[0], cuts[-1] = lo, hi
-            np.maximum(first[i:j], lo, out=cuts[1:-1:2])
-            np.minimum(end[i:j], hi, out=cuts[2:-1:2])
-            steps = np.full(cuts.size - 1, -2**62, dtype=np.intp)  # a gap's row less -1 or below
-            steps[1::2] = shift[i:j]
-            out = np.repeat(steps, cuts[1:] - cuts[:-1])
-            out += np.arange(lo, hi)
-            return np.maximum(out, -1, out=out)
         rows = np.asarray(rows, dtype=np.intp)
         k = np.maximum(first.searchsorted(rows, side="right") - 1, 0)  # -1 reads (0, 0, 0)
         out = rows + shift[k]
         out[rows >= end[k]] = -1
         return out
 
-    def stencil_rows(self, blk: slice) -> list[tuple]:
-        """Per axis, the gradient stencils of the rows ``blk`` from the neighbour tables:
-        the central rows' mask, every row's + and - neighbour, and per one-sided direction
-        the rows with a second neighbour and those without."""
-        axes = []
-        for tables in self.neighbor_rows:
-            plus, minus = (self.neighbors_of(table, blk) for table in tables)
-            central = (plus >= 0) & (minus >= 0)
-            # one-sided stencils forward (s = 1) and backward (s = -1); the second neighbour
-            # is the first one's neighbour, r counts rows within the block, a is a row of
-            # the whole domain
-            sides = []
-            for s, near, far, table in ((1.0, plus, minus, tables[0]),
-                                        (-1.0, minus, plus, tables[1])):
-                r = np.flatnonzero((near >= 0) & (far < 0))
-                a = near[r]
-                two = (a2 := self.neighbors_of(table, a)) >= 0
-                sides.append((s, r[two], a[two], a2[two], r[~two], a[~two]))
-            axes.append((central, plus, minus, sides))
-        return axes
+    def _spans(self, d: int, sides, blk: slice) -> list[tuple]:
+        """The rows ``blk`` with a face neighbour along axis ``d`` on each of the ``sides`` (0
+        for +, 1 for -) as spans ``(i, j, shifts, where)``: row ``r`` of ``[i, j)`` where ``where``
+        holds has the neighbour ``r + shifts[k]`` on side ``sides[k]``.  Along the last axis one
+        span, masked at the run ends; along axis 0 unmasked pieces of constant shifts."""
+        lo, hi, _ = blk.indices(self.n_cells)
+        if d == self.dim - 1:  # row 0 has no - neighbour and row n - 1 no +, so views fit
+            i, j = max(lo, int(1 in sides)), min(hi, self.n_cells - (0 in sides))
+            where, starts = np.ones(max(j - i, 0), dtype=bool), self.run_rows
+            for t in (1 - s for s in sides):  # a run's last row has no + neighbour, its first no -
+                where[starts[starts.searchsorted(i + t):starts.searchsorted(j + t)] - i - t] = False
+            return [(i, j, [1 - 2 * s for s in sides], where)] if i < j else []
+        first, end, *shifts = self._central if len(sides) == 2 else self.neighbor_rows[d][sides[0]]
+        k, m = end.searchsorted(lo, side="right"), first.searchsorted(hi)  # the pieces met
+        cut = [np.maximum(first[k:m], lo), np.minimum(end[k:m], hi), *(x[k:m] for x in shifts)]
+        return [(a, b, s, True) for a, b, *s in zip(*(x.tolist() for x in cut))]
 
     @cached_property
-    def _stencil(self) -> list[tuple]:
-        """Read-only ``stencil_rows`` of every row, kept by a domain of one block."""
-        axes = self.stencil_rows(slice(None))
-        for central, plus, minus, sides in axes:
-            for x in (central, plus, minus, *itertools.chain(*(side[1:] for side in sides))):
-                x.setflags(write=False)
+    def _central(self) -> tuple[np.ndarray, ...]:
+        """Read-only ``(first, end, plus, minus)``, the pieces of the rows with both axis-0
+        neighbours, ``row + plus`` and ``row + minus``, cut at the two tables' segment ends."""
+        tables = self.neighbor_rows[0]
+        cuts = np.sort(np.concatenate([x for table in tables for x in table[:2]]))
+        i, j = cuts[:-1], cuts[1:]
+        plus, minus = (self.neighbors_of(table, i) for table in tables)
+        keep = (i < j) & (plus >= 0) & (minus >= 0)
+        return _read_only(*(x[keep] for x in (i, j, plus - i, minus - i)))
+
+    @cached_property
+    def _one_sided(self) -> list[tuple]:
+        """Per axis, read-only ``(r, a, a2, s)`` of the rows ``r`` whose only neighbour along it,
+        ``a`` on side ``s`` (1 for +, -1 for -), has one ``a2`` beyond, then ``(r1, a1, s1)`` of
+        those whose neighbour has none; all lie in the boundary layer, so O(boundary)."""
+        edge, axes = np.flatnonzero(self.boundary_layer_mask()), []
+        for tables in self.neighbor_rows:
+            plus, minus = (self.neighbors_of(table, edge) for table in tables)
+            one = (plus >= 0) != (minus >= 0)
+            r, a, fwd = edge[one], np.maximum(plus, minus)[one], plus[one] >= 0
+            a2 = np.where(fwd, *(self.neighbors_of(table, a) for table in tables))
+            s, two = np.where(fwd, 1, -1), a2 >= 0
+            axes.append(_read_only(np.array([r, a, a2, s])[:, two], np.array([r, a, s])[:, ~two]))
         return axes
 
     @cached_property
@@ -421,21 +418,21 @@ class GridDomain:
         """Cells within ``width`` face steps of a missing neighbor."""
         if width < 1:
             raise ValueError("width must be at least 1")
-        mask = np.zeros(self.n_cells, dtype=bool)
-        for blk in row_blocks(self.n_cells):
-            for table in itertools.chain(*self.neighbor_rows):
-                mask[blk] |= self.neighbors_of(table, blk) < 0
-        return dilate_mask(self, mask, width - 1)
+        count = np.zeros(self.n_cells, dtype=np.int8)  # the axes a row has both neighbours on
+        for blk, d in itertools.product(row_blocks(self.n_cells), range(self.dim)):
+            for i, j, _, where in self._spans(d, (0, 1), blk):
+                count[i:j] += where
+        return dilate_mask(self, count < self.dim, width - 1)
 
 
 def dilate_mask(domain: GridDomain, mask: np.ndarray, steps: int) -> np.ndarray:
     """Cells of ``domain`` within ``steps`` face steps of a cell in ``mask``."""
     for _ in range(steps):
-        padded = np.append(mask, False)  # an absent neighbour, row -1, reads False
-        mask = mask.copy()
-        for blk in row_blocks(domain.n_cells):
-            for table in itertools.chain(*domain.neighbor_rows):  # +/- neighbours per axis
-                mask[blk] |= padded[domain.neighbors_of(table, blk)]
+        grown = mask.copy()
+        for blk, d, k in itertools.product(row_blocks(domain.n_cells), range(domain.dim), (0, 1)):
+            for i, j, (s,), where in domain._spans(d, (k,), blk):  # +/- neighbours per axis
+                np.logical_or(grown[i:j], mask[i + s:j + s], out=grown[i:j], where=where)
+        mask = grown
     return mask
 
 
@@ -611,8 +608,7 @@ class RigidMotion:
             raise ValueError("Q must have |det Q| = 1")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-        Q.setflags(write=False)
-        b.setflags(write=False)
+        _read_only(Q, b)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", b)
 

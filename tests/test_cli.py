@@ -779,7 +779,7 @@ def test_one_unread_key_exits_2_naming_it(base, data):
 
 _CSV_TOKENS = st.one_of(
     st.sampled_from(["nan", "-inf", "1e400", "", "0x10", "+0", "-0", "1.5", "\x00", "\ufeff0",
-                     str(2**63), "1_0", " 1", "1e200"]),
+                     str(2**63), "1_0", " 1", "1e200", "0\x1f"]),
     st.integers(-3, 3).map(str), st.floats().map(repr),
     st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"), max_size=4))
 
@@ -787,10 +787,10 @@ _CSV_TOKENS = st.one_of(
 def _finite_in_column(token, column):
     """Whether ``token`` is a finite value of its CSV column's type: an int64
     index in the first two columns, a float in the others."""
-    if column < 2:
-        return (re.fullmatch(r"\s*[+-]?[0-9]+\s*", token) is not None
-                and -2**63 <= int(token) < 2**63)
     try:
+        if column < 2:  # int() and float() take no ASCII separator (\x1c-\x1f) as a space
+            return (re.fullmatch(r"\s*[+-]?[0-9]+\s*", token) is not None
+                    and -2**63 <= int(token) < 2**63)
         return math.isfinite(float(token))
     except ValueError:
         return False

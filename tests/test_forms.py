@@ -30,6 +30,7 @@ from sil import (
     w1p_pow_sum,
 )
 from sil import forms, grid_domain
+from sil.field import gradient_rows
 from sil.suites import _check
 
 from _references import reference_gradient
@@ -417,6 +418,18 @@ def test_blocked_kernels_peak_memory():
     assert _peak_excess(n, form_a, u, v, 3.0) <= 1
     assert _peak_excess(n, form_b, u, v, w, 3.0) <= 1
     assert _peak_excess(n, w1p_pow_sum, u, 3.0) <= 1
+
+
+def test_gradient_rows_block_peak_memory():
+    # two fields' gradients on one full row block of a 400x400 box whose stencil
+    # tables are built, in floats per block row: the four output columns alone are
+    # 4, and the block's expanded neighbour rows and stencil masks read 11.3
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
+    rng = np.random.default_rng(5)
+    u, v = (Field(domain, rng.normal(size=domain.n_cells)) for _ in range(2))
+    blk = slice(0, grid_domain._BLOCK)
+    gradient_rows([u, v], blk)
+    assert _peak_excess(grid_domain._BLOCK, gradient_rows, [u, v], blk) <= 7
 
 
 def test_blocked_samplers_peak_memory():

@@ -438,7 +438,7 @@ def _masked_blocks(draw, dim):
 
 def _perimeter(domain):
     """Boundary faces of the active cells, times the face size h^(dim - 1)."""
-    faces = sum(int(np.count_nonzero(domain.neighbors_of(table, slice(None)) < 0))
+    faces = sum(int(np.count_nonzero(domain.neighbors_of(table, np.arange(domain.n_cells)) < 0))
                 for table in itertools.chain(*domain.neighbor_rows))
     return faces * domain.h ** (domain.dim - 1)
 
@@ -593,12 +593,20 @@ def _reference_dilate_mask(domain, mask, steps):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_boxes_minus_boxes(), _random_cell_sets()), st.integers(0, 3), st.data())
 def test_dilate_mask_matches_the_masked_gather(domain, steps, data):
+    # so is the boundary layer, a dilation of the cells missing a neighbour; both
+    # run a row block at a time, and blocks of 3 rows cut the domains' runs
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.0, 0.05, 0.3]))
     before = mask.copy()
-    got = grid_domain.dilate_mask(domain, mask, steps)
+    missing = np.any([rows < 0 for rows in itertools.chain(*_reference_neighbor_rows(domain))], 0)
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(grid_domain.row_blocks, "__defaults__", (3,))
+        got = grid_domain.dilate_mask(domain, mask, steps)
+        layer = domain.boundary_layer_mask(steps + 1)
     assert got.dtype == bool and np.array_equal(mask, before)
     assert np.array_equal(got, _reference_dilate_mask(domain, mask, steps))
+    assert np.array_equal(layer, _reference_dilate_mask(domain, missing, steps))
 
 
 class TestCellStorage:
@@ -705,20 +713,33 @@ def _row_index_domains(draw):
     return GridDomain(dim, 0.01, (0.0,) * dim, np.argwhere(mask) + draw(st.integers(-9, 9)))
 
 
+def _span_rows(domain, d, sides, lo, hi):
+    """Per side, the neighbour rows of the rows ``[lo, hi)`` that ``_spans`` gives,
+    -1 where it gives none."""
+    out = np.full((len(sides), hi - lo), -1)
+    for i, j, shifts, where in domain._spans(d, sides, slice(lo, hi)):
+        out[:, i - lo:j - lo] = np.where(where, np.arange(i, j) + np.c_[shifts], -1)
+    return out
+
+
 def _assert_tables_expand_to(domain, ref, data):
-    """Each neighbour table, expanded whole, by random row blocks (the ends of a row
-    block among their edges) and at random rows, gives the reference rows."""
+    """Each neighbour table, expanded whole and at random rows, gives the reference
+    rows; so do the spans of each side and of both, by random row blocks (the ends
+    of a row block among their edges)."""
     n, b = domain.n_cells, grid_domain._BLOCK
     edges = sorted({0, n, *(e for e in (b - 1, b, b + 1, 2 * b) if e < n),
                     *data.draw(st.lists(st.integers(0, n), max_size=4))})
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=30)), dtype=np.int64)
     for table, want in zip(itertools.chain(*domain.neighbor_rows), itertools.chain(*ref)):
         assert all(not side.flags.writeable for side in table)
-        got = domain.neighbors_of(table, slice(None))
+        got = domain.neighbors_of(table, np.arange(n))
         assert got.dtype == np.intp and np.array_equal(got, want)
-        blocks = [domain.neighbors_of(table, slice(a, c)) for a, c in zip(edges, edges[1:])]
-        assert np.array_equal(np.concatenate(blocks), want)
         assert np.array_equal(domain.neighbors_of(table, rows), want[rows])
+    for d, (plus, minus) in enumerate(ref):
+        both = np.where((plus >= 0) & (minus >= 0), [plus, minus], -1)
+        for sides, want in (((0,), plus[None]), ((1,), minus[None]), ((0, 1), both)):
+            blocks = [_span_rows(domain, d, sides, a, c) for a, c in zip(edges, edges[1:])]
+            assert np.array_equal(np.concatenate(blocks, axis=1), want)
 
 
 def _assert_tables_are_canonical(domain):
@@ -816,12 +837,13 @@ def test_neighbor_rows_peak_memory():
 
 def test_stencil_work_holds_no_n_length_array():
     # after every reader of the neighbour tables has run on a 400x400 box, the
-    # domain holds arrays of O(runs) or at most a row block; the one exception is
-    # the labelling's output, the n int32 rows of its parts
+    # domain holds arrays of O(runs), of O(boundary) (the gradient's one-sided
+    # rows) or of at most a row block; the one exception is the labelling's
+    # output, the n int32 rows of its parts
     domain = make_box((0.0, 0.0), (1.0, 1.0), 0.0025)
     u = Field.from_function(domain, lambda x: x[:, 0] * x[:, 1])
     gradient(u)
-    gradient_rows([u], slice(None))  # a whole domain of many blocks keeps no stencil
+    gradient_rows([u], slice(None))  # every block, whole or not, takes the one stencil path
     domain.boundary_layer_mask(2)
     grid_domain.dilate_mask(domain, domain.boundary_layer_mask(), 2)
     parts = domain.component_rows
@@ -891,7 +913,7 @@ def test_run_table_matches_a_cells_reference(raw, data):
     for d, pair in enumerate(domain.neighbor_rows):
         for table, step in zip(pair, (1, -1)):
             want = [row_of.get(c[:d] + (c[d] + step,) + c[d + 1:], -1) for c in ref]
-            assert domain.neighbors_of(table, slice(None)).tolist() == want
+            assert domain.neighbors_of(table, np.arange(n)).tolist() == want
             assert domain.neighbors_of(table, rows).tolist() == [want[r] for r in rows]
     # a row starts a run unless its cell follows the previous row's along the last axis
     follows = [r > 0 and ref[r - 1] == c[:-1] + (c[-1] - 1,) for r, c in enumerate(ref)]

@@ -549,9 +549,8 @@ def test_frozen_values_hold_read_only_arrays(case, seed):
             *itertools.chain.from_iterable(itertools.chain(*target.neighbor_rows)),
             *target._run_pairs, *target.component_rows,
             *itertools.chain.from_iterable((m.Q, m.b) for m in motions)]
-    assert target.n_cells <= grid_domain._BLOCK  # so gradient keeps its whole stencil
-    for central, plus, minus, sides in target._stencil:
-        held += [central, plus, minus, *itertools.chain(*(side[1:] for side in sides))]
+    for three_point, two_point in target._one_sided:  # cached by gradient
+        held += [*three_point, *two_point]
     for arr in held:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0

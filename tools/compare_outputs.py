@@ -5,14 +5,18 @@
 From one fixed work directory, this runs the six ``sil verify`` suites at
 their defaults with ``--report``, and every command that
 ``perfbench/workloads.generate`` writes for the three workloads at the given
-seeds, and four fixed commands no workload generates: ``sil reconstruct`` of
+seeds, and five fixed commands no workload generates: ``sil reconstruct`` of
 the identity on a 0.01 unit square given as ``--domain``, ``sil
 reconstruct`` of ``example_4_8`` at h = 1e-3, ``sil congruence`` of two
-builtin domains with no ``--motion``, so the identity default runs, and
+builtin domains with no ``--motion``, so the identity default runs,
 ``sil congruence`` of that square less a hole whose edges lie on cell centres
 against the same with the edges 1e-12 h further out, so that a cell whose
 centre lies on a hole's edge, kept by the first and cut by the second, is
-compared end to end.  Each
+compared end to end, and ``sil verify --suite congruence`` of a staircase of
+twelve boxes less one hole (56,050 cells at h = 4e-3, four row blocks) under a
+0.3 rad rotation, whose lines have many lengths, so that the gradient
+stencils' axis-0 pieces cross row blocks in the rigid fit's Jacobian and
+weight gradient.  Each
 command runs on both checkouts back to back, OLD first for every other
 command and NEW first for the rest, so drift over the run moves both sides
 alike.  Each command runs as ``python -m sil.cli`` in a fresh
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -64,7 +69,7 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
-    """The four commands no workload generates; writes their JSON inputs under ``work``."""
+    """The five commands no workload generates; writes their JSON inputs under ``work``."""
     def write(name, payload):
         path = os.path.join(work, name)
         with open(path, "w") as fh:
@@ -89,6 +94,20 @@ def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
         {"lo": [lo - off] * 2, "hi": [hi + off] * 2}])) for n, off in enumerate((0.0, 1e-12 * h))]
     out.append(("congruence.centred_holes",
                 ["congruence", "--domain1", holed[0], "--domain2", holed[1]], ()))
+    h, c, s = 4e-3, math.cos(0.3), math.sin(0.3)
+
+    def box(lo, hi):  # corners in cells
+        return {"lo": [k * h for k in lo], "hi": [k * h for k in hi]}
+
+    # twelve steps 25 cells wide whose lines grow by 12.5 cells a step
+    staircase = {"dim": 2, "h": h, "boxes": [box((25 * k, 0), (25 * k + 25, 125 + 12.5 * k))
+                                             for k in range(12)],
+                 "subtract": [box((110, 50), (160, 90))]}
+    spec = write("staircase.json", {"target": staircase, "rigid": [
+        {"Q": [[c, -s], [s, c]], "b": [0.25, -0.1], "sign": 1}]})
+    report = os.path.join(work, "report_staircase.json")
+    out.append(("congruence.staircase", ["verify", "--suite", "congruence", "--spec", spec,
+                                         "--report", report], (report,)))
     return out
 
 
