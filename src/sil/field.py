@@ -262,7 +262,7 @@ def ball_fits(domain: GridDomain, center, radius: float) -> bool:
     o = np.asarray(domain.origin)
     k_lo = np.floor((center - radius - o) / domain.h).astype(np.int64)
     k_hi = np.floor((center + radius - o) / domain.h).astype(np.int64)
-    for _, cand in box_blocks(k_lo, k_hi):
+    for cand in box_blocks(k_lo, k_hi):
         box_lo = o + domain.h * cand
         nearest = np.clip(center, box_lo, box_lo + domain.h)
         touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2

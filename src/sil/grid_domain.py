@@ -108,30 +108,6 @@ def _as_point(x, dim: int | None = None) -> tuple[float, ...]:
     return pt
 
 
-def _runs_of(cells, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The run table of integer cells given in any order, repeats allowed: the
-    cells are cut into runs a block of row pairs at a time, and lexsorted first
-    only if they are not sorted."""
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim)
-    # a pair is in order when its first differing axis steps up (its sign, weighted
-    # 2^(dim-1-d), outweighs the rest), and continues a run when it steps by +1 along
-    # the last axis alone; a block of row pairs reads one row past its end
-    weights, unit = 2 ** np.arange(dim)[::-1], np.eye(dim, dtype=np.int64)[-1]
-    ordered, starts = True, [np.zeros(min(cells.shape[0], 1), np.int64)]
-    for blk in row_blocks(cells.shape[0] - 1):
-        step = np.diff(cells[blk.start:blk.stop + 1], axis=0)
-        ordered &= bool((np.sign(step) @ weights > 0).all())
-        starts.append(np.flatnonzero(np.any(step != unit, axis=1)) + (blk.start + 1))
-    if not ordered:  # lexsort and drop repeats (np.unique would import numpy.ma)
-        cells = cells[np.lexsort(cells.T[::-1])]
-        keep = np.ones(cells.shape[0], dtype=bool)
-        keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-        cells = cells[keep]  # the sorted copy with repeats is freed before the cut
-        return _runs_of(cells, dim)
-    starts = np.concatenate(starts)
-    return cells[starts], np.append(starts, cells.shape[0])
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class GridDomain:
     """Nonempty finite set of active cells on a uniform grid, stored as its runs:
@@ -148,7 +124,8 @@ class GridDomain:
 
     def __init__(self, dim: int, h: float, origin, cells):
         """The domain of the integer ``cells``, (n, dim) in any order; a repeat counts once."""
-        self.__post_init__(dim, h, origin, *_runs_of(cells, dim))
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim)
+        self.__post_init__(dim, h, origin, *_union_runs(*_cut_runs(cells)))
 
     @classmethod
     def of_runs(cls, dim: int, h: float, origin, run_cells, run_rows) -> "GridDomain":
@@ -368,7 +345,7 @@ class GridDomain:
         """Read-only ``(first, end, plus, minus)``, the pieces of the rows with both axis-0
         neighbours, ``row + plus`` and ``row + minus``, cut at the two tables' segment ends."""
         tables = self.neighbor_rows[0]
-        cuts = np.sort(np.concatenate([x for table in tables for x in table[:2]]))
+        cuts = np.sort(np.concatenate([x for table in tables for x in table[:2]]), kind="stable")
         i, j = cuts[:-1], cuts[1:]
         plus, minus = (self.neighbors_of(table, i) for table in tables)
         keep = (i < j) & (plus >= 0) & (minus >= 0)
@@ -444,29 +421,28 @@ def physical_box(origin, h: float, k_lo, k_hi) -> tuple[np.ndarray, np.ndarray]:
 
 def box_blocks(k_lo, k_hi):
     """The lexsorted integer cells of the index box ``[k_lo, k_hi]``, ends included,
-    a row block at a time: ``(slice, cells)``, the slice placing the block in the box."""
+    a row block at a time."""
     k_lo = np.asarray(k_lo, dtype=np.int64)
     shape = np.maximum(np.asarray(k_hi, dtype=np.int64) - k_lo + 1, 0).tolist()
     n = math.prod(shape)
-    for blk in row_blocks(n):
-        yield blk, np.stack(np.unravel_index(np.arange(*blk.indices(n)), shape), axis=1) + k_lo
+    for blk in row_blocks(n):  # shifted by axis in place, as adding k_lo to (m, dim) rows is slow
+        yield np.stack([np.add(x, k, out=x) for x, k in zip(
+            np.unravel_index(np.arange(*blk.indices(n)), shape), k_lo.tolist())], axis=1)
 
 
 def box_cells(k_lo, k_hi) -> np.ndarray:
     """Lexsorted (n, dim) integer cells of the nonempty index box ``[k_lo, k_hi]``."""
-    return np.concatenate([cells for _, cells in box_blocks(k_lo, k_hi)])
+    return np.concatenate(list(box_blocks(k_lo, k_hi)))
 
 
-def _box_runs(k_lo, k_hi, keep) -> tuple[np.ndarray, np.ndarray]:
-    """The run table of the cells of the index box ``[k_lo, k_hi]`` marked in ``keep``,
-    a mask of its lexsorted cells: a run begins at a marked cell that begins a line of
-    the box or follows an unmarked one, and ends likewise."""
-    shape = (k_hi - k_lo + 1).tolist()
-    lines = np.pad(keep.reshape(-1, shape[-1]), ((0, 0), (1, 1)))  # unmarked past both ends
-    first = np.flatnonzero(lines[:, 1:-1] & ~lines[:, :-2])
-    last = np.flatnonzero(lines[:, 1:-1] & ~lines[:, 2:])
-    run_cells = np.stack(np.unravel_index(first, shape), axis=1) + k_lo
-    return run_cells, np.append(0, np.cumsum(last + 1 - first))
+def _cut_runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first cells and lengths of the runs that the (n, dim) int64 ``cells`` form in
+    the order given: a run breaks where the last index does not step by 1 or another changes."""
+    new = np.diff(cells[:, -1]) != 1
+    for d in range(cells.shape[1] - 1):
+        new |= np.diff(cells[:, d]) != 0
+    first = np.flatnonzero(np.append(cells.shape[0] > 0, new))
+    return np.take(cells, first, axis=0), np.diff(np.append(first, cells.shape[0]))
 
 
 def _covering_box(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -503,34 +479,24 @@ def make_box(lo, hi, h: float) -> GridDomain:
     return GridDomain.of_runs(len(lo), float(h), lo, run_cells, run_rows)
 
 
-def _boxes_minus_holes(boxes: list[GridDomain], holes: Iterable[tuple]) -> GridDomain:
-    """The union of the rasterized ``boxes``, on the grid of the first, less the cells
-    whose centres lie in one of the open ``holes``, each a pair of corners: one sweep
-    over the boxes' R runs line by line, where a run adds 1 from its first cell to its
-    last and a hole W = R + 1 on the line of each run it meets, so a cell is in where
-    the depth lies in (0, W).  A hole's cells along an axis come by bisection under the
-    expression ``centers_of`` evaluates, so its cells are those whose centres lie in it."""
-    dim, h, origin = boxes[0].dim, boxes[0].h, boxes[0].origin
-    runs, lengths = [], []
-    for k, box in enumerate(boxes):
-        shift = (np.asarray(box.origin) - np.asarray(origin)) / h
-        # its far corner lies at most n cells further, so the union's index box spans < 2**63
-        if not (np.abs(shift) + box.n_cells < 2.0**62).all():
-            raise ValueError(f"box {k} lies 2**62 or more cells from the first box's low corner")
-        shift_int = np.round(shift).astype(np.int64)
-        if np.abs(shift - shift_int).max() > 1e-9:
-            raise ValueError("boxes must sit on a common grid (origins differ by non-multiples of h)")
-        runs.append(box.run_cells + shift_int)
-        lengths.append(np.diff(box.run_rows))
-    starts = np.concatenate(runs)
+def _union_runs(starts, lengths, holes=(), h=None, origin=None) -> tuple[np.ndarray, np.ndarray]:
+    """The run table, with no runs if no cell is left, of the union of the runs with first
+    cells ``starts`` (R, dim) and ``lengths``, in any order, overlapping or touching, less
+    the cells whose centres lie in one of the open ``holes`` (pairs of corners) on the
+    width-``h`` grid at ``origin``.  One sweep over the runs line by line: a run adds 1 from
+    its first cell to its last and a hole W = R + 1 on the line of each run it meets, so a
+    cell is in where the depth lies in (0, W); a hole's cells along an axis come by
+    bisection under the expression ``centers_of`` evaluates."""
     ends = starts.copy()
-    ends[:, -1] += np.concatenate(lengths)
-    lo, hi = starts.min(axis=0).tolist(), (ends.max(axis=0) + 1).tolist()  # an index box
+    ends[:, -1] += lengths
     weight, ones = starts.shape[0] + 1, np.ones(starts.shape[0], np.int64)
     pos, step = [starts, ends], [ones, -ones]
+    if holes:  # the index box that bounds the holes' cells
+        lo, hi = starts.min(axis=0).tolist(), (ends.max(axis=0) + 1).tolist()
     for hole in holes:
         cut = []  # per axis, the cells [a, b) of the index box with centres in the hole
-        for k_lo, k_hi, o, x_lo, x_hi in zip(lo, hi, origin, *(_as_point(x, dim) for x in hole)):
+        corners = (_as_point(x, len(lo)) for x in hole)
+        for k_lo, k_hi, o, x_lo, x_hi in zip(lo, hi, origin, *corners):
             ks, centre = range(k_lo, k_hi), lambda k: (k + 0.5) * h + o
             cut.append((k_lo + bisect.bisect_right(ks, x_lo, key=centre),
                         k_lo + bisect.bisect_left(ks, x_hi, key=centre)))
@@ -541,13 +507,30 @@ def _boxes_minus_holes(boxes: list[GridDomain], holes: Iterable[tuple]) -> GridD
     pos, step = np.concatenate(pos), np.concatenate(step)
     # by cell, and at a cell by falling step, so the depth crosses (0, W) at most once there
     order = np.lexsort((-step, *pos.T[::-1]))
-    pos, depth = pos[order], np.cumsum(step[order])
-    inside = np.append(False, (depth > 0) & (depth < weight))  # led by the depth before all
-    first, end = pos[inside[1:] & ~inside[:-1]], pos[inside[:-1] & ~inside[1:]]
-    if first.shape[0] == 0:
+    pos, depth = np.take(pos, order, axis=0), np.cumsum(step[order])
+    inside = np.append(0, (depth > 0) & (depth < weight))  # 0 or 1, led by the depth before all
+    first, end = (np.compress(np.diff(inside) == k, pos, axis=0) for k in (1, -1))
+    return first, np.append(0, np.cumsum(end[:, -1] - first[:, -1]))
+
+
+def _boxes_minus_holes(boxes: list[GridDomain], holes: list[tuple]) -> GridDomain:
+    """The union of the rasterized ``boxes``, on the grid of the first, less the cells
+    whose centres lie in one of the open ``holes``, each a pair of corners."""
+    dim, h, origin = boxes[0].dim, boxes[0].h, boxes[0].origin
+    runs = []
+    for k, box in enumerate(boxes):
+        shift = (np.asarray(box.origin) - np.asarray(origin)) / h
+        # its far corner lies at most n cells further, so the union's index box spans < 2**63
+        if not (np.abs(shift) + box.n_cells < 2.0**62).all():
+            raise ValueError(f"box {k} lies 2**62 or more cells from the first box's low corner")
+        shift_int = np.round(shift).astype(np.int64)
+        if np.abs(shift - shift_int).max() > 1e-9:
+            raise ValueError("boxes must sit on a common grid (origins differ by non-multiples of h)")
+        runs.append((box.run_cells + shift_int, np.diff(box.run_rows)))
+    run_cells, run_rows = _union_runs(*(np.concatenate(x) for x in zip(*runs)), holes, h, origin)
+    if run_cells.shape[0] == 0:
         raise ValueError("subtraction removed every cell of the domain")
-    return GridDomain.of_runs(dim, h, origin, first,
-                              np.append(0, np.cumsum(end[:, -1] - first[:, -1])))
+    return GridDomain.of_runs(dim, h, origin, run_cells, run_rows)
 
 
 def connected_components(domain: GridDomain) -> list[GridDomain]:
@@ -683,12 +666,14 @@ def apply_rigid_motion(domain: GridDomain, motion: RigidMotion) -> GridDomain:
     origin_out = tuple(motion.transform(np.asarray(domain.origin)[None, :])[0])
     o, h = np.asarray(origin_out), domain.h
     k_lo, k_hi = _covering_box(lo, hi, o, h, "rigid-motion image")
-    keep = np.empty(math.prod((k_hi - k_lo + 1).tolist()), dtype=bool)
-    for blk, cand in box_blocks(k_lo, k_hi):  # the covering cells whose centres map back in
-        keep[blk] = domain.rows_of_points(motion.inverse_transform(o + h * (cand + 0.5))) >= 0
-    if not keep.any():
+    runs = []
+    for cand in box_blocks(k_lo, k_hi):  # the covering cells whose centres map back in
+        back = motion.inverse_transform(o + h * (cand + 0.5))
+        runs.append(_cut_runs(np.compress(domain.rows_of_points(back) >= 0, cand, axis=0)))
+    run_cells, run_rows = _union_runs(*(np.concatenate(x) for x in zip(*runs)))
+    if run_cells.shape[0] == 0:
         raise ValueError("rigid-motion image contains no cells")
-    return GridDomain.of_runs(domain.dim, h, origin_out, *_box_runs(k_lo, k_hi, keep))
+    return GridDomain.of_runs(domain.dim, h, origin_out, run_cells, run_rows)
 
 
 def congruence_check(omega1: GridDomain, omega2: GridDomain,
@@ -710,7 +695,7 @@ def congruence_check(omega1: GridDomain, omega2: GridDomain,
     img_lo, img_hi = motion.image_box(*omega2.bounding_box)
     o = np.asarray(omega1.origin)
     differ = 0  # refinement cells in exactly one of the two, counted a row block at a time
-    for _, cand in box_blocks(*_covering_box(np.minimum(lo1, img_lo), np.maximum(hi1, img_hi),
+    for cand in box_blocks(*_covering_box(np.minimum(lo1, img_lo), np.maximum(hi1, img_hi),
                                              o, h_ref, "congruence refinement grid")):
         centers = o + h_ref * (cand + 0.5)
         in_a = omega1.rows_of_points(centers) >= 0

@@ -1,10 +1,15 @@
 """Unit tests of the verdicts of ``tools/compare_outputs.py`` on synthetic run
-lists: no command is run."""
+lists, and of the inputs of its fixed commands: no command is run."""
 
 import importlib.util
+import json
+import math
 import os
 
+import numpy as np
 import pytest
+
+from sil import grid_domain
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools", "compare_outputs.py")
@@ -138,3 +143,25 @@ def test_src_paths_of_unequal_length_are_warned_about(tmp_path, monkeypatch, cap
         "largest moves of peak RSS, OLD -> NEW (one run each):") - 1
     compare_outputs.main([old, new, "--work", str(tmp_path / "work")])
     assert not any(line.startswith("warning:") for line in capsys.readouterr().out.splitlines())
+
+
+def test_staircase_image_merges_runs_across_row_blocks(tmp_path):
+    # the congruence.staircase target's image under its motion has a covering box of
+    # more than one row block, and runs of the image cross a block boundary, so the
+    # command runs apply_rigid_motion's merge across blocks end to end
+    (argv,) = [argv for label, argv, _ in compare_outputs._fixed_commands(str(tmp_path))
+               if label == "congruence.staircase"]
+    with open(argv[argv.index("--spec") + 1]) as fh:
+        spec = json.load(fh)
+    domain = grid_domain.domain_from_spec(spec["target"])
+    (entry,) = spec["rigid"]
+    motion = grid_domain.RigidMotion.from_json_dict(entry, "rigid entry")
+    origin = motion.transform(np.asarray(domain.origin))[0]
+    k_lo, k_hi = grid_domain._covering_box(*motion.image_box(*domain.bounding_box),
+                                           origin, domain.h, "image")
+    shape = (k_hi - k_lo + 1).tolist()
+    assert math.prod(shape) > grid_domain._BLOCK
+    image = grid_domain.apply_rigid_motion(domain, motion)
+    first = np.ravel_multi_index((image.run_cells - k_lo).T, shape)  # in the covering box
+    last = first + np.diff(image.run_rows) - 1
+    assert np.any(first // grid_domain._BLOCK < last // grid_domain._BLOCK)
