@@ -56,18 +56,19 @@ def cmd_reconstruct(args) -> int:
     spec = _load_json(args.spec)
     target = domain_from_spec(_load_json(args.domain)) if args.domain else None
     base = os.path.dirname(args.spec) or "."
-    T = operator_from_spec(spec, target=target, base_dir=base)
-    rec = reconstruct(T, p=args.p)
+    # handed over: the operator is freed once reconstructed, before the fit
+    rec = reconstruct(operator_from_spec(spec, target=target, base_dir=base), p=args.p)
     fit = rigid_motion_fit(rec)
+    n_cells = rec.g_hat.domain.n_cells
     os.makedirs(args.out, exist_ok=True)
     rec.g_hat.to_csv(os.path.join(args.out, "g_hat.csv"))
     rec.xi_hat.to_csv(os.path.join(args.out, "xi_hat.csv"))
     payload = fit.to_json_dict()
     payload["zero_set_cells"] = rec.zero_set_cells
-    payload["n_cells"] = T.target.n_cells
+    payload["n_cells"] = n_cells
     _write_report(os.path.join(args.out, "rigid_fit.json"), payload)
-    frac = rec.zero_set_cells / T.target.n_cells
-    print(f"reconstructed (g, xi) on {T.target.n_cells} cells; "
+    frac = rec.zero_set_cells / n_cells
+    print(f"reconstructed (g, xi) on {n_cells} cells; "
           f"zero set {rec.zero_set_cells} cells ({100 * frac:.2f}%); "
           f"rigid={fit.rigid} orthogonality_defect={fit.orthogonality_defect:.3g}")
     if frac > 0.01:

@@ -266,7 +266,7 @@ def ball_fits(domain: GridDomain, center, radius: float) -> bool:
         box_lo = o + domain.h * cand
         nearest = np.clip(center, box_lo, box_lo + domain.h)
         touched = np.sum((nearest - center) ** 2, axis=1) <= radius**2
-        if not (domain.rows_of_indices(cand[touched]) >= 0).all():
+        if not (domain.rows_of_indices(np.compress(touched, cand, axis=0)) >= 0).all():
             return False
     return True
 

@@ -502,8 +502,9 @@ def _union_runs(starts, lengths, holes=(), h=None, origin=None) -> tuple[np.ndar
                         k_lo + bisect.bisect_left(ks, x_hi, key=centre)))
         a, b = np.array(cut).T  # a hole with cells adds events on the line of each run it meets
         met = (a[-1] < b[-1]) & np.all((starts[:, :-1] >= a[:-1]) & (starts[:, :-1] < b[:-1]), 1)
-        pos += [np.column_stack((starts[met, :-1], np.full(met.sum(), k))) for k in (a[-1], b[-1])]
-        step += [np.full(met.sum(), weight), np.full(met.sum(), -weight)]
+        lines = np.compress(met, starts[:, :-1], axis=0)  # of the runs it meets
+        pos += [np.column_stack((lines, np.full(len(lines), k))) for k in (a[-1], b[-1])]
+        step += [np.full(len(lines), weight), np.full(len(lines), -weight)]
     pos, step = np.concatenate(pos), np.concatenate(step)
     # by cell, and at a cell by falling step, so the depth crosses (0, W) at most once there
     order = np.lexsort((-step, *pos.T[::-1]))

@@ -112,12 +112,18 @@ def _closed_form(name: str, domains: tuple | None = None, h: float | None = None
     own at cell width ``h``, evaluated at the target centres, where it must be defined."""
     names, form = _BUILTIN_OPERATORS[name]
     source, target = domains or (_gd._builtin_domain(own, h) for own in names)
-    with np.errstate(all="ignore"):  # a node outside its domain of definition is named below
-        g, xi = form(target.centers)
-    if not (finite := np.isfinite(g) & np.isfinite(xi).all(axis=1)).all():
-        node = tuple(map(float, target.centers[np.argmin(finite)]))
-        raise ValueError(f"the builtin operator {name!r} is not defined at the target node {node}")
-    return OperatorSpec(source, target, g, xi)
+    values = None  # (g, xi), shaped as the first block's, so a wrong shape reads as before
+    for blk in _gd.row_blocks(target.n_cells):  # a row block of centres at a time
+        y = target.centers_of(blk)
+        with np.errstate(all="ignore"):  # a node outside its domain of definition is named below
+            g, xi = form(y)
+        if not (finite := np.isfinite(g) & np.isfinite(xi).all(axis=1)).all():
+            raise ValueError(f"the builtin operator {name!r} is not defined at the target "
+                             f"node {tuple(map(float, y[np.argmin(finite)]))}")
+        values = values or [np.empty((target.n_cells, *v.shape[1:])) for v in (g, xi)]
+        values[0][blk], values[1][blk] = g, xi
+        del y, g, xi  # before the next block's are made
+    return OperatorSpec(source, target, *values)
 
 
 def identity_operator(domain: GridDomain) -> OperatorSpec:
@@ -293,8 +299,10 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
         if isinstance(op, OperatorSpec):
             for blk in _gd.row_blocks(n):
                 with np.errstate(over="ignore", invalid="ignore"):  # named by the caller
-                    pair = [op.g_values[blk] * np.exp(sg * alpha * op.xi_values[blk, j])
-                            for sg in (1, -1)]
+                    pair = [op.xi_values[blk, j] * (sg * alpha) for sg in (1, -1)]
+                    for v in pair:  # g exp(+/- alpha xi_j), in place
+                        np.exp(v, out=v)
+                        v *= op.g_values[blk]
                 yield blk, *pair
             return
         whole = []
@@ -325,10 +333,15 @@ def reconstruct(op, omega2: GridDomain | None = None, p: float = 2.0, *,
             ok = prod > 0.0
             zero[blk] |= ~ok
             g_j = g_hat[blk] if j == 0 else np.zeros(vp.shape[0])
-            g_j[ok] = np.sign(vp[ok]) * np.sqrt(prod[ok])
-            xi[blk][ok, j] = np.log(vp[ok] / vm[ok]) / (2.0 * alpha)
+            # on the ok cells only, into g_j and prod, never into a black box's read-only images
+            np.multiply(np.sign(vp, out=g_j, where=ok), np.sqrt(prod, out=prod, where=ok),
+                        out=g_j, where=ok)
+            np.log(np.divide(vp, vm, out=prod, where=ok), out=prod, where=ok)
+            np.divide(prod, 2.0 * alpha, out=xi[blk, j], where=ok)
             if j and (live := ~zero[blk]).any():  # dim <= 2, so the zero set is final here
-                deviation.append(np.abs(g_j - g_hat[blk])[live].max())
+                g_j -= g_hat[blk]  # g_j is this axis's own buffer, read no further
+                deviation.append(np.abs(g_j, out=g_j)[live].max())
+            del vp, vm, prod, g_j  # before the next block's images are made
         if bad and (kind := min(bad)) < 2:
             raise ValueError(f"the probe image along axis {j}, the weight times "
                              f"exp({1 - 2 * kind:+d} * {alpha:.6g} xi_{j}), overflows")
@@ -513,45 +526,49 @@ class PipelineReport:
         return out
 
 
-def congruence_pipeline(T: OperatorSpec, p: float, tol: float) -> PipelineReport:
+def congruence_pipeline(T: OperatorSpec, p: float, tol: float | None = None) -> PipelineReport:
     """Decide congruence of source and target through the fitted motions.
 
     The stages run in the order reconstruct, defect sets, rigid fit, then the
     topology and tiling checks.  The verdict is positive when the reconstructed map is rigid per
     component (orthogonality, weight constancy and unimodularity within
-    ``tol``), no mass is mapped outside the source or left uncovered
-    beyond ``tol``, and the component images tile the source up to ``tol``.
+    ``tol``, by default four target cells), no mass is mapped outside the source or left
+    uncovered beyond ``tol``, and the component images tile the source up to ``tol``.
+    Only the reconstruction reads ``T``, so one passed as a temporary is handed over and freed.
     """
+    source, target = T.source, T.target
+    tol = 4.0 * target.h if tol is None else tol
     rec = reconstruct(T, p=p)
+    del T
     # the defect sets first, so the target rows the fit caches are not yet built
     # while the subsamples are rasterized
-    ds = defect_sets(rec, T.source)
+    ds = defect_sets(rec, source)
     fit = rigid_motion_fit(rec)
     valid = ~rec.zero_mask
     # the fit and the defect sets hold motions and scalars only; the
     # reconstruction's n-sized arrays go before the topology checks allocate
     del rec
-    regular = is_topologically_regular(T.source), is_topologically_regular(T.target)
+    regular = is_topologically_regular(source), is_topologically_regular(target)
 
-    coverage = np.zeros(T.source.n_cells, dtype=np.int64)
+    coverage = np.zeros(source.n_cells, dtype=np.int64)
     escaped_pts = 0
     pairing = []
-    for rows, motion in zip(T.target.component_rows, fit.motions):
-        hit, n_out = _supersampled_image(T.source, T.target, rows[valid[rows]],
+    for rows, motion in zip(target.component_rows, fit.motions):
+        hit, n_out = _supersampled_image(source, target, rows[valid[rows]],
                                          lambda _: motion.transform)
         coverage += hit
         escaped_pts += n_out
-        cells = T.target.cells_of(rows)
+        cells = target.cells_of(rows)
         box = tuple(tuple(map(float, end)) for end in _gd.physical_box(
-            T.target.origin, T.target.h, cells.min(axis=0), cells.max(axis=0)))
+            target.origin, target.h, cells.min(axis=0), cells.max(axis=0)))
         image = tuple(tuple(map(float, end)) for end in motion.image_box(*box))
         pairing.append((box, image, motion))
 
-    cell1 = T.source.h**T.source.dim
-    cell2 = T.target.h**T.target.dim
+    cell1 = source.h**source.dim
+    cell2 = target.h**target.dim
     missing = float(np.count_nonzero(coverage == 0)) * cell1
     overlap = float(np.count_nonzero(coverage >= 2)) * cell1
-    escaped = escaped_pts * cell2 / 3**T.target.dim
+    escaped = escaped_pts * cell2 / 3**target.dim
     gates = (
         ("non-rigid xi", fit.orthogonality_defect),
         ("non-constant weight", fit.grad_g_defect),

@@ -454,9 +454,9 @@ def suite_congruence(cfg: SuiteConfig) -> list[dict]:
     if cfg.spec_path:
         with open(cfg.spec_path) as fh:
             spec = json.load(fh)
-    T = operator_from_spec(spec, base_dir=os.path.dirname(cfg.spec_path or "") or ".")
-    tol = cfg.tol or 4.0 * T.target.h
-    report = congruence_pipeline(T, p=p, tol=tol)
+    # the operator is handed over, so the pipeline frees it once it is reconstructed
+    report = congruence_pipeline(operator_from_spec(
+        spec, base_dir=os.path.dirname(cfg.spec_path or "") or "."), p=p, tol=cfg.tol)
     gates = dict(report.gates)
     return [
         _check("pipeline_verdict", "domains-congruent-via-components",
@@ -465,11 +465,11 @@ def suite_congruence(cfg: SuiteConfig) -> list[dict]:
                pairing=report.to_json_dict()["pairing"],
                n_components=len(report.motions)),
         _check("image_defect_measure", "no-mass-maps-outside-source",
-               gates["target cells map outside the source"], tol),
+               gates["target cells map outside the source"], report.tol),
         _check("uncovered_source_measure", "image-dense-in-source",
-               gates["source not covered by the image"], tol),
+               gates["source not covered by the image"], report.tol),
         _check("component_images_tile_source", "components-pair-off",
-               gates["component images do not tile the source"], tol),
+               gates["component images do not tile the source"], report.tol),
     ]
 
 

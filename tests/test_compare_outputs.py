@@ -165,3 +165,15 @@ def test_staircase_image_merges_runs_across_row_blocks(tmp_path):
     first = np.ravel_multi_index((image.run_cells - k_lo).T, shape)  # in the covering box
     last = first + np.diff(image.run_rows) - 1
     assert np.any(first // grid_domain._BLOCK < last // grid_domain._BLOCK)
+
+
+def test_example_4_8_blocks_samples_its_closed_form_across_row_blocks(tmp_path):
+    # the one fixed command whose transcendental closed form is sampled over more
+    # than one row block of target nodes
+    (argv,) = [argv for label, argv, _ in compare_outputs._fixed_commands(str(tmp_path))
+               if label == "reconstruct.example_4_8_blocks"]
+    with open(argv[argv.index("--spec") + 1]) as fh:
+        spec = json.load(fh)
+    assert spec["builtin"] == "example_4_8"
+    target = grid_domain.domain_from_spec("example_4_8_omega2", default_h=spec["h"])
+    assert target.n_cells > grid_domain._BLOCK

@@ -5,9 +5,11 @@
 From one fixed work directory, this runs the six ``sil verify`` suites at
 their defaults with ``--report``, and every command that
 ``perfbench/workloads.generate`` writes for the three workloads at the given
-seeds, and five fixed commands no workload generates: ``sil reconstruct`` of
+seeds, and six fixed commands no workload generates: ``sil reconstruct`` of
 the identity on a 0.01 unit square given as ``--domain``, ``sil
-reconstruct`` of ``example_4_8`` at h = 1e-3, ``sil congruence`` of two
+reconstruct`` of ``example_4_8`` at h = 1e-3, and again at h = 2e-5, whose
+50,000 target nodes span four row blocks, so that a transcendental closed form
+is sampled across blocks end to end, ``sil congruence`` of two
 builtin domains with no ``--motion``, so the identity default runs,
 ``sil congruence`` of that square less a hole whose edges lie on cell centres
 against the same with the edges 1e-12 h further out, so that a cell whose
@@ -69,7 +71,7 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
-    """The five commands no workload generates; writes their JSON inputs under ``work``."""
+    """The six commands no workload generates; writes their JSON inputs under ``work``."""
     def write(name, payload):
         path = os.path.join(work, name)
         with open(path, "w") as fh:
@@ -78,7 +80,9 @@ def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
 
     out = []
     for label, spec, domain in (("identity", {"builtin": "identity"}, _SQUARE),
-                                ("example_4_8", {"builtin": "example_4_8", "h": 1e-3}, None)):
+                                ("example_4_8", {"builtin": "example_4_8", "h": 1e-3}, None),
+                                ("example_4_8_blocks", {"builtin": "example_4_8", "h": 2e-5},
+                                 None)):
         out_dir = os.path.join(work, f"reconstruct_{label}")
         argv = ["reconstruct", "--spec", write(f"{label}.json", spec), "--out", out_dir]
         if domain is not None:
