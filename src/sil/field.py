@@ -109,14 +109,6 @@ class VectorField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_domain(self, other)
-        return VectorField(self.domain, self.values + other.values)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _same_domain(self, other)
-        return VectorField(self.domain, self.values - other.values)
-
     def at(self, pts: np.ndarray) -> np.ndarray:
         return _interpolate(self.domain, self.values, pts)[0]
 
@@ -166,34 +158,32 @@ def gradient_rows(fields, blk: slice) -> list[np.ndarray]:
     return outs
 
 
-def _block_sums(n: int, summands, k: int = 1, start: int = 0) -> list[float]:
-    """``np.sum`` of each of ``k`` arrays over rows ``start`` to ``n``, given a row
-    block at a time by ``summands(blk)`` (``k`` arrays, or one when ``k == 1``), bit
-    for bit: a range longer than a block splits where numpy's pairwise sum splits it
-    (at half its rows, rounded down to a multiple of 8), so no n-length buffer is made."""
+def _block_sums(n: int, summands, start: int = 0) -> np.ndarray | np.float64:
+    """``np.sum`` of each leading index of ``summands(blk)`` (a C-contiguous array, or a tuple
+    of arrays) over its last axis, rows ``start`` to ``n`` a row block at a time, bit for
+    bit: a range longer than a block splits where numpy's pairwise sum splits it (at half
+    its rows, rounded down to a multiple of 8), so no n-length buffer is made."""
     if (m := n - start) > max(_BLOCK, 128):
         mid = start + m // 2 - (m // 2) % 8
-        return [a + b for a, b in zip(_block_sums(mid, summands, k, start),
-                                      _block_sums(n, summands, k, mid))]
-    terms = summands(slice(start, n))
-    return [float(np.sum(t)) for t in ((terms,) if k == 1 else terms)]
+        return _block_sums(mid, summands, start) + _block_sums(n, summands, mid)
+    return np.add.reduce(summands(slice(start, n)), axis=-1)
 
 
-def _finite(total: float, msg: str) -> float:
-    """``total``; a sum that overflowed is an input error, not an inf that turns into NaN."""
-    if not np.isfinite(total):
+def _finite(total: np.ndarray | np.float64, msg: str) -> np.ndarray | np.float64:
+    """``total``, sums or one sum; an overflow is an input error, not an inf that becomes NaN."""
+    if not np.isfinite(total).all():
         raise ValueError(msg)
     return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pow_sum(domain: GridDomain, p: float, rows) -> float:
-    """Midpoint sum of |rows(blk)|^p, euclidean magnitude for vector rows."""
+def _pow_sum(domain: GridDomain, p: float, rows) -> np.ndarray | np.float64:
+    """Midpoint sums of |rows(blk)|^p; rows come as (b,) scalars or as (..., b, dim) vectors."""
     def summand(blk):
         vals = rows(blk)
-        return (np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=1)) ** p
+        return (np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=-1)) ** p
 
-    return _finite(_block_sums(domain.n_cells, summand)[0] * domain.h**domain.dim,
+    return _finite(_block_sums(domain.n_cells, summand) * domain.h**domain.dim,
                    f"the power sum of |u|^p overflows at p = {p}")
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (Field, VectorField, _block_sums, _finite, _same_domain, _worst,
-                    gradient_rows, lp_pow_sum, w1p_norm, w1p_pow_sum)
+from .field import (Field, GridDomain, _block_sums, _finite, _pow_sum, _same_domain, _worst,
+                    gradient_rows, w1p_norm, w1p_pow_sum)
 
 DEFAULT_S_LADDER = (1e-2, 1e-3, 1e-4)
 
@@ -49,9 +49,9 @@ def form_a(u: Field, v: Field, p: float) -> float:
 
     n = u.domain.n_cells
     # one pass per term keeps a single n-length summand array alive
-    (zero_order,) = _block_sums(n, lambda blk: np.sign(u.values[blk])
-                                * np.abs(u.values[blk]) ** (p - 1.0) * v.values[blk])
-    (grad_sum,) = _block_sums(n, grad_term)
+    zero_order = _block_sums(n, lambda blk: np.sign(u.values[blk])
+                             * np.abs(u.values[blk]) ** (p - 1.0) * v.values[blk])
+    grad_sum = _block_sums(n, grad_term)
     return _finite((zero_order + grad_sum) * u.domain.h**u.domain.dim,
                    f"the form a_p overflows at p = {p}")
 
@@ -73,9 +73,9 @@ def form_b(u: Field, v: Field, w: Field, p: float) -> float:
 
     n = u.domain.n_cells
     # products of v and w first so the result is symmetric in (v, w) exactly
-    (t1,) = _block_sums(n, lambda blk: np.abs(u.values[blk]) ** (p - 2.0)
-                        * (v.values[blk] * w.values[blk]))
-    t2, t3 = _block_sums(n, grad_terms, 2)
+    t1 = _block_sums(n, lambda blk: np.abs(u.values[blk]) ** (p - 2.0)
+                     * (v.values[blk] * w.values[blk]))
+    t2, t3 = _block_sums(n, grad_terms)
     return _finite(((p - 1.0) * t1 + (p - 2.0) * t2 + t3) * u.domain.h**u.domain.dim,
                    f"the form b_p overflows at p = {p}")
 
@@ -157,14 +157,20 @@ def plap_residual(u: Field, p: float, tests) -> float:
     return _worst(map(residual, tests), "at least one test function is required")
 
 
-def clarkson_check(f: VectorField, g: VectorField, p: float) -> float:
-    """Signed slack of the vector Clarkson inequality.
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN slack fails its check
+def clarkson_check(domain: GridDomain, f: np.ndarray, g: np.ndarray, p: float) -> np.ndarray:
+    """Signed slacks of the vector Clarkson inequality, one per sample of the stacks.
 
-    Returns ``(||f+g||_p^p + ||f-g||_p^p) - (2||f||_p^p + 2||g||_p^p)``,
-    which is nonnegative for p >= 2 and nonpositive for p <= 2, with exact
-    equality (the parallelogram law) at p = 2.
+    Each is ``(||f+g||_p^p + ||f-g||_p^p) - (2||f||_p^p + 2||g||_p^p)``, which is
+    nonnegative for p >= 2 and nonpositive for p <= 2, with exact equality (the
+    parallelogram law) at p = 2; ``f`` and ``g`` share a shape ``(..., n_cells, dim)``.
     """
-    _same_domain(f, g)
-    lhs = lp_pow_sum(f + g, p) + lp_pow_sum(f - g, p)
-    rhs = 2.0 * lp_pow_sum(f, p) + 2.0 * lp_pow_sum(g, p)
-    return float(lhs - rhs)
+    if not (1 <= p < np.inf):
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    if f.shape != g.shape or f.shape[-2:] != (domain.n_cells, domain.dim):
+        raise ValueError(f"stacks {f.shape} and {g.shape} do not share a shape "
+                         f"(..., {domain.n_cells}, {domain.dim})")
+    plus = _pow_sum(domain, p, lambda blk: f[..., blk, :] + g[..., blk, :])
+    minus = _pow_sum(domain, p, lambda blk: f[..., blk, :] - g[..., blk, :])
+    return (plus + minus) - (2.0 * _pow_sum(domain, p, lambda blk: f[..., blk, :])
+                             + 2.0 * _pow_sum(domain, p, lambda blk: g[..., blk, :]))

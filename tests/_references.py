@@ -6,6 +6,7 @@ import functools
 
 import numpy as np
 
+from sil.field import VectorField, lp_pow_sum
 from sil.grid_domain import GridDomain, _as_point, row_blocks
 
 
@@ -63,3 +64,11 @@ def subtract_boxes(domain, boxes):
     if not keep.any():
         raise ValueError("subtraction removed every cell of the domain")
     return GridDomain(domain.dim, domain.h, domain.origin, domain.cells[keep])
+
+
+def reference_clarkson_slack(f, g, p):
+    """The Clarkson slack of one pair of vector fields, from the power sums of the four
+    whole fields f + g, f - g, f and g."""
+    lhs = (lp_pow_sum(VectorField(f.domain, f.values + g.values), p)
+           + lp_pow_sum(VectorField(f.domain, f.values - g.values), p))
+    return float(lhs - (2.0 * lp_pow_sum(f, p) + 2.0 * lp_pow_sum(g, p)))

@@ -177,3 +177,18 @@ def test_example_4_8_blocks_samples_its_closed_form_across_row_blocks(tmp_path):
     assert spec["builtin"] == "example_4_8"
     target = grid_domain.domain_from_spec("example_4_8_omega2", default_h=spec["h"])
     assert target.n_cells > grid_domain._BLOCK
+
+
+def test_clarkson_commands_reach_a_partial_stack_and_split_sums(tmp_path):
+    # the default clarkson run (400 cells) fills 25 stacks of 40 samples; one fixed
+    # command leaves a partial last stack, the other splits each sample's power sums
+    argvs = {label: argv for label, argv, _ in compare_outputs._fixed_commands(str(tmp_path))}
+    n_cells = {}
+    for label in ("clarkson.partial_stack", "clarkson.split_sums"):
+        argv = argvs[label]
+        assert argv[:3] == ["verify", "--suite", "clarkson"]
+        h = float(argv[argv.index("--h") + 1])
+        n_cells[label] = grid_domain.make_box((0.0, 0.0), (1.0, 1.0), h).n_cells
+    k = grid_domain._BLOCK // n_cells["clarkson.partial_stack"]
+    assert k > 1 and 1000 % k != 0
+    assert n_cells["clarkson.split_sums"] > max(grid_domain._BLOCK, 128)

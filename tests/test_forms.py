@@ -29,11 +29,11 @@ from sil import (
     random_smooth_field,
     w1p_pow_sum,
 )
-from sil import forms, grid_domain
+from sil import field, forms, grid_domain, suites
 from sil.field import gradient_rows
 from sil.suites import _check
 
-from _references import reference_gradient
+from _references import reference_clarkson_slack, reference_gradient
 
 
 class TestFormA:
@@ -244,37 +244,81 @@ class TestPlapResidual:
 
 
 class TestClarkson:
-    def _pair(self, domain, seed):
+    def _stacks(self, domain, seed, k):
         rng = np.random.default_rng(seed)
-        f = VectorField(domain, rng.normal(0, 1, (domain.n_cells, domain.dim)))
-        g = VectorField(domain, rng.normal(0, 1, (domain.n_cells, domain.dim)))
-        return f, g
+        return rng.normal(0, 1, (2, k, domain.n_cells, domain.dim))
 
     def test_parallelogram_law(self):
         domain = make_box((0, 0), (1, 1), 0.05)
-        for seed in range(50):
-            f, g = self._pair(domain, seed)
-            assert abs(clarkson_check(f, g, 2.0)) <= 1e-12
+        slack = clarkson_check(domain, *self._stacks(domain, 0, 50), 2.0)
+        assert slack.shape == (50,) and np.all(np.abs(slack) <= 1e-12)
 
     def test_equal_arguments_p4(self):
         # oracle: f = g collapses the slack to (2^4 - 4) ||f||_4^4
         domain = make_box((0, 0), (1, 1), 0.05)
-        f, _ = self._pair(domain, 0)
-        expected = (2.0**4 - 4.0) * lp_pow_sum(f, 4.0)
-        assert clarkson_check(f, f, 4.0) == pytest.approx(expected, rel=1e-12)
+        f, _ = self._stacks(domain, 0, 3)
+        expected = [(2.0**4 - 4.0) * lp_pow_sum(VectorField(domain, x), 4.0) for x in f]
+        assert clarkson_check(domain, f, f, 4.0) == pytest.approx(expected, rel=1e-12)
 
     def test_low_exponent_direction(self):
         domain = make_box((0, 0), (1, 1), 0.1)
-        for seed in range(1000):
-            f, g = self._pair(domain, seed)
-            assert clarkson_check(f, g, 1.5) <= 1e-12
+        slack = clarkson_check(domain, *self._stacks(domain, 0, 1000), 1.5)
+        assert slack.shape == (1000,) and np.all(slack <= 1e-12)
 
     def test_domain_mismatch_rejected(self):
+        # stacks must share one shape, and it must end in the domain's (n_cells, dim)
         a = make_box((0, 0), (1, 1), 0.1)
         b = make_box((0, 0), (1, 1), 0.05)
-        with pytest.raises(ValueError):
-            clarkson_check(VectorField(a, np.ones((a.n_cells, 2))),
-                           VectorField(b, np.ones((b.n_cells, 2))), 2.0)
+        f = np.ones((3, a.n_cells, 2))
+        for pair in [(np.ones((3, b.n_cells, 2)),) * 2, (f[..., :1],) * 2, (f[..., 0],) * 2,
+                     (f, np.ones((3, b.n_cells, 2))), (f, f[:2]), (f, f[None])]:
+            with pytest.raises(ValueError, match="do not share a shape"):
+                clarkson_check(a, *pair, 2.0)
+
+    def test_overflowing_sums_give_a_nan_slack_not_an_error(self):
+        # one cell of width 1: the four power sums are finite (1.2e308 and 6e307), but
+        # ||f+g||^2 + ||f-g||^2 and 2||f||^2 + 2||g||^2 overflow, so the slack is inf - inf,
+        # a NaN that fails its check, and not an error under the command line's errstate
+        domain = make_box((0, 0), (1, 1), 1.0)
+        f, g = np.zeros((2, 1, 1, 2))
+        f[..., 0] = g[..., 1] = math.sqrt(6e307)
+        with np.errstate(over="raise", invalid="raise"):
+            assert math.isnan(clarkson_check(domain, f, g, 2.0)[0])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("h", [0.125, 0.05])  # 64 and 400 cells, below and above a block
+def test_stacked_clarkson_slacks_equal_the_pairwise_slacks(h, k, p, monkeypatch):
+    # each sample's slack, from stacks whose power sums split where a single pair's
+    # do, equals the slack of its own pair of fields, compared as hex
+    monkeypatch.setattr(field, "_BLOCK", 100)
+    domain = make_box((0, 0), (1, 1), h)
+    f, g = np.random.default_rng(k).normal(0, 1, (2, k, domain.n_cells, 2))
+    expected = [reference_clarkson_slack(VectorField(domain, a), VectorField(domain, b), p).hex()
+                for a, b in zip(f, g)]
+    assert [x.hex() for x in clarkson_check(domain, f, g, p)] == expected
+
+
+def test_clarkson_suite_slacks_equal_one_by_one_draws(monkeypatch):
+    # 1,089 cells: stacks of 15 samples, and a last stack of 10 for each p; every slack
+    # equals the slack of the pair two (n, dim) draws per sample give, as hex
+    stacks = []
+
+    def recorded(domain, f, g, p):
+        stacks.append((p, clarkson_check(domain, f, g, p)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(suites, "clarkson_check", recorded)
+    suites.suite_clarkson(suites.SuiteConfig("clarkson", h=0.03, seed=5))
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.03)
+    assert domain.n_cells == 1089
+    assert [len(s) for _, s in stacks] == ([15] * 66 + [10]) * 4
+    rng = np.random.default_rng(5)
+    for p in (1.5, 2.0, 3.0, 4.0):
+        expected = [reference_clarkson_slack(*(VectorField(domain, rng.normal(
+            0.0, 1.0, (domain.n_cells, 2))) for _ in range(2)), p).hex() for _ in range(1000)]
+        assert [x.hex() for q, s in stacks if q == p for x in s] == expected
 
 
 class TestAgainstQuadrature:
