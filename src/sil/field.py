@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_domain import _BLOCK, GridDomain, box_blocks, row_blocks
+from . import grid_domain as _gd
+from .grid_domain import GridDomain, box_blocks, row_blocks
 
 
 def _same_domain(a, b) -> None:
@@ -163,7 +164,7 @@ def _block_sums(n: int, summands, start: int = 0) -> np.ndarray | np.float64:
     of arrays) over its last axis, rows ``start`` to ``n`` a row block at a time, bit for
     bit: a range longer than a block splits where numpy's pairwise sum splits it (at half
     its rows, rounded down to a multiple of 8), so no n-length buffer is made."""
-    if (m := n - start) > max(_BLOCK, 128):
+    if (m := n - start) > max(_gd._BLOCK, 128):
         mid = start + m // 2 - (m // 2) % 8
         return _block_sums(mid, summands, start) + _block_sums(n, summands, mid)
     return np.add.reduce(summands(slice(start, n)), axis=-1)
@@ -238,7 +239,11 @@ def exponential_probe(domain: GridDomain, axis: int, sign: int, p: float) -> Fie
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     alpha = probe_rate(p)
-    return Field.from_function(domain, lambda x: np.exp(sign * alpha * x[:, axis]))
+    try:
+        with np.errstate(over="ignore"):  # an overflow leaves an inf, which Field rejects
+            return Field.from_function(domain, lambda x: np.exp(sign * alpha * x[:, axis]))
+    except ValueError:
+        raise ValueError(f"the probe exp({sign:+d} * {alpha:.6g} x_{axis}) overflows") from None
 
 
 def probe_rate(p: float) -> float:

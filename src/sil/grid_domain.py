@@ -28,10 +28,10 @@ _ORTHO_TOL = 1e-12
 _BLOCK = 16_384
 
 
-def row_blocks(n: int, size: int = _BLOCK, *, half: bool = False):
-    """Slices of at most ``size`` (or half that, rounded up) consecutive rows covering
+def row_blocks(n: int, size: int | None = None):
+    """Slices of at most ``size`` (``_BLOCK`` as it reads at the call) consecutive rows covering
     ``range(n)``; per-point work runs one slice at a time, so temporaries do not scale with n."""
-    size = (size + 1) // 2 if half else size
+    size = _BLOCK if size is None else size
     return (slice(s, s + size) for s in range(0, n, size))
 
 
@@ -461,6 +461,8 @@ def _covering_box(lo, hi, origin, h: float, what: str) -> tuple[np.ndarray, np.n
 def make_box(lo, hi, h: float) -> GridDomain:
     """Rasterize the open box ``(lo, hi)`` with cell width ``h``."""
     lo = _as_point(lo)
+    if len(lo) not in (1, 2):  # named before any cell is counted
+        raise ValueError(f"dim must be 1 or 2, got {len(lo)}")
     hi = _as_point(hi, len(lo))
     if not (h > 0):
         raise ValueError(f"cell width must be positive, got {h}")
@@ -635,12 +637,14 @@ class RigidMotion:
         d = _json_object(d, what)
         Q, b = (_json_value(d.get(k), "an array", k) for k in ("Q", "b"))
         sign = d.get("sign", 1)  # a number other than -1 or 1 fails the sign check
-        # numpy and `in` read true and "1" as 1, so every entry must be a JSON
-        # number; the motion's own checks name a non-finite one or a wrong shape
+        # numpy and `in` read true and "1" as 1, so every entry must be a JSON number; the
+        # motion's own checks name a non-finite one or a wrong shape that numpy can read
         rows = [row if isinstance(row, list) else [row] for row in Q]
         for key, values in (("Q", itertools.chain(*rows)), ("b", b), ("sign", [sign])):
             for x in values:
                 _json_value(x, "a number", key)
+        if len({len(row) if isinstance(row, list) else -1 for row in Q}) > 1:
+            raise ValueError(f"'Q' must be a square array of numbers, got {Q!r}")
         return RigidMotion(np.asarray(Q, dtype=float), np.asarray(b, dtype=float),
                            int(sign) if sign in (-1, 1) else sign)
 

@@ -146,7 +146,7 @@ def piecewise_rigid_operator(source: GridDomain, target: GridDomain,
     """Composition with one rigid motion per target component, the component
     given by its index in ``target.component_rows``."""
     motions, components = tuple(motions), tuple(components)
-    if len(motions) != len(components):
+    if len(motions) != len(components) or None in components:
         raise ValueError("each motion needs a component assignment")
     if len(motions) == 0:
         raise ValueError("a rigid operator needs at least one motion")
@@ -451,7 +451,7 @@ def _supersampled_image(omega1: GridDomain, omega2: GridDomain, rows: np.ndarray
     escaped = 0
     steps = (-omega2.h / 3.0, 0.0, omega2.h / 3.0)
     offsets = [np.asarray(off) for off in itertools.product(steps, repeat=omega2.dim)]
-    for blk in _gd.row_blocks(rows.shape[0], half=True):
+    for blk in _gd.row_blocks(rows.shape[0], (_gd._BLOCK + 1) // 2):
         image = mapping(rows[blk])  # set up before the centres are made
         base = omega2.centers_of(rows[blk])
         for off in offsets:
@@ -650,7 +650,7 @@ def operator_from_spec(spec: dict, target: GridDomain | None = None,
                                            "component") for entry in entries)
         if len(motions) == 1 and components[0] is None:
             return rigid_operator(target, motions[0], source)
-        if source is None:
+        if source is None and motions:  # no motion at all is named by the call below
             raise ValueError("per-component rigid specs need an explicit source domain")
         return piecewise_rigid_operator(source, target, motions, components)
 

@@ -34,7 +34,8 @@ from .forms import (
     gateaux_check_norm,
     plap_residual,
 )
-from .grid_domain import _BLOCK, GridDomain, make_box, random_rigid_motion
+from . import grid_domain as _gd
+from .grid_domain import GridDomain, make_box, random_rigid_motion
 from .operators import (
     OperatorSpec,
     ReconstructionResult,
@@ -298,7 +299,7 @@ def suite_clarkson(cfg: SuiteConfig) -> list[dict]:
     h = cfg.h or 0.05
     grid = make_box((0.0, 0.0), (1.0, 1.0), h)
     p_values = (cfg.p,) if cfg.p else (1.5, 2.0, 3.0, 4.0)
-    k = max(1, _BLOCK // grid.n_cells)  # samples per stack, one row block of rows
+    k = max(1, _gd._BLOCK // grid.n_cells)  # samples per stack, one row block of rows
     checks = []
     for p in p_values:
         # sample i's f, then its g, as two (n, dim) draws per sample would give them

@@ -1,8 +1,10 @@
+import functools
 import math
+from unittest import mock
 
 import pytest
 
-from sil import make_box
+from sil import grid_domain, make_box
 
 
 @pytest.fixture
@@ -13,6 +15,13 @@ def interval():
 @pytest.fixture
 def square():
     return make_box((0.0, 0.0), (1.0, 1.0), 0.02)
+
+
+@pytest.fixture(scope="session")  # it holds no state, so hypothesis tests can take it
+def blocks_of():
+    """``with blocks_of(size):`` runs every blocked loop on ``size`` rows: the row blocks,
+    ``_block_sums``' splits and the Clarkson battery's stacks."""
+    return functools.partial(mock.patch.object, grid_domain, "_BLOCK")
 
 
 @pytest.fixture

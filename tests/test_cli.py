@@ -38,10 +38,12 @@ _TOO_LARGE = "int too large to convert to float"
 
 
 def _two_block_rigid(c0, c1):
-    """The two-block operator as per-component rigid motions of components ``c0``, ``c1``."""
+    """The two-block operator as per-component rigid motions of components ``c0``, ``c1``;
+    a component given as ``"missing"`` leaves its motion's key out."""
+    motions = [{"Q": [[1, 0], [0, 1]], "b": [0, 1]}, {"Q": [[1, 0], [0, 1]], "b": [0, -1]}]
     return {"h": 0.1, "source": "example_5_4_omega1", "target": "example_5_4_omega2",
-            "rigid": [{"Q": [[1, 0], [0, 1]], "b": [0, 1], "component": c0},
-                      {"Q": [[1, 0], [0, 1]], "b": [0, -1], "component": c1}]}
+            "rigid": [m if c == "missing" else {**m, "component": c}
+                      for m, c in zip(motions, (c0, c1))]}
 
 
 @pytest.fixture
@@ -365,6 +367,13 @@ class TestInputErrorsExit2:
         assert run.stderr.startswith("verify error: the power sum of |u|^p overflows")
         assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
 
+    def test_plaplace_overflowing_probe(self, capsys):
+        # exp(alpha x) at alpha = (p - 1)^(-1/p), about 1e7, once exited 2 with
+        # numpy's bare "overflow encountered in exp"
+        assert main(["verify", "--suite", "plaplace", "--p", "1.0000001"]) == 2
+        assert capsys.readouterr().err == ("verify error: the probe exp(+1 * 9.99998e+06 x_0) "
+                                           "overflows\n")
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_congruence_tol_out_of_range(self, square_spec, capsys, tol):
         code = main(["congruence", "--domain1", square_spec, "--domain2", square_spec,
@@ -617,6 +626,16 @@ class TestInputErrorsExit2:
                      "got ['builtin', 'rigid']", id="op-two-forms-before-unknown-key"),
         pytest.param("domain", {"builtin": "example_5_4_omega1", "boxes": [], "dim": 1},
                      "'builtin' cannot go with ['boxes']", id="builtin-and-boxes-before-dim"),
+        # each of these once exited 2 with a message of numpy's or of a later check
+        pytest.param("domain", {"h": 0.1, "boxes": [{"lo": [], "hi": []}]},
+                     "dim must be 1 or 2, got 0", id="box-empty-corners"),
+        pytest.param("motion", {"Q": [[1, 0], [0]], "b": [0, 0]},
+                     "'Q' must be a square array of numbers, got [[1, 0], [0]]",
+                     id="motion-Q-ragged"),
+        pytest.param("operator", {"rigid": [], "target": "example_5_4_omega2"},
+                     "a rigid operator needs at least one motion", id="op-rigid-empty-no-source"),
+        pytest.param("operator", _two_block_rigid(0, "missing"),
+                     "each motion needs a component assignment", id="op-rigid-component-missing"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, square_spec, kind, payload, needle):
         # each of these once ended in a traceback and exit 1, the code of a failed

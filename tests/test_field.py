@@ -26,7 +26,7 @@ from sil import (
     w1p_norm,
     w1p_pow_sum,
 )
-from sil import field, grid_domain
+from sil import grid_domain
 from sil.field import _block_sums, _worst, gradient_rows
 
 from _references import reference_gradient
@@ -387,13 +387,11 @@ def _reference_hat(domain, center, halfwidth):
     pytest.param(lambda: example_5_4_omega2(5e-3), None, id="two-block"),
     pytest.param(lambda: make_box((0.0, 0.0), (1.0, 1.0), 0.05), 7, id="box-400-blocks-of-7"),
 ])
-def test_blocked_generators_equal_full_array_code(make_domain, block):
+def test_blocked_generators_equal_full_array_code(make_domain, block, blocks_of):
     domain = make_domain()
     rng = np.random.default_rng(3)
     lo, hi = domain.bounding_box
-    with pytest.MonkeyPatch.context() as mp:
-        if block:
-            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+    with blocks_of(block or grid_domain._BLOCK):
         for _ in range(5):
             radius = rng.uniform(0.05, 0.2) * float(np.min(hi - lo))
             center = rng.uniform(lo + radius, hi - radius)
@@ -521,7 +519,7 @@ def test_gradient_makes_no_cell_lookups(monkeypatch, square):
 
 @settings(max_examples=100, deadline=None)
 @given(_gapped_domains(), st.integers(0, 40), st.integers(0, 2**32 - 1))
-def test_interpolation_block_size_invariant(domain, n, seed):
+def test_interpolation_block_size_invariant(blocks_of, domain, n, seed):
     rng = np.random.default_rng(seed)
     lo, hi = domain.bounding_box
     # points up to two cells past the bounding box, some with no active
@@ -531,8 +529,7 @@ def test_interpolation_block_size_invariant(domain, n, seed):
     u = Field(domain, rng.normal(size=domain.n_cells))
     v = VectorField(domain, rng.normal(size=(domain.n_cells, domain.dim)))
     whole = (u.at(pts), *u.at_with_coverage(pts), v.at(pts))  # one block
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
+    with blocks_of(7):
         blocked = (u.at(pts), *u.at_with_coverage(pts), v.at(pts))
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
@@ -580,7 +577,7 @@ def test_worst_of_nothing_raises_its_message():
 
 @pytest.mark.parametrize("n", [1, grid_domain._BLOCK - 1, grid_domain._BLOCK,
                                grid_domain._BLOCK + 1, 2 * grid_domain._BLOCK + 3])
-def test_block_sums_single_block_path_is_exact(n):
+def test_block_sums_single_block_path_is_exact(n, blocks_of):
     # up to _BLOCK rows the summands are summed as returned; above it the rows
     # split where numpy's pairwise sum splits them, and each leaf is summed as
     # returned; both must equal np.sum over whole arrays
@@ -593,8 +590,7 @@ def test_block_sums_single_block_path_is_exact(n):
     expected = [float(np.sum(np.abs(a) ** 2.5)), float(np.sum(a * b))]
     assert _block_sums(n, pair).tolist() == expected
     assert _block_sums(n, lambda blk: pair(blk)[1]) == expected[1]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_BLOCK", 0)  # every n above 128 rows is split
+    with blocks_of(0):  # every n above 128 rows is split
         assert _block_sums(n, pair).tolist() == expected
 
 
@@ -603,11 +599,9 @@ _B = grid_domain._BLOCK
 
 @pytest.mark.parametrize("block", [None, 0, 100])
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _B - 1, _B + 1, 2 * _B + 3, 160_000])
-def test_block_sums_equal_np_sum_bit_for_bit(n, block, monkeypatch):
+def test_block_sums_equal_np_sum_bit_for_bit(n, block, blocks_of):
     # summands over 16 decades, so any change in the order of the additions shows;
     # compared as hex, so a -0.0 for 0.0 would show too
-    if block is not None:
-        monkeypatch.setattr(field, "_BLOCK", block)
     rng = np.random.default_rng(n)
     a, b = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 9, size=(2, n))
     leaves = []
@@ -617,8 +611,9 @@ def test_block_sums_equal_np_sum_bit_for_bit(n, block, monkeypatch):
         return a[blk] ** 3, a[blk] * b[blk]
 
     expected = [float(np.sum(a**3)).hex(), float(np.sum(a * b)).hex()]
-    assert [x.hex() for x in _block_sums(n, pair)] == expected
-    assert sum(leaves) == n and max(leaves) <= max(field._BLOCK, 128)
+    with blocks_of(_B if block is None else block):
+        assert [x.hex() for x in _block_sums(n, pair)] == expected
+        assert sum(leaves) == n and max(leaves) <= max(grid_domain._BLOCK, 128)
 
 
 @pytest.mark.parametrize("n", [grid_domain._BLOCK, grid_domain._BLOCK + 1])

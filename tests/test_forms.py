@@ -29,7 +29,7 @@ from sil import (
     random_smooth_field,
     w1p_pow_sum,
 )
-from sil import field, forms, grid_domain, suites
+from sil import forms, grid_domain, suites
 from sil.field import gradient_rows
 from sil.suites import _check
 
@@ -289,15 +289,15 @@ class TestClarkson:
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("h", [0.125, 0.05])  # 64 and 400 cells, below and above a block
-def test_stacked_clarkson_slacks_equal_the_pairwise_slacks(h, k, p, monkeypatch):
+def test_stacked_clarkson_slacks_equal_the_pairwise_slacks(h, k, p, blocks_of):
     # each sample's slack, from stacks whose power sums split where a single pair's
     # do, equals the slack of its own pair of fields, compared as hex
-    monkeypatch.setattr(field, "_BLOCK", 100)
     domain = make_box((0, 0), (1, 1), h)
     f, g = np.random.default_rng(k).normal(0, 1, (2, k, domain.n_cells, 2))
-    expected = [reference_clarkson_slack(VectorField(domain, a), VectorField(domain, b), p).hex()
-                for a, b in zip(f, g)]
-    assert [x.hex() for x in clarkson_check(domain, f, g, p)] == expected
+    with blocks_of(100):
+        expected = [reference_clarkson_slack(VectorField(domain, a), VectorField(domain, b),
+                                             p).hex() for a, b in zip(f, g)]
+        assert [x.hex() for x in clarkson_check(domain, f, g, p)] == expected
 
 
 def test_clarkson_suite_slacks_equal_one_by_one_draws(monkeypatch):

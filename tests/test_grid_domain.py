@@ -554,13 +554,12 @@ def test_rows_of_indices_round_trip(domain):
 
 @settings(max_examples=150, deadline=None)
 @given(_random_cell_sets(), st.integers(0, 60), st.integers(0, 2**32 - 1))
-def test_rows_of_indices_block_size_invariant(domain, n, seed):
+def test_rows_of_indices_block_size_invariant(blocks_of, domain, n, seed):
     # cells up to three past the bounding box: absent, out-of-box and active mix
     lo, hi = domain.index_bounds
     idx = np.random.default_rng(seed).integers(lo - 3, hi + 4, size=(n, domain.dim))
     whole = domain.rows_of_indices(idx)  # one block at the default size
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
+    with blocks_of(7):
         assert np.array_equal(domain.rows_of_indices(idx), whole)
 
 
@@ -592,16 +591,14 @@ def _reference_dilate_mask(domain, mask, steps):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_boxes_minus_boxes(), _random_cell_sets()), st.integers(0, 3), st.data())
-def test_dilate_mask_matches_the_masked_gather(domain, steps, data):
+def test_dilate_mask_matches_the_masked_gather(blocks_of, domain, steps, data):
     # so is the boundary layer, a dilation of the cells missing a neighbour; both
     # run a row block at a time, and blocks of 3 rows cut the domains' runs
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = rng.random(domain.n_cells) < data.draw(st.sampled_from([0.0, 0.05, 0.3]))
     before = mask.copy()
     missing = np.any([rows < 0 for rows in itertools.chain(*_reference_neighbor_rows(domain))], 0)
-    with pytest.MonkeyPatch.context() as mp:
-        if data.draw(st.booleans()):
-            mp.setattr(grid_domain.row_blocks, "__defaults__", (3,))
+    with blocks_of(3 if data.draw(st.booleans()) else grid_domain._BLOCK):
         got = grid_domain.dilate_mask(domain, mask, steps)
         layer = domain.boundary_layer_mask(steps + 1)
     assert got.dtype == bool and np.array_equal(mask, before)
@@ -761,10 +758,9 @@ def _assert_tables_are_canonical(domain):
 
 @settings(max_examples=80, deadline=None)
 @given(_row_index_domains(), st.sampled_from([None, 7]), st.data())
-def test_compact_row_index_matches_int64_reference(domain, block, data):
-    with pytest.MonkeyPatch.context() as mp:
-        if block and domain.n_cells < 2_000:  # many blocks, but not thousands
-            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+def test_compact_row_index_matches_int64_reference(blocks_of, domain, block, data):
+    many = block and domain.n_cells < 2_000  # many blocks, but not thousands
+    with blocks_of(block if many else grid_domain._BLOCK):
         rows = domain.neighbor_rows
         parts = domain.component_rows
     assert len(rows) == domain.dim
@@ -1114,7 +1110,7 @@ def _whole_box_centers(lo, hi, origin, h):
 
 @settings(max_examples=60, deadline=None)
 @given(_boxes_minus_boxes(), st.integers(0, 2**32 - 1))
-def test_box_walks_match_the_whole_box_reference(domain, seed):
+def test_box_walks_match_the_whole_box_reference(blocks_of, domain, seed):
     # the image and the congruence defect from the whole covering box at once, as
     # first written, against the box walked at the default blocks and at 7 rows
     motion = random_rigid_motion(domain.dim, np.random.default_rng(seed))
@@ -1130,8 +1126,7 @@ def test_box_walks_match_the_whole_box_reference(domain, seed):
               != (domain.rows_of_points(motion.inverse_transform(centers)) >= 0))
     defect = float(np.count_nonzero(differ)) * h_ref**domain.dim
     for block in (grid_domain._BLOCK, 7):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+        with blocks_of(block):
             if image_cells.size:
                 image = apply_rigid_motion(domain, motion)
                 assert image == GridDomain(domain.dim, domain.h, origin, image_cells)

@@ -1,7 +1,7 @@
-import contextlib
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -461,10 +461,9 @@ class TestCongruencePipeline:
         (random_rigid_operator_local(np.random.default_rng(3), h=0.05), 2.0),
         (example_4_8_operator(1e-2), 2.0),
     ], ids=["two_block", "rotated_box", "hyperbolic"])
-    def test_block_size_invariant(self, T, p):
+    def test_block_size_invariant(self, T, p, blocks_of):
         whole = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid_domain.row_blocks, "__defaults__", (7,))
+        with blocks_of(7):
             blocked = congruence_pipeline(T, p=p, tol=4 * T.target.h).to_json_dict()
         assert blocked == whole
 
@@ -621,7 +620,7 @@ def _rigid_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_rigid_cases())
-def test_supersampled_image_matches_old_loops(case):
+def test_supersampled_image_matches_old_loops(blocks_of, case):
     T, moved = case
     rec = reconstruct(T, p=2.0)
     inside = T.source.rows_of_points(rec.xi_hat.values) >= 0  # no zero set: g = +-1
@@ -630,8 +629,7 @@ def test_supersampled_image_matches_old_loops(case):
                   [_reference_tiling_hit(T.source, T.target, T.target.centers[rows], moved)
                    for rows in comps])
     for block in (grid_domain._BLOCK, 7):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid_domain.row_blocks, "__defaults__", (block,))
+        with blocks_of(block):
             hit, _ = _supersampled_image(T.source, T.target, np.flatnonzero(inside),
                                          lambda _: rec.xi_hat.at)
             assert np.array_equal(hit, references[0][0])
@@ -748,7 +746,7 @@ def test_subsample_corners_far_from_the_origin_are_looked_up(dim):
 
 @settings(max_examples=40, deadline=None)
 @given(_holed_domain_cases(), st.integers(0, 2**32 - 1))
-def test_defect_sets_on_random_domains_match_the_eager_reference(omega2, seed):
+def test_defect_sets_on_random_domains_match_the_eager_reference(blocks_of, omega2, seed):
     # a reconstruction of omega2 whose map is its centres moved up to two cells, with
     # a random zero set, against a random holed omega1 on another grid over its box;
     # at the default blocks and at 150-row ones, whose halves make many batches
@@ -770,7 +768,7 @@ def test_defect_sets_on_random_domains_match_the_eager_reference(omega2, seed):
     assume(hit.any())
     for size in _BLOCK_SIZES:
         batches = []  # the rows of each batch, which is half a row block
-        with _blocks_of(size), pytest.MonkeyPatch.context() as mp:
+        with blocks_of(size), pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "_subsample_map",
                        lambda u, rows: batches.append(rows.size) or field._subsample_map(u, rows))
             ds = defect_sets(rec, omega1)
@@ -811,20 +809,13 @@ def _stage_case(name):
     return T, reconstruct(black_box(T), T.target, p=p, source=T.source)
 
 
-@contextlib.contextmanager
-def _blocks_of(size):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid_domain.row_blocks, "__defaults__", (size,))
-        yield
-
-
 # 150-row blocks: many per domain, and on the two-block target some whose
 # every row lies in the boundary layer
 _BLOCK_SIZES = (grid_domain._BLOCK, 150)
 
 
 @pytest.mark.parametrize("name", sorted(_STAGE_CASES))
-def test_defect_sets_match_the_eager_reference(name):
+def test_defect_sets_match_the_eager_reference(name, blocks_of):
     T, rec = _stage_case(name)
     # the matched parts as defect_sets first built them, eagerly and unblocked:
     # the target cells mapped inside the source, and their image u1
@@ -834,20 +825,20 @@ def test_defect_sets_match_the_eager_reference(name):
     hit = _reference_defect_hit(rec, T.source, T.target, inside)
     u1 = GridDomain(T.source.dim, T.source.h, T.source.origin, T.source.cells[hit])
     for size in _BLOCK_SIZES:
-        with _blocks_of(size):
+        with blocks_of(size):
             ds = defect_sets(rec, T.source)
         assert ds.n2_cells == T.target.n_cells - int(np.count_nonzero(inside))
         assert ds.n1_measure == T.source.measure - u1.measure
 
 
 @pytest.mark.parametrize("name", sorted(_STAGE_CASES))
-def test_reconstruct_is_the_same_at_any_block_size(name):
+def test_reconstruct_is_the_same_at_any_block_size(name, blocks_of):
     T, p, black_box = _STAGE_CASES[name]()
     op, args = (T, {}) if black_box is None else (black_box(T), dict(
         omega2=T.target, source=T.source))
     ref = reconstruct(op, p=p, **args)
     for size in (150, 7):
-        with _blocks_of(size):
+        with blocks_of(size):
             rec = reconstruct(op, p=p, **args)
         assert np.array_equal(rec.g_hat.values, ref.g_hat.values)
         assert np.array_equal(rec.xi_hat.values, ref.xi_hat.values)
@@ -855,12 +846,29 @@ def test_reconstruct_is_the_same_at_any_block_size(name):
         assert rec.axis_deviation == ref.axis_deviation
 
 
+# widths at which each suite runs in about a second; at 7-row blocks plaplace's 400 cells
+# and clarkson's 144 split their power sums, and clarkson's stacks shrink from 113 samples
+# to one, which at h = 0.08 moves its p = 2 roundoff maximum if their draws are reordered.
+# examples takes 49 s at 7-row blocks; the stage tests above cover it
+@pytest.mark.parametrize("suite, h", [("norm-calculus", 0.1), ("clarkson", 0.08),
+                                      ("plaplace", 0.05), ("reconstruction", 0.05),
+                                      ("congruence", 0.05)])
+def test_suite_reports_are_the_same_at_any_block_size(suite, h, blocks_of):
+    # JSON floats round-trip, so equal reports hold equal bits
+    cfg = suites.SuiteConfig(suite, h=h)
+    reports = []
+    for size in (grid_domain._BLOCK, 150, 7):
+        with blocks_of(size):
+            reports.append(json.dumps(suites.run_suite(cfg)))
+    assert reports[1:] == reports[:1] * 2
+
+
 @pytest.mark.parametrize("name", ["identity", "example_4_8", "example_5_4"])
-def test_closed_forms_sampled_in_row_blocks_match_whole_array_sampling(name):
+def test_closed_forms_sampled_in_row_blocks_match_whole_array_sampling(name, blocks_of):
     # the builtin's own domains (1,000 and 20,000 target cells), the identity's a
     # 400-cell square: several 150-row blocks each, the last one partial
     domains = (make_box((0.0, 0.0), (1.0, 1.0), 0.05),) * 2 if name == "identity" else None
-    with _blocks_of(150):
+    with blocks_of(150):
         T = operators._closed_form(name, domains)
     assert T.target.n_cells > 2 * 150 and T.target.n_cells % 150
     with np.errstate(all="ignore"):
@@ -868,7 +876,7 @@ def test_closed_forms_sampled_in_row_blocks_match_whole_array_sampling(name):
     assert np.array_equal(T.g_values, g) and np.array_equal(T.xi_values, xi)
 
 
-def test_closed_form_names_its_first_undefined_node_past_the_first_block():
+def test_closed_form_names_its_first_undefined_node_past_the_first_block(blocks_of):
     # sqrt(sinh 2y) overflows from y = 355.5, row 355 of this line, in the third
     # 150-row block; the message names the node that whole-array sampling finds first
     line = make_box(0.0, 400.0, 1.0)
@@ -877,7 +885,7 @@ def test_closed_form_names_its_first_undefined_node_past_the_first_block():
     first = int(np.argmin(np.isfinite(g) & np.isfinite(xi).all(axis=1)))
     assert first == 355
     node = tuple(map(float, line.centers[first]))
-    with _blocks_of(150), pytest.raises(ValueError) as err:
+    with blocks_of(150), pytest.raises(ValueError) as err:
         operators._closed_form("example_4_8", (line, line))
     assert str(err.value) == ("the builtin operator 'example_4_8' is not defined at the "
                               f"target node {node}")
@@ -908,7 +916,7 @@ def _overflowing_spec(dim, g_at=(), xi_at=()):
     (2, [], [(60, 1, 800.0)], ("image", 1, "+1")),
     (2, [(60, 1e200)], [(3, 1, -800.0)], ("product", 0, 60)),
 ])
-def test_overflow_messages_pinned_at_any_block_size(dim, g_at, xi_at, first):
+def test_overflow_messages_pinned_at_any_block_size(dim, g_at, xi_at, first, blocks_of):
     # the message names the first overflow a whole-array pass meets, axis by axis:
     # the + image, then the - image, then the product at its first node
     T = _overflowing_spec(dim, g_at, xi_at)
@@ -921,7 +929,7 @@ def test_overflow_messages_pinned_at_any_block_size(dim, g_at, xi_at, first):
         message = (f"the product of the probe images along axis {axis}, the squared "
                    f"weight, overflows at the target node {node}")
     for size in (grid_domain._BLOCK, 7):
-        with _blocks_of(size), pytest.raises(ValueError) as err:
+        with blocks_of(size), pytest.raises(ValueError) as err:
             reconstruct(T, p=2.0)
         assert str(err.value) == message
 
@@ -937,7 +945,7 @@ def test_empty_image_raises_as_an_empty_domain(monkeypatch):
 
 @pytest.mark.parametrize("name", ["blackbox_rotated_box", "hyperbolic", "rotated_box",
                                   "two_block", "two_block_dead_patch"])
-def test_rigid_fit_defects_match_the_whole_domain_reference(name):
+def test_rigid_fit_defects_match_the_whole_domain_reference(name, blocks_of):
     T, rec = _stage_case(name)
     # the defects and the |grad xi_0| samples as first written, from whole-domain gradients
     omega2, xi = T.target, rec.xi_hat.values
@@ -951,14 +959,14 @@ def test_rigid_fit_defects_match_the_whole_domain_reference(name):
     grad_g = float(np.linalg.norm(gradient(rec.g_hat).values, axis=1)[fd_ok].max())
     c = np.linalg.norm(jac[:, 0, :], axis=1)
     for size in _BLOCK_SIZES:
-        with _blocks_of(size):
+        with blocks_of(size):
             fit = rigid_motion_fit(rec)
         assert fit.orthogonality_defect == ortho and fit.grad_g_defect == grad_g
         assert fit.c_range == (c.min(), c.max())
 
 
-def _pipeline_peak(h, block, handed_over=False):
-    """The two-block pipeline's report at cell width ``h`` and ``block``-row blocks,
+def _pipeline_peak(h, handed_over=False):
+    """The two-block pipeline's report at cell width ``h`` and the current row block,
     its traced peak, what is live when the topology checks start, and the traced
     peaks within the defect sets and within the rigid fit, all in n-float arrays
     above the live operator; or, when the operator is ``handed_over`` to the
@@ -982,7 +990,7 @@ def _pipeline_peak(h, block, handed_over=False):
             return result
         return run
 
-    with _blocks_of(block), pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "is_topologically_regular", traced_regular)
         for name in ("defect_sets", "rigid_motion_fit"):
             mp.setattr(operators, name, traced(getattr(operators, name)))
@@ -999,13 +1007,14 @@ def _pipeline_peak(h, block, handed_over=False):
         peak, live_at_checks[0], stage_peaks["defect_sets"], stage_peaks["rigid_motion_fit"])]
 
 
-def test_congruence_pipeline_peak_memory():
+def test_congruence_pipeline_peak_memory(blocks_of):
     # n = 20,000 cells a side, with 1,024-row blocks so that n-sized arrays
     # dominate block-sized ones; stages that kept their intermediates to the end
     # read 25.8 and 19.4, a fit that kept its |grad xi_0| samples gave a peak of
     # 14.5, and whole-array probe images, per-row component pairs and the fit's
     # rows cached during the defect sets a peak of 10.36, where 7.75 is reached
-    peak, live_at_checks, _, _ = _pipeline_peak(0.01, 1024)
+    with blocks_of(1024):
+        peak, live_at_checks, _, _ = _pipeline_peak(0.01)
     assert peak <= 8.5
     assert live_at_checks <= 3
 
@@ -1017,7 +1026,7 @@ def test_congruence_pipeline_peak_memory_at_default_blocks():
     # from the neighbour tables took it to 6.54, where the rigid fit sets it. The
     # defect sets peak at 6.34, and read 6.47 when a batch's corner rows stayed
     # alive while the next batch's were read
-    peak, live_at_checks, defect_sets_peak, fit_peak = _pipeline_peak(5e-3, grid_domain._BLOCK)
+    peak, live_at_checks, defect_sets_peak, fit_peak = _pipeline_peak(5e-3)
     assert peak <= 7
     assert live_at_checks <= 3
     assert defect_sets_peak <= min(fit_peak, 6.4)
@@ -1029,7 +1038,7 @@ def test_congruence_pipeline_peak_memory_with_the_operator_handed_over():
     # centres at once read 9.57, where 7.26 is reached; the operator (3 n-floats)
     # is freed once reconstructed, so the topology checks start at 0.80 (the
     # validity mask and the target's cached component rows), as with a held one
-    peak, live_at_checks, _, _ = _pipeline_peak(5e-3, grid_domain._BLOCK, handed_over=True)
+    peak, live_at_checks, _, _ = _pipeline_peak(5e-3, handed_over=True)
     assert peak <= 8.0
     assert live_at_checks <= 1
 
@@ -1071,7 +1080,7 @@ def test_rigid_fit_report_holds_motions_and_scalars_only():
     assert held / (8 * T.target.n_cells) < 0.1
 
 
-def test_rigid_fit_peak_memory():
+def test_rigid_fit_peak_memory(blocks_of):
     # in n-float arrays above the live reconstruction (n = 40,000 cells, one
     # component, 16,384-row blocks): a fit that kept its last component's
     # copies alive through the Jacobian pass peaked at 12.42, and one that kept
@@ -1081,7 +1090,7 @@ def test_rigid_fit_peak_memory():
                        RigidMotion.rotation(0.7, b=(0.1, 0.2), sign=-1))
     rec = reconstruct(T, p=2.0)
     rigid_motion_fit(rec)  # builds the domain's cached neighbour and component rows
-    with _blocks_of(16_384):
+    with blocks_of(16_384):
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
