@@ -43,15 +43,12 @@ def form_a(u: Field, v: Field, p: float) -> float:
         raise ValueError(f"form requires p in (1, inf), got {p}")
     _same_domain(u, v)
 
-    def grad_term(blk):
+    def terms(blk):  # the zero-order and gradient integrands, summed in one walk
         du, dv = gradient_rows([u, v], blk)
-        return _grad_weight(np.linalg.norm(du, axis=1), p - 2.0) * np.einsum("nd,nd->n", du, dv)
+        return (np.sign(u.values[blk]) * np.abs(u.values[blk]) ** (p - 1.0) * v.values[blk],
+                _grad_weight(np.linalg.norm(du, axis=1), p - 2.0) * np.einsum("nd,nd->n", du, dv))
 
-    n = u.domain.n_cells
-    # one pass per term keeps a single n-length summand array alive
-    zero_order = _block_sums(n, lambda blk: np.sign(u.values[blk])
-                             * np.abs(u.values[blk]) ** (p - 1.0) * v.values[blk])
-    grad_sum = _block_sums(n, grad_term)
+    zero_order, grad_sum = _block_sums(u.domain.n_cells, terms)
     return _finite((zero_order + grad_sum) * u.domain.h**u.domain.dim,
                    f"the form a_p overflows at p = {p}")
 
@@ -64,38 +61,46 @@ def form_b(u: Field, v: Field, w: Field, p: float) -> float:
     _same_domain(u, v)
     _same_domain(u, w)
 
-    def grad_terms(blk):  # both share the three gradients of the block
+    def terms(blk):  # the three integrands share the three gradients of the block
         du, dv, dw = gradient_rows([u, v, w], blk)
         mag = np.linalg.norm(du, axis=1)
         inner = np.einsum("nd,nd->n", du, dv) * np.einsum("nd,nd->n", du, dw)
-        return (_grad_weight(mag, p - 4.0) * inner,
+        # products of v and w first so the result is symmetric in (v, w) exactly
+        return (np.abs(u.values[blk]) ** (p - 2.0) * (v.values[blk] * w.values[blk]),
+                _grad_weight(mag, p - 4.0) * inner,
                 _grad_weight(mag, p - 2.0) * np.einsum("nd,nd->n", dv, dw))
 
-    n = u.domain.n_cells
-    # products of v and w first so the result is symmetric in (v, w) exactly
-    t1 = _block_sums(n, lambda blk: np.abs(u.values[blk]) ** (p - 2.0)
-                     * (v.values[blk] * w.values[blk]))
-    t2, t3 = _block_sums(n, grad_terms)
+    t1, t2, t3 = _block_sums(u.domain.n_cells, terms)
     return _finite(((p - 1.0) * t1 + (p - 2.0) * t2 + t3) * u.domain.h**u.domain.dim,
                    f"the form b_p overflows at p = {p}")
 
 
+def _ladder(s_values) -> tuple[float, ...]:
+    """The step sizes as floats, checked to be nonempty, strictly decreasing and positive."""
+    s = tuple(float(v) for v in s_values)
+    if len(s) == 0:
+        raise ValueError("the step ladder must not be empty")
+    if any(b >= a for a, b in zip(s, s[1:])):
+        raise ValueError("step sizes must be strictly decreasing")
+    if any(v <= 0 for v in s):
+        raise ValueError("step sizes must be positive")
+    return s
+
+
 @dataclass(frozen=True)
 class GateauxReport:
-    """Difference-quotient errors over a ladder of step sizes."""
+    """Difference-quotient errors over a ladder of step sizes, with the value the
+    quotients start from (``base``) and the derivative they are compared against
+    (``predicted``)."""
 
     s_values: tuple[float, ...]
     errors: tuple[float, ...]
     slope: float
+    base: float
+    predicted: float
 
     def __post_init__(self):
-        s = tuple(float(v) for v in self.s_values)
-        if len(s) == 0:
-            raise ValueError("the step ladder must not be empty")
-        if any(b >= a for a, b in zip(s, s[1:])):
-            raise ValueError("step sizes must be strictly decreasing")
-        if any(v <= 0 for v in s):
-            raise ValueError("step sizes must be positive")
+        s = _ladder(self.s_values)
         errs = tuple(float(e) for e in self.errors)
         if any(e < 0 for e in errs):
             raise ValueError("errors must be nonnegative")
@@ -114,16 +119,16 @@ def _fit_slope(s: tuple[float, ...], errors: tuple[float, ...]) -> float:
 
 
 def _quotient_report(s_values, at, base: float, predicted: float) -> GateauxReport:
-    """Errors of the difference quotients (at(s) - base) / s against
-    ``predicted``, over the ladder from its largest step down."""
-    s_values = tuple(sorted((float(s) for s in s_values), reverse=True))
+    """Errors of the difference quotients (at(s) - base) / s against ``predicted``
+    over the checked ladder ``s_values``, its largest step first."""
     errors = tuple(abs((at(s) - base) / s - predicted) for s in s_values)
-    return GateauxReport(s_values, errors, _fit_slope(s_values, errors))
+    return GateauxReport(s_values, errors, _fit_slope(s_values, errors), base, predicted)
 
 
 def gateaux_check_norm(u: Field, v: Field, p: float,
                        s_values=DEFAULT_S_LADDER) -> GateauxReport:
     """Compare (||u + s v||^p - ||u||^p) / s against p * a_p(u, v); a_p checks p."""
+    s_values = _ladder(sorted(map(float, s_values), reverse=True))
     _same_domain(u, v)
     return _quotient_report(s_values, lambda s: w1p_pow_sum(u + s * v, p),
                             w1p_pow_sum(u, p), p * form_a(u, v, p))
@@ -132,6 +137,7 @@ def gateaux_check_norm(u: Field, v: Field, p: float,
 def gateaux_check_form(u: Field, v: Field, w: Field, p: float,
                        s_values=DEFAULT_S_LADDER) -> GateauxReport:
     """Compare (a_p(u + s v, w) - a_p(u, w)) / s against b_p(u, v, w); b_p checks p."""
+    s_values = _ladder(sorted(map(float, s_values), reverse=True))
     return _quotient_report(s_values, lambda s: form_a(u + s * v, w, p),
                             form_a(u, w, p), form_b(u, v, w, p))
 

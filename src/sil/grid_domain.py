@@ -818,9 +818,9 @@ def domain_from_spec(spec, default_h: float | None = None) -> GridDomain:
     if not boxes:
         raise ValueError("domain spec needs at least one box")
     dim = _json_value(spec.get("dim", len(boxes[0][0])), "an integer", "dim")
-    parts = [make_box(_as_point(lo, dim), _as_point(hi, dim), h) for lo, hi in boxes]
+    parts = [make_box(lo, hi, h) for lo, hi in _spec_corners(boxes, dim, "box")]
     _check_budget(sum(p.n_cells for p in parts), "domain spec")
-    return _boxes_minus_holes(parts, holes)
+    return _boxes_minus_holes(parts, _spec_corners(holes, dim, "hole"))
 
 
 def _spec_box(box) -> tuple[list, list]:
@@ -829,3 +829,12 @@ def _spec_box(box) -> tuple[list, list]:
     return tuple([_json_value(x, "a finite number", k)
                   for x in _json_value(box.get(k), "an array", k)] for k in _SPEC_KEYS["box"])
 
+
+def _spec_corners(boxes: list, dim: int, what: str) -> list:
+    """``boxes``, once each of their corners is checked to have ``dim`` coordinates."""
+    for i, box in enumerate(boxes):
+        for key, corner in zip(_SPEC_KEYS["box"], box):
+            if len(corner) != dim:
+                raise ValueError(f"{what} {i}'s {key!r} must be a point of dimension {dim}, "
+                                 f"got {corner}")
+    return boxes

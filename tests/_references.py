@@ -6,7 +6,8 @@ import functools
 
 import numpy as np
 
-from sil.field import VectorField, lp_pow_sum
+from sil.field import VectorField, _block_sums, gradient_rows, lp_pow_sum
+from sil.forms import _grad_weight
 from sil.grid_domain import GridDomain, _as_point, row_blocks
 
 
@@ -54,8 +55,14 @@ def reference_gradient(u):
 
 def subtract_boxes(domain, boxes):
     """The cells of ``domain`` whose centres lie in none of the open ``boxes``,
-    the centres computed a row block at a time."""
-    boxes = [[np.asarray(_as_point(x, domain.dim)) for x in box] for box in boxes]
+    the centres computed a row block at a time; a corner of another dimension is
+    named as a domain spec's hole."""
+    for i, box in enumerate(boxes):
+        for key, x in zip(("lo", "hi"), box):
+            if len(x) != domain.dim:
+                raise ValueError(f"hole {i}'s {key!r} must be a point of dimension "
+                                 f"{domain.dim}, got {x}")
+    boxes = [[np.asarray(_as_point(x)) for x in box] for box in boxes]
     keep = np.ones(domain.n_cells, dtype=bool)
     for blk in row_blocks(domain.n_cells):
         centers = domain.centers_of(blk)
@@ -72,3 +79,31 @@ def reference_clarkson_slack(f, g, p):
     lhs = (lp_pow_sum(VectorField(f.domain, f.values + g.values), p)
            + lp_pow_sum(VectorField(f.domain, f.values - g.values), p))
     return float(lhs - (2.0 * lp_pow_sum(f, p) + 2.0 * lp_pow_sum(g, p)))
+
+
+def two_walk_form_a(u, v, p):
+    """``form_a`` as two blocked walks, the zero-order sum and then the gradient sum."""
+    def grad_term(blk):
+        du, dv = gradient_rows([u, v], blk)
+        return _grad_weight(np.linalg.norm(du, axis=1), p - 2.0) * np.einsum("nd,nd->n", du, dv)
+
+    n = u.domain.n_cells
+    zero_order = _block_sums(n, lambda blk: np.sign(u.values[blk])
+                             * np.abs(u.values[blk]) ** (p - 1.0) * v.values[blk])
+    return (zero_order + _block_sums(n, grad_term)) * u.domain.h**u.domain.dim
+
+
+def two_walk_form_b(u, v, w, p):
+    """``form_b`` as two blocked walks, the zero-order sum and then both gradient sums."""
+    def grad_terms(blk):
+        du, dv, dw = gradient_rows([u, v, w], blk)
+        mag = np.linalg.norm(du, axis=1)
+        inner = np.einsum("nd,nd->n", du, dv) * np.einsum("nd,nd->n", du, dw)
+        return (_grad_weight(mag, p - 4.0) * inner,
+                _grad_weight(mag, p - 2.0) * np.einsum("nd,nd->n", dv, dw))
+
+    n = u.domain.n_cells
+    t1 = _block_sums(n, lambda blk: np.abs(u.values[blk]) ** (p - 2.0)
+                     * (v.values[blk] * w.values[blk]))
+    t2, t3 = _block_sums(n, grad_terms)
+    return ((p - 1.0) * t1 + (p - 2.0) * t2 + t3) * u.domain.h**u.domain.dim

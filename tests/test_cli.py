@@ -629,6 +629,15 @@ class TestInputErrorsExit2:
         # each of these once exited 2 with a message of numpy's or of a later check
         pytest.param("domain", {"h": 0.1, "boxes": [{"lo": [], "hi": []}]},
                      "dim must be 1 or 2, got 0", id="box-empty-corners"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [{"lo": [0], "hi": [1]}]},
+                     "box 0's 'lo' must be a point of dimension 2, got [0]",
+                     id="box-corner-wrong-length"),
+        pytest.param("domain", {"dim": 2, "h": 0.1, "boxes": [_UNIT_BOX],
+                                "subtract": [{"lo": [0.2], "hi": [0.4]}]},
+                     "hole 0's 'lo' must be a point of dimension 2, got [0.2]",
+                     id="hole-corner-wrong-length"),
+        pytest.param("domain", {"h": 0.1, "boxes": [{"lo": [0, 0], "hi": [1]}]},
+                     "box 0's 'hi' must be a point of dimension 2, got [1]", id="box-hi-short"),
         pytest.param("motion", {"Q": [[1, 0], [0]], "b": [0, 0]},
                      "'Q' must be a square array of numbers, got [[1, 0], [0]]",
                      id="motion-Q-ragged"),

@@ -1,5 +1,6 @@
 """Unit tests of the verdicts of ``tools/compare_outputs.py`` on synthetic run
-lists, and of the inputs of its fixed commands: no command is run."""
+lists, and of the inputs of its fixed commands: no command is run, though a
+suite may be run in process to show what a command's report can see."""
 
 import importlib.util
 import json
@@ -9,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from sil import grid_domain
+from sil import grid_domain, suites
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools", "compare_outputs.py")
@@ -192,3 +193,29 @@ def test_clarkson_commands_reach_a_partial_stack_and_split_sums(tmp_path):
     k = grid_domain._BLOCK // n_cells["clarkson.partial_stack"]
     assert k > 1 and 1000 % k != 0
     assert n_cells["clarkson.split_sums"] > max(grid_domain._BLOCK, 128)
+
+
+def test_clarkson_draw_order_command_sees_the_battery_draw_order(tmp_path, monkeypatch):
+    # the battery's stacks drawn as (2, m, n, dim) and transposed leave the default
+    # report (h 0.05) byte-identical, but not the report at the draw_order width
+    (argv,) = [argv for label, argv, _ in compare_outputs._fixed_commands(str(tmp_path))
+               if label == "clarkson.draw_order"]
+    assert argv[:3] == ["verify", "--suite", "clarkson"]
+    h = float(argv[argv.index("--h") + 1])
+    default_rng = np.random.default_rng
+
+    class Reordered:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def normal(self, loc, scale, size):
+            m, two, *rest = size
+            return self._rng.normal(loc, scale, (two, m, *rest)).swapaxes(0, 1)
+
+    def report(width):
+        return json.dumps(suites.suite_clarkson(suites.SuiteConfig("clarkson", h=width)))
+
+    plain = {width: report(width) for width in (h, 0.05)}
+    monkeypatch.setattr(suites.np.random, "default_rng", Reordered)
+    assert report(h) != plain[h]
+    assert report(0.05) == plain[0.05]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from sil import (
     random_smooth_field,
     w1p_pow_sum,
 )
-from sil import forms, grid_domain, suites
+from sil import field, forms, grid_domain, suites
 from sil.field import gradient_rows
 from sil.suites import _check
 
-from _references import reference_clarkson_slack, reference_gradient
+from _references import (reference_clarkson_slack, reference_gradient, two_walk_form_a,
+                         two_walk_form_b)
 
 
 class TestFormA:
@@ -143,9 +145,40 @@ class TestGateauxNorm:
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):
-            GateauxReport((1e-3, 1e-2), (0.1, 0.2), 1.0)  # not decreasing
+            GateauxReport((1e-3, 1e-2), (0.1, 0.2), 1.0, 1.0, 2.0)  # not decreasing
         with pytest.raises(ValueError):
-            GateauxReport((1e-2, 1e-3), (0.1, -0.2), 1.0)  # negative error
+            GateauxReport((1e-2, 1e-3), (0.1, -0.2), 1.0, 1.0, 2.0)  # negative error
+
+    def test_report_carries_base_and_prediction(self, square):
+        rng = np.random.default_rng(11)
+        u, v, w = (random_smooth_field(square, rng) for _ in range(3))
+        norm, form = gateaux_check_norm(u, v, 3.0), gateaux_check_form(u, v, w, 3.0)
+        assert (norm.base, norm.predicted) == (w1p_pow_sum(u, 3.0), 3.0 * form_a(u, v, 3.0))
+        assert (form.base, form.predicted) == (form_a(u, w, 3.0), form_b(u, v, w, 3.0))
+
+
+@pytest.mark.parametrize("ladder, message", [
+    ((), "the step ladder must not be empty"),
+    ((1e-2, 0.0), "step sizes must be positive"),
+    ((1e-2, -1e-3), "step sizes must be positive"),
+    ((1e-2, 1e-2), "step sizes must be strictly decreasing"),
+])
+@pytest.mark.parametrize("check", ["norm", "form"])
+def test_bad_ladder_rejected_before_any_integral(check, ladder, message, square, monkeypatch):
+    # each of these was once checked only after the base, the prediction and every
+    # step were evaluated, and the last three stopped at a numpy warning first
+    calls = []
+    for name in ("form_a", "form_b", "w1p_pow_sum"):
+        monkeypatch.setattr(forms, name, lambda *a, _name=name: calls.append(_name))
+    u = random_smooth_field(square, np.random.default_rng(12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if check == "norm":
+                gateaux_check_norm(u, u, 3.0, ladder)
+            else:
+                gateaux_check_form(u, u, u, 3.0, ladder)
+    assert calls == []
 
 
 class TestGateauxForm:
@@ -419,6 +452,56 @@ def test_blocked_kernels_exact_on_random_domains(domain, seed):
     assert domain.n_cells > grid_domain._BLOCK
     _assert_blocked_kernels_exact(domain, seed)
 
+
+@pytest.mark.parametrize("form, n_fields", [(form_a, 2), (form_b, 3)])
+def test_each_form_is_one_blocked_walk(form, n_fields, monkeypatch):
+    walks = []
+
+    def recorded(n, summands, start=0):
+        walks.append(n)
+        return field._block_sums(n, summands, start)
+
+    monkeypatch.setattr(forms, "_block_sums", recorded)
+    domain = make_box((0.0, 0.0), (1.0, 1.0), 0.004)  # 62,500 cells, a split sum
+    rng = np.random.default_rng(13)
+    form(*(random_smooth_field(domain, rng) for _ in range(n_fields)), 3.0)
+    assert walks == [domain.n_cells]
+
+
+@pytest.mark.parametrize("block", [16384, 150, 7])
+@pytest.mark.parametrize("make_domain", [
+    pytest.param(lambda: make_box((0.0, 0.0), (1.0, 1.0), 0.02), id="box-h0.02"),
+    pytest.param(lambda: make_box((0.0, 0.0), (1.0, 1.0), 0.004), id="box-h0.004"),
+    pytest.param(lambda: make_box(0.0, 1.0, 1e-4), id="interval-h1e-4"),
+    pytest.param(lambda: domain_from_spec("fat_cantor(0.5)"), id="fat-cantor"),
+])
+def test_one_walk_forms_equal_the_two_walk_sums(make_domain, block, blocks_of):
+    # summing the tuple of integrands as one (k, b) array gives each sum's bits
+    domain = make_domain()
+    rng = np.random.default_rng(14)
+    u, v, w = (random_smooth_field(domain, rng) for _ in range(3))
+    with blocks_of(block):
+        for p in (1.5, 2.0, 2.5, 3.0, 4.0):
+            assert form_a(u, v, p).hex() == two_walk_form_a(u, v, p).hex()
+            if p > 2.0:
+                assert form_b(u, v, w, p).hex() == two_walk_form_b(u, v, w, p).hex()
+
+
+def test_norm_calculus_evaluates_each_integral_once(monkeypatch):
+    # the suite reads the base and the prediction its Gateaux checks computed
+    calls = {"form_a": 0, "form_b": 0}
+    for name in calls:
+        original = getattr(forms, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (forms, suites):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    suites.suite_norm_calculus(suites.SuiteConfig("norm-calculus"))
+    assert calls == {"form_a": 600, "form_b": 60}
 
 
 @pytest.mark.parametrize("form, args, p", [

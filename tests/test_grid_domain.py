@@ -262,7 +262,8 @@ class TestDomainSpec:
         # the budget, then each hole's dimension, then an empty result
         square, hole = {"lo": [0, 0], "hi": [1, 1]}, {"lo": [0.5], "hi": [0.6]}
         spec = {"dim": 2, "h": 0.05, "boxes": [square], "subtract": [hole]}
-        with pytest.raises(ValueError, match=r"^expected a point of dimension 2, got \(0\.5,\)$"):
+        with pytest.raises(ValueError, match=r"^hole 0's 'lo' must be a point of dimension 2, "
+                                             r"got \[0\.5\]$"):
             domain_from_spec(spec)
         monkeypatch.setenv("SIL_CELL_BUDGET", "100")
         with pytest.raises(ValueError, match="needs 400 cells, exceeding the budget of 100"):

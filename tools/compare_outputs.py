@@ -5,7 +5,7 @@
 From one fixed work directory, this runs the six ``sil verify`` suites at
 their defaults with ``--report``, and every command that
 ``perfbench/workloads.generate`` writes for the three workloads at the given
-seeds, and eight fixed commands no workload generates: ``sil reconstruct`` of
+seeds, and nine fixed commands no workload generates: ``sil reconstruct`` of
 the identity on a 0.01 unit square given as ``--domain``, ``sil
 reconstruct`` of ``example_4_8`` at h = 1e-3, and again at h = 2e-5, whose
 50,000 target nodes span four row blocks, so that a transcendental closed form
@@ -21,7 +21,9 @@ stencils' axis-0 pieces cross row blocks in the rigid fit's Jacobian and
 weight gradient, and ``sil verify --suite clarkson`` at h = 0.03 (1,089 cells,
 so stacks of 15 samples and a last stack of 10) and at h = 0.007 with p = 3
 (20,449 cells, so one sample a stack and power sums split across row blocks),
-two regimes the default run (400 cells, stacks of 40) does not reach.  Each
+two regimes the default run (400 cells, stacks of 40) does not reach, and at
+h = 0.08 (144 cells), whose report changes when the battery's samples are
+drawn in another order, where the default run's and those two do not.  Each
 command runs on both checkouts back to back, OLD first for every other
 command and NEW first for the rest, so drift over the run moves both sides
 alike.  Each command runs as ``python -m sil.cli`` in a fresh
@@ -74,7 +76,7 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
-    """The eight commands no workload generates; writes their JSON inputs under ``work``."""
+    """The nine commands no workload generates; writes their JSON inputs under ``work``."""
     def write(name, payload):
         path = os.path.join(work, name)
         with open(path, "w") as fh:
@@ -116,7 +118,8 @@ def _fixed_commands(work: str) -> list[tuple[str, list[str], tuple[str, ...]]]:
     out.append(("congruence.staircase", ["verify", "--suite", "congruence", "--spec", spec,
                                          "--report", report], (report,)))
     for label, argv in (("clarkson.partial_stack", ["--h", "0.03"]),
-                        ("clarkson.split_sums", ["--h", "0.007", "--p", "3"])):
+                        ("clarkson.split_sums", ["--h", "0.007", "--p", "3"]),
+                        ("clarkson.draw_order", ["--h", "0.08"])):
         report = os.path.join(work, f"report_{label}.json")
         out.append((label, ["verify", "--suite", "clarkson", *argv, "--report", report],
                     (report,)))
