@@ -76,7 +76,7 @@ def form_b(u: Field, v: Field, w: Field, p: float) -> float:
 
 
 def _ladder(s_values) -> tuple[float, ...]:
-    """The step sizes as floats, checked to be nonempty, strictly decreasing and positive."""
+    """The step sizes as floats, checked nonempty, strictly decreasing, positive and finite."""
     s = tuple(float(v) for v in s_values)
     if len(s) == 0:
         raise ValueError("the step ladder must not be empty")
@@ -84,6 +84,8 @@ def _ladder(s_values) -> tuple[float, ...]:
         raise ValueError("step sizes must be strictly decreasing")
     if any(v <= 0 for v in s):
         raise ValueError("step sizes must be positive")
+    if not np.isfinite(s).all():
+        raise ValueError("step sizes must be finite")
     return s
 
 
@@ -108,14 +110,16 @@ class GateauxReport:
         object.__setattr__(self, "errors", errs)
 
 
+@np.errstate(invalid="ignore")  # an infinite error gives a NaN slope, with no warning
 def _fit_slope(s: tuple[float, ...], errors: tuple[float, ...]) -> float:
     s_arr = np.asarray(s)
     e_arr = np.asarray(errors)
     ok = e_arr > 0.0
     if ok.sum() < 2:
         return float("nan")
-    coeffs = np.polyfit(np.log(s_arr[ok]), np.log(e_arr[ok]), 1)
-    return float(coeffs[0])
+    x, y = np.log(s_arr[ok]), np.log(e_arr[ok])
+    x -= x.mean()  # the least-squares slope of y on x, in closed form
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 def _quotient_report(s_values, at, base: float, predicted: float) -> GateauxReport:

@@ -582,6 +582,8 @@ class RigidMotion:
         Q = np.asarray(self.Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
+        if Q.shape[0] not in (1, 2):
+            raise ValueError(f"motion dimension must be 1 or 2, got {Q.shape[0]}")
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if b.shape[0] != Q.shape[0]:
             raise ValueError("translation dimension does not match Q")
@@ -590,7 +592,8 @@ class RigidMotion:
         dev = np.abs(Q.T @ Q - np.eye(Q.shape[0])).max()
         if not (dev <= _ORTHO_TOL):
             raise ValueError(f"Q is not orthogonal: max |Q^T Q - I| = {dev:.3e}")
-        if not (abs(abs(float(np.linalg.det(Q))) - 1.0) <= _ORTHO_TOL):
+        det = Q[0, 0] if Q.shape[0] == 1 else Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
+        if not (abs(abs(float(det)) - 1.0) <= _ORTHO_TOL):
             raise ValueError("Q must have |det Q| = 1")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")

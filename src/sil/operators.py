@@ -386,8 +386,17 @@ def _component_motion(rec: ReconstructionResult, rows: np.ndarray) -> RigidMotio
     xm, ym = X.mean(axis=0), Y.mean(axis=0)
     X -= xm  # centred in place: both are copies
     Y -= ym
-    U, _, Vt = np.linalg.svd(Y.T @ X)  # the d x d cross-covariance
-    Q = U @ Vt
+    M = Y.T @ X  # the d x d cross-covariance
+    if not np.isfinite(M).all():
+        raise ValueError("the cross-covariance of a component's fit overflows")
+    if M.shape == (1, 1):
+        Q = np.where(M >= 0.0, 1.0, -1.0)
+    else:  # the rotation (f = 1) or reflection (f = -1) of the larger trace(Q^T M)
+        (a, b), (c, d) = M.tolist()
+        f = 1.0 if np.hypot(a + d, c - b) >= np.hypot(a - d, b + c) else -1.0
+        cos, sin = a + f * d, c - f * b
+        r = np.hypot(cos, sin)
+        Q = np.array([[cos, -f * sin], [sin, f * cos]]) / r if r else np.eye(2)
     sign = 1 if float(rec.g_hat.values[rows].mean()) >= 0.0 else -1
     return RigidMotion(Q, ym - Q @ xm, sign)
 
@@ -395,8 +404,9 @@ def _component_motion(rec: ReconstructionResult, rows: np.ndarray) -> RigidMotio
 def rigid_motion_fit(rec: ReconstructionResult) -> RigidFitReport:
     """Orthogonal Procrustes (Kabsch, Umeyama), one motion per component.
 
-    Each ``Q`` is U V^T from the SVD of the component's centred cross-covariance,
-    with no determinant correction, as reflections are isometries too.  Defects are
+    Each ``Q`` is the orthogonal polar factor U V^T of the component's centred
+    cross-covariance, read in closed form (Higham 1986), with no determinant
+    correction, as reflections are isometries too.  Defects are
     finite differences away from the reconstruction zero set; ``rigid`` records
     whether the Jacobian orthogonality defect stays within ``_RIGID_ORTHO_TOL``.
     """

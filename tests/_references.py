@@ -3,6 +3,7 @@ blocked kernels of ``sil`` replaced, kept lookup-based so that they check the
 neighbour tables rather than reuse them."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,3 +108,31 @@ def two_walk_form_b(u, v, w, p):
                      * (v.values[blk] * w.values[blk]))
     t2, t3 = _block_sums(n, grad_terms)
     return ((p - 1.0) * t1 + (p - 2.0) * t2 + t3) * u.domain.h**u.domain.dim
+
+
+def polyfit_slope(s, errors):
+    """The log-log slope of ``errors`` over the steps ``s`` as ``np.polyfit`` fits it
+    (LAPACK's least squares), over the positive errors, NaN with fewer than two."""
+    s_arr, e_arr = np.asarray(s), np.asarray(errors)
+    ok = e_arr > 0.0
+    if ok.sum() < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(s_arr[ok]), np.log(e_arr[ok]), 1)[0])
+
+
+def exact_slope(s, errors):
+    """The least-squares slope of the same logs as ``polyfit_slope``, in exact rational
+    arithmetic on the float logs, rounded once."""
+    s_arr, e_arr = np.asarray(s), np.asarray(errors)
+    ok = e_arr > 0.0
+    x, y = ([Fraction(float(v)) for v in np.log(a[ok])] for a in (s_arr, e_arr))
+    xm, ym = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - xm) * (b - ym) for a, b in zip(x, y))
+                 / sum((a - xm) ** 2 for a in x))
+
+
+def svd_polar_factor(M):
+    """The orthogonal polar factor U V^T of ``M`` from LAPACK's SVD, with no
+    determinant correction."""
+    U, _, Vt = np.linalg.svd(M)
+    return U @ Vt

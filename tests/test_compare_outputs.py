@@ -62,6 +62,98 @@ def test_compare_names_the_earliest_command_and_item():
     assert compare_outputs.compare(old, new).startswith("b: stderr differs")
 
 
+def _report(*values, word="slope"):
+    """The bytes of a report whose JSON holds ``values``, one to a line from line 4."""
+    return (json.dumps({"word": word, "values": list(values)}, indent=1) + "\n").encode()
+
+
+def _two_reports(old_report, new_report, **changes):
+    """Two runs of three commands whose ``verify.congruence`` writes the two reports,
+    the second also with the keyword changes."""
+    run = [_command("verify.plaplace"), None, _command("reconstruct.identity")]
+    old, new = list(run), list(run)
+    old[1] = _command("verify.congruence", files=[("report.json", old_report)])
+    new[1] = _command("verify.congruence", files=[("report.json", new_report)], **changes)
+    return old, new
+
+
+def test_a_one_ulp_change_is_within_roundoff():
+    x = 0.1 + 0.2
+    lines, verdict = compare_outputs.roundoff(*_two_reports(
+        _report(1.0, x, 2.5), _report(1.0, math.nextafter(x, 1.0), 2.5)))
+    assert verdict == "within roundoff: every number moved by at most 64 eps max(|a|, |b|, 1)"
+    assert lines == [f"  verify.congruence report.json: 1 numbers moved, relative 1.85e-16, "
+                     f"1 ulps, worst at line 5: {x!r} -> {math.nextafter(x, 1.0)!r}"]
+
+
+def test_a_change_of_1e_9_is_beyond_roundoff():
+    # the worst pair is named per item, the first pair beyond the bound in the verdict
+    lines, verdict = compare_outputs.roundoff(*_two_reports(
+        _report(1.0, 2.0, 3.0), _report(1.0 + 1e-9, 2.0, 3.0 + 3e-8)))
+    assert verdict == "BEYOND roundoff at verify.congruence report.json line 4: 1.0 -> 1.000000001"
+    assert lines[0].endswith("worst at line 6: 3.0 -> 3.00000003")
+
+
+def test_a_changed_word_is_a_text_difference():
+    lines, verdict = compare_outputs.roundoff(*_two_reports(_report(1.0),
+                                                            _report(1.0, word="order")))
+    assert lines == ["  verify.congruence report.json: text differs"]
+    assert verdict == "BEYOND roundoff at verify.congruence report.json: text differs"
+
+
+@pytest.mark.parametrize("change", [dict(code=2), dict(stderr=b"at 1.0000000000000002\n")])
+def test_exit_codes_and_stderr_must_be_identical(change):
+    # even a 1-ulp move in stderr is not roundoff: both stay byte for byte
+    old = [_command("verify.congruence", code=1, stderr=b"at 1.0\n")]
+    new = [_command("verify.congruence", **{"code": 1, "stderr": b"at 1.0\n", **change})]
+    what = "exit code" if "code" in change else "stderr"
+    assert compare_outputs.roundoff(old, new) == (
+        [f"  verify.congruence {what}: text differs"],
+        f"BEYOND roundoff at verify.congruence {what}: text differs")
+
+
+def test_a_near_zero_pair_is_judged_against_the_floor():
+    # entries that should be zero move by an absolute 64 eps or less; a purely
+    # relative bound would call this sign change a move of 2
+    lines, verdict = compare_outputs.roundoff(*_two_reports(_report(1.97e-17, 0.5),
+                                                            _report(-1.94e-17, 0.5)))
+    assert verdict.startswith("within roundoff")
+    assert "relative 1.98," in lines[0]
+    _, verdict = compare_outputs.roundoff(*_two_reports(_report(1e-14), _report(-1e-14)))
+    assert verdict == "BEYOND roundoff at verify.congruence report.json line 4: 1e-14 -> -1e-14"
+
+
+def test_numbers_pair_up_in_json_csv_and_text():
+    # NaN and infinities as JSON and repr write them; digits inside names pair up
+    # with themselves, so only the numbers written differently are listed
+    a = b"example_4_8 slope 2.0e-3, NaN -Infinity\r\n1,0.5,inf\r\n"
+    b = b"example_4_8 slope 2.5e-3, NaN -Infinity\r\n1,0.5,nan\r\n"
+    first, (line, x, y) = compare_outputs.number_pairs(a, b)
+    assert first == (1, 2.0e-3, 2.5e-3)
+    assert (line, x) == (2, math.inf) and math.isnan(y)
+    assert compare_outputs.number_pairs(b"infinite 1", b"infinite 2") == [(1, 1.0, 2.0)]
+    assert compare_outputs.number_pairs(b"a 1", b"b 1") is None
+
+
+def test_main_prints_the_roundoff_verdict_after_the_first_difference(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a difference still exits 1, however small
+    x = 0.1 + 0.2
+    runs = _two_reports(_report(x), _report(math.nextafter(x, 1.0)))
+    monkeypatch.setattr(compare_outputs, "run", lambda *args: runs)
+    assert compare_outputs.main([str(tmp_path), str(tmp_path),
+                                 "--work", str(tmp_path / "work")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "DIFFERENT verify.congruence: report.json differs, line 4:"
+    assert out[3:6] == [
+        "numbers of each differing item, OLD -> NEW (largest relative and ulp distance, "
+        "worst pair):",
+        f"  verify.congruence report.json: 1 numbers moved, relative 1.85e-16, 1 ulps, "
+        f"worst at line 4: {x!r} -> {math.nextafter(x, 1.0)!r}",
+        "within roundoff: every number moved by at most 64 eps max(|a|, |b|, 1)"]
+    assert out[6] == "lines of each src/ module, OLD -> NEW:"
+
+
 def test_rss_moves_are_the_largest_changes_either_way():
     peaks = [(40.0, 40.1), (50.0, 45.0), (40.0, 42.0), (30.0, 30.0), (40.0, 39.0),
              (40.0, 41.0), (40.0, 40.5)]

@@ -34,8 +34,8 @@ from sil import field, forms, grid_domain, suites
 from sil.field import gradient_rows
 from sil.suites import _check
 
-from _references import (reference_clarkson_slack, reference_gradient, two_walk_form_a,
-                         two_walk_form_b)
+from _references import (exact_slope, polyfit_slope, reference_clarkson_slack,
+                         reference_gradient, two_walk_form_a, two_walk_form_b)
 
 
 class TestFormA:
@@ -148,6 +148,9 @@ class TestGateauxNorm:
             GateauxReport((1e-3, 1e-2), (0.1, 0.2), 1.0, 1.0, 2.0)  # not decreasing
         with pytest.raises(ValueError):
             GateauxReport((1e-2, 1e-3), (0.1, -0.2), 1.0, 1.0, 2.0)  # negative error
+        for ladder in ((math.nan,), (math.inf, 1e-2), (1e-2, math.nan)):
+            with pytest.raises(ValueError, match="^step sizes must be finite$"):
+                GateauxReport(ladder, (0.0,) * len(ladder), 1.0, 0.0, 0.0)
 
     def test_report_carries_base_and_prediction(self, square):
         rng = np.random.default_rng(11)
@@ -162,6 +165,9 @@ class TestGateauxNorm:
     ((1e-2, 0.0), "step sizes must be positive"),
     ((1e-2, -1e-3), "step sizes must be positive"),
     ((1e-2, 1e-2), "step sizes must be strictly decreasing"),
+    ((math.nan,), "step sizes must be finite"),
+    ((math.inf, 1e-2), "step sizes must be finite"),
+    ((1e-2, math.nan), "step sizes must be finite"),
 ])
 @pytest.mark.parametrize("check", ["norm", "form"])
 def test_bad_ladder_rejected_before_any_integral(check, ladder, message, square, monkeypatch):
@@ -179,6 +185,43 @@ def test_bad_ladder_rejected_before_any_integral(check, ladder, message, square,
             else:
                 gateaux_check_form(u, u, u, 3.0, ladder)
     assert calls == []
+
+
+def _within_roundoff(a, b, ulps=64):
+    return abs(a - b) <= ulps * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+
+
+def _random_ladders(rng, n_ladders, min_ratio):
+    """Ladders of 2 to 6 steps, each at least ``min_ratio`` below the last and often
+    just that, with errors off a power law by factors up to about e^0.9, some zero."""
+    for _ in range(n_ladders):
+        n = int(rng.integers(2, 7))
+        gaps = np.log(min_ratio) + rng.exponential(rng.choice([0.01, 1.0]), n)
+        s = 10.0 ** rng.uniform(-2.0, 0.0) * np.exp(-np.cumsum(gaps))
+        noise = np.exp(rng.normal(0.0, rng.choice([0.0, 1e-3, 0.3]), n))
+        errors = s ** rng.uniform(-1.0, 3.0) * noise
+        errors[rng.random(n) < 0.1] = 0.0
+        yield tuple(s), tuple(errors)
+
+
+def test_closed_form_slope_matches_polyfit():
+    # steps at least a factor 2 apart, as every ladder in use is; both read NaN below
+    # two positive errors
+    rng = np.random.default_rng(31)
+    for s, errors in _random_ladders(rng, 2000, 2.0):
+        slope, ref = forms._fit_slope(s, errors), polyfit_slope(s, errors)
+        assert _within_roundoff(slope, ref) or (math.isnan(slope) and math.isnan(ref))
+    # an infinite error reads NaN, as polyfit's does, with no warning
+    assert math.isnan(forms._fit_slope((1e-2, 1e-3, 1e-4), (math.inf, 1.0, 0.5)))
+
+
+def test_closed_form_slope_is_the_exact_slope_of_its_logs():
+    # closer steps cost polyfit's least squares accuracy (up to about 1,400 ulps on
+    # these ladders), not the closed form
+    rng = np.random.default_rng(32)
+    for s, errors in _random_ladders(rng, 500, 1.01):
+        if sum(e > 0.0 for e in errors) >= 2:
+            assert _within_roundoff(forms._fit_slope(s, errors), exact_slope(s, errors), 4)
 
 
 class TestGateauxForm:

@@ -110,6 +110,15 @@ class TestRigidMotion:
         with pytest.raises(ValueError, match="orthogonal"):
             RigidMotion(np.array([[2.0, 0.0], [0.0, 0.5]]), np.zeros(2))
 
+    def test_three_dimensional_motion_rejected(self):
+        # grid domains have dimension 1 or 2, and so do the motions between them
+        with pytest.raises(ValueError, match="^motion dimension must be 1 or 2, got 3$"):
+            RigidMotion(np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("Q", [[[-1.0]], [[0.6, 0.8], [0.8, -0.6]], [[0.0, -1.0], [1.0, 0.0]]])
+    def test_unit_determinant_accepted(self, Q):
+        assert RigidMotion(np.array(Q), np.zeros(len(Q))).Q.tolist() == Q
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             RigidMotion(np.eye(2), np.zeros(2), sign=0)

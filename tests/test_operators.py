@@ -45,7 +45,8 @@ from sil import (
     w1p_norm,
 )
 from sil import field, grid_domain, operators, suites
-from sil.operators import _supersampled_image
+from sil.operators import ReconstructionResult, _component_motion, _supersampled_image
+from _references import svd_polar_factor
 from sil.suites import (
     _check,
     disjoint_bump_pairs,
@@ -329,6 +330,81 @@ class TestRigidMotionFit:
         T = identity_operator(domain)
         with pytest.raises(ValueError, match="too small"):
             rigid_motion_fit(reconstruct(T, p=2.0))
+
+
+def _fitted_and_svd_Q(domain, A, t):
+    """The rigid fit's Q for the affine map xi(x) = A x + t on every cell of ``domain``,
+    and U V^T from the SVD of the same centred cross-covariance."""
+    n = domain.n_cells
+    X = domain.centers_of(np.arange(n))
+    xi = X @ A.T + t
+    rec = ReconstructionResult(Field(domain, np.ones(n)), VectorField(domain, xi),
+                               np.zeros(n, dtype=bool), 0.0)
+    M = (xi - xi.mean(axis=0)).T @ (X - X.mean(axis=0))
+    return _component_motion(rec, np.arange(n)).Q, svd_polar_factor(M)
+
+
+@pytest.mark.parametrize("kind", ["rotation", "reflection", "random", "nearly singular",
+                                  "zero"])
+def test_closed_form_polar_factor_matches_the_svd(kind):
+    # agreement within 64 ulps, floored at 1 as the entries are at most 1 in size; the
+    # near-singular maps keep a singular value ratio of 1e-10 to 1e-4, either sign of det
+    rng = np.random.default_rng(41)
+    domain = make_box((0.0, 0.0), (0.6, 0.4), 0.1)
+    flip = np.diag([1.0, -1.0])
+    for _ in range(200):
+        a1, a2 = rng.uniform(-math.pi, math.pi, 2)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        R1, R2 = (RigidMotion.rotation(angle).Q for angle in (a1, a2))
+        A = {"rotation": lambda: scale * R1,
+             "reflection": lambda: scale * R1 @ flip,
+             "random": lambda: scale * rng.normal(size=(2, 2)),
+             "nearly singular": lambda: scale * R1 @ np.diag(
+                 [1.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, -4)]) @ R2,
+             "zero": lambda: np.zeros((2, 2))}[kind]()
+        # a dyadic shift keeps the centring exact, so A = 0 gives M = 0 exactly
+        Q, ref = _fitted_and_svd_Q(domain, A, rng.integers(-8, 9, 2) / 4.0)
+        assert np.all(np.abs(Q - ref) <= 64 * np.finfo(float).eps), (A, Q, ref)
+    if kind == "zero":
+        assert np.array_equal(Q, np.eye(2))
+
+
+def test_closed_form_polar_factor_in_1d_is_the_sign():
+    domain = make_box(0.0, 1.0, 0.1)
+    for slope, expected in ((2.5, 1.0), (-1e-6, -1.0), (0.0, 1.0)):
+        Q, ref = _fitted_and_svd_Q(domain, np.array([[slope]]), np.array([0.25]))
+        assert Q.tolist() == ref.tolist() == [[expected]]
+
+
+def test_non_finite_cross_covariance_is_named():
+    # the map's values and their mean are finite, its centred cross-covariance is not;
+    # LAPACK's SVD once stopped at "SVD did not converge"
+    domain = make_box((0.0, 0.0), (1e6, 1e6), 1e5)
+    n = domain.n_cells
+    xi = 1e300 * domain.centers_of(np.arange(n))
+    rec = ReconstructionResult(Field(domain, np.ones(n)), VectorField(domain, xi),
+                               np.zeros(n, dtype=bool), 0.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError,
+                           match="^the cross-covariance of a component's fit overflows$"):
+            _component_motion(rec, np.arange(n))
+
+
+def test_no_suite_or_pipeline_calls_lapack(monkeypatch):
+    # the slope and the rigid fit are closed forms, and RigidMotion's determinant too
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for module, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "svd"),
+                         (np.linalg, "det")):
+        monkeypatch.setattr(module, name, forbidden)
+    slopes = [check["slope"] for check in suites.run_suite(suites.SuiteConfig(
+        "norm-calculus", h=0.1)) if "slope" in check]
+    assert slopes and all(map(math.isfinite, slopes))
+    assert suites.run_suite(suites.SuiteConfig("clarkson", h=0.1))
+    assert suites.run_suite(suites.SuiteConfig("plaplace", h=0.05, p=3.0))
+    report = congruence_pipeline(example_5_4_operator(0.05), p=3.0)
+    assert len(report.motions) == 2 and report.reason == "congruent"
 
 
 class TestRigidOperatorInvariants:

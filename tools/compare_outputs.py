@@ -32,7 +32,15 @@ same inputs at the same paths, so reports that record a path still compare.
 
 It prints the first command whose exit code, stdout, stderr or written file
 (report, ``rigid_fit.json``, CSV) differs and exits 1, or exits 0 when all
-are byte-identical.  After that verdict it prints the line count of each
+are byte-identical.  When some differ, it then checks that each difference is
+roundoff: exit codes and stderr must be identical, and each differing stdout
+or written file must keep every character outside its numbers.  For each such
+item it pairs up the numbers, OLD with NEW, and prints the largest relative and
+ulp distances and the worst pair.  One verdict follows: "within roundoff" when
+every pair has |a - b| <= 64 eps max(|a|, |b|, 1), whose floor of 1 judges
+entries that should be zero by an absolute 64 eps, or "BEYOND roundoff" with
+the first leaf (command, item, line and pair) that breaks the bound or differs
+in its text.  After that it prints the line count of each
 module under ``src``, OLD -> NEW, and their total, as ``wc -l`` counts them,
 then lists the commands whose peak resident set size (``ru_maxrss`` from
 ``os.wait4``, one run each, so differences of a few tenths of a MB are noise)
@@ -49,7 +57,9 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -62,6 +72,11 @@ SUITES = ("norm-calculus", "clarkson", "plaplace", "examples", "reconstruction",
 _MARKER = ".compare_outputs"
 _SQUARE = {"dim": 2, "h": 0.01, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}
 _TOP_RSS = 5  # commands listed by peak RSS change
+_ROUNDOFF = 64 * sys.float_info.epsilon  # the bound on |a - b| / max(|a|, |b|, 1)
+# a decimal number, or a float that JSON or repr writes out of range or undefined
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     rb"|(?<![\w.])-?(?:Infinity|NaN|inf|nan)(?!\w)")
+_EXACT_ITEMS = ("exit code", "stderr")  # items that must match byte for byte
 # A child that subprocess spawns shares its parent's memory until it execs, and Linux
 # then counts the parent's peak in the child's ru_maxrss; this tool's peak grows with
 # the outputs it holds, so each command runs under this small launcher, which writes
@@ -215,6 +230,60 @@ def compare(old, new) -> str | None:
     return None
 
 
+def _ulps(a: float, b: float) -> int:
+    """The number of doubles from ``a`` to ``b``; -0.0 and 0.0 are one."""
+    def rank(x):
+        n = struct.unpack("<q", struct.pack("<d", x))[0]
+        return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
+    return abs(rank(a) - rank(b))
+
+
+def _distance(a: float, b: float, floor: float) -> float:
+    """|a - b| / max(|a|, |b|, floor): 0 for equal values, inf where either is NaN."""
+    if a == b:
+        return 0.0
+    d = abs(a - b) / max(abs(a), abs(b), floor)
+    return d if d == d else math.inf
+
+
+def number_pairs(a: bytes, b: bytes) -> list[tuple[int, float, float]] | None:
+    """The (line, old, new) of each pair of numbers written differently in two texts,
+    in text order, or None when the texts differ outside their numbers."""
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return None
+    return [(a.count(b"\n", 0, x.start()) + 1, float(x[0]), float(y[0]))
+            for x, y in zip(_NUMBER.finditer(a), _NUMBER.finditer(b)) if x[0] != y[0]]
+
+
+def roundoff(old, new) -> tuple[list[str], str]:
+    """Per differing item of two runs, the largest moves of its numbers, described,
+    and the verdict: within roundoff, or the first leaf beyond it."""
+    lines, beyond = [], None
+    for (label, items_old, _), (_, items_new, _) in zip(old, new):
+        for (what, a), (_, b) in zip(items_old, items_new):
+            if a == b:
+                continue
+            pairs = None
+            if what not in _EXACT_ITEMS and isinstance(a, bytes) and isinstance(b, bytes):
+                pairs = number_pairs(a, b)
+            if pairs is None:
+                lines.append(f"  {label} {what}: text differs")
+                beyond = beyond or f"{label} {what}: text differs"
+                continue
+            worst = max(pairs, key=lambda t: _distance(t[1], t[2], 1.0))
+            relative = max(_distance(x, y, 0.0) for _, x, y in pairs)
+            lines.append(f"  {label} {what}: {len(pairs)} numbers moved, relative "
+                         f"{relative:.3g}, {max(_ulps(x, y) for _, x, y in pairs)} ulps, "
+                         f"worst at line {worst[0]}: {worst[1]!r} -> {worst[2]!r}")
+            broken = next((f"line {line}: {x!r} -> {y!r}" for line, x, y in pairs
+                           if not _distance(x, y, 1.0) <= _ROUNDOFF), None)
+            if broken:
+                beyond = beyond or f"{label} {what} {broken}"
+    verdict = ("within roundoff: every number moved by at most 64 eps max(|a|, |b|, 1)"
+               if beyond is None else f"BEYOND roundoff at {beyond}")
+    return lines, verdict
+
+
 def rss_moves(old, new) -> list[str]:
     """The commands whose peak RSS moved most from ``old`` to ``new``, described."""
     moves = sorted(((b - a, label, a, b) for (label, _, a), (_, _, b) in zip(old, new)),
@@ -268,6 +337,12 @@ def main(argv=None) -> int:
     difference = compare(*runs)
     print(f"DIFFERENT {difference}" if difference
           else f"identical: {len(runs[0])} commands, {n_files} written files")
+    if difference:
+        lines, verdict = roundoff(*runs)
+        print("numbers of each differing item, OLD -> NEW (largest relative and ulp "
+              "distance, worst pair):")
+        print("\n".join(lines))
+        print(verdict)
     print("lines of each src/ module, OLD -> NEW:")
     print("\n".join(line_moves(src_lines(args.old), src_lines(args.new))))
     if warning := src_path_warning(args.old, args.new):
